@@ -3,7 +3,6 @@ size accounting, and Laplace-mechanism differential privacy."""
 
 from .trace import (
     PersonRecord,
-    Sample,
     SyntheticSpec,
     Trace,
     generate_population,
@@ -14,7 +13,6 @@ from .trace import (
 from .inference import (
     InferenceConfig,
     InferenceMetrics,
-    Reconstruction,
     TransmissionSet,
     compute_metrics,
     gap_areas,

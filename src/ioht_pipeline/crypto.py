@@ -17,15 +17,13 @@ from cryptography.hazmat.decrepit.ciphers.algorithms import Blowfish, TripleDES
 from cryptography.hazmat.primitives import padding
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .inference import REASON_CODES, TransmissionSet
+from .inference import REASON_CODES, REASON_NAMES, TransmissionSet
 from .trace import KIND_CODES, KINDS, UNIT_CODES, UNITS, Trace
 
 MAGIC = b"IOHT"
 FORMAT_VERSION = 0x01
 HEADER_LEN = 11  # magic(4) + version(1) + kind(1) + unit(1) + count(4)
 RECORD_LEN = 13  # t(4) + value(8) + reason(1)
-
-_REASON_FROM_CODE = {code: name for name, code in REASON_CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -64,20 +62,25 @@ def serialize_records(kind: str, unit: str, records: Sequence[tuple[int, float, 
     out.append(UNIT_CODES[unit])
     out += struct.pack(">I", len(records))
     for t, value, reason in records:
-        out += struct.pack(">Id", t, value)
+        try:
+            out += struct.pack(">Id", t, value)
+        except struct.error as exc:
+            raise PayloadError(f"record at t={t} does not fit the wire format: {exc}") from exc
         out.append(REASON_CODES[reason])
     return bytes(out)
 
 
-def serialize_payload(trace: Trace, tx: TransmissionSet) -> bytes:
-    """Serialize the transmitted subset of a trace."""
+def transmitted_records(trace: Trace, tx: TransmissionSet) -> list[tuple[int, float, str]]:
+    """The (time, value, reason) records of the transmitted subset of a trace."""
     if tx.source_len != len(trace):
         raise PayloadError("transmission set inconsistent with trace")
-    records = [
-        (trace.samples[idx].t, trace.samples[idx].value, reason)
-        for idx, reason in tx.selected
-    ]
-    return serialize_records(trace.kind, trace.unit, records)
+    reasons = [REASON_NAMES[code] for code in tx.codes.tolist()]
+    return list(zip(trace.times[tx.indices].tolist(), trace.values[tx.indices].tolist(), reasons))
+
+
+def serialize_payload(trace: Trace, tx: TransmissionSet) -> bytes:
+    """Serialize the transmitted subset of a trace."""
+    return serialize_records(trace.kind, trace.unit, transmitted_records(trace, tx))
 
 
 def parse_payload(data: bytes) -> tuple[str, str, list[tuple[int, float, str]]]:
@@ -102,9 +105,9 @@ def parse_payload(data: bytes) -> tuple[str, str, list[tuple[int, float, str]]]:
         off = HEADER_LEN + i * RECORD_LEN
         t, value = struct.unpack(">Id", data[off:off + 12])
         code = data[off + 12]
-        if code not in _REASON_FROM_CODE:
+        if code >= len(REASON_NAMES):
             raise PayloadError(f"unknown reason code {code}")
-        records.append((t, value, _REASON_FROM_CODE[code]))
+        records.append((t, value, REASON_NAMES[code]))
     return kind, unit, records
 
 

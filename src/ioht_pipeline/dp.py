@@ -5,7 +5,7 @@ queries, per-point series perturbation, and an analytic privacy-ratio check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,10 +24,10 @@ class DpParams:
     sensitivity: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.sensitivity <= 0:
-            raise ValueError("sensitivity must be > 0")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not 0 < self.sensitivity < math.inf:
+            raise ValueError(f"sensitivity must be finite and > 0, got {self.sensitivity}")
 
     @property
     def scale(self) -> float:
@@ -123,21 +123,10 @@ def l1_sensitivity(
         worst = max(worst, abs(base - evaluate_query(neighbor_ds, query)))
         if neighbor == "replacement" and query.aggregate != "count":
             for endpoint in bounds:
-                swapped = records[:i] + [_with_field(records[i], query.field, endpoint)] + records[i + 1:]
+                swapped = list(records)
+                swapped[i] = replace(records[i], **{query.field: endpoint})
                 worst = max(worst, abs(base - evaluate_query(swapped, query)))
     return worst
-
-
-def _with_field(record: PersonRecord, fieldname: str, value: float) -> PersonRecord:
-    kwargs = {
-        "id": record.id,
-        "gender": record.gender,
-        "body_temperature": record.body_temperature,
-        "heart_rate": record.heart_rate,
-        "temperature_unit": record.temperature_unit,
-    }
-    kwargs[fieldname] = value
-    return PersonRecord(**kwargs)
 
 
 def noisy_query(

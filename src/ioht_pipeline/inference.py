@@ -2,8 +2,8 @@
 the receiver-side series, and the savings/efficiency/accuracy metrics."""
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -13,7 +13,8 @@ from .trace import Trace
 REASON_ANCHOR = "anchor"
 REASON_VARIANCE = "variance"
 REASON_BEACON = "beacon"
-REASON_CODES = {REASON_ANCHOR: 0, REASON_VARIANCE: 1, REASON_BEACON: 2}
+REASON_NAMES = (REASON_ANCHOR, REASON_VARIANCE, REASON_BEACON)  # indexed by wire code
+REASON_CODES = {name: code for code, name in enumerate(REASON_NAMES)}
 
 RECON_MODES = ("step-hold", "linear")
 
@@ -25,43 +26,50 @@ class InferenceConfig:
     recon_mode: str = "linear"
 
     def __post_init__(self) -> None:
-        if self.vr < 0:
-            raise ValueError("vr must be >= 0")
+        if not 0 <= self.vr < math.inf:
+            raise ValueError(f"vr must be finite and >= 0, got {self.vr}")
         if self.beacon_period is not None and self.beacon_period < 1:
             raise ValueError("beacon_period must be >= 1")
         if self.recon_mode not in RECON_MODES:
             raise ValueError(f"unknown recon_mode {self.recon_mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransmissionSet:
-    """Indices chosen for transmission, each with the reason it was kept."""
+    """Indices chosen for transmission, each with the wire code of the
+    reason it was kept (`REASON_CODES`), as two read-only columns."""
 
     source_len: int
-    selected: tuple[tuple[int, str], ...]
+    indices: np.ndarray
+    codes: np.ndarray
 
     def __post_init__(self) -> None:
-        prev = -1
-        for idx, reason in self.selected:
-            if not 0 <= idx < self.source_len:
-                raise ValueError(f"index {idx} outside [0, {self.source_len})")
-            if idx <= prev:
-                raise ValueError("selected indices must be strictly increasing")
-            if reason not in REASON_CODES:
-                raise ValueError(f"unknown reason {reason!r}")
-            prev = idx
+        indices = np.array(self.indices, dtype=np.int64)
+        codes = np.array(self.codes, dtype=np.int64)
+        if indices.ndim != 1 or indices.shape != codes.shape:
+            raise ValueError("indices and codes must be 1-D and of equal length")
+        outside = np.flatnonzero((indices < 0) | (indices >= self.source_len))
+        if outside.size:
+            raise ValueError(f"index {indices[outside[0]]} outside [0, {self.source_len})")
+        if np.any(indices[1:] <= indices[:-1]):
+            raise ValueError("selected indices must be strictly increasing")
+        unknown = np.flatnonzero((codes < 0) | (codes >= len(REASON_NAMES)))
+        if unknown.size:
+            raise ValueError(f"unknown reason code {codes[unknown[0]]}")
+        codes = codes.astype(np.uint8)
+        indices.flags.writeable = False
+        codes.flags.writeable = False
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "codes", codes)
 
     @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(idx for idx, _ in self.selected)
+    def selected(self) -> tuple[tuple[int, str], ...]:
+        """(index, reason name) pairs in index order."""
+        names = [REASON_NAMES[c] for c in self.codes.tolist()]
+        return tuple(zip(self.indices.tolist(), names))
 
     def __len__(self) -> int:
-        return len(self.selected)
-
-
-@dataclass(frozen=True)
-class Reconstruction:
-    values: tuple[float, ...]
+        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -86,48 +94,45 @@ def select_samples(trace: Trace, config: InferenceConfig) -> TransmissionSet:
     reason precedence: variance > anchor > beacon.
     """
     n = len(trace)
-    if n == 0:
-        return TransmissionSet(source_len=0, selected=())
     v = trace.values
-    reasons: dict[int, str] = {}
-    thresh = np.abs(v) * config.vr
-    for i in range(1, n - 1):
-        if abs(v[i] - v[i + 1]) > thresh[i] or abs(v[i - 1] - v[i]) > thresh[i]:
-            reasons[i] = REASON_VARIANCE
-    reasons.setdefault(0, REASON_ANCHOR)
-    reasons.setdefault(n - 1, REASON_ANCHOR)
+    reason = np.full(n, -1, dtype=np.int8)  # -1: dropped
+    # Later assignments overwrite earlier ones, which sets the precedence.
     if config.beacon_period is not None:
-        for i in range(0, n, config.beacon_period):
-            reasons.setdefault(i, REASON_BEACON)
-    selected = tuple((i, reasons[i]) for i in sorted(reasons))
-    return TransmissionSet(source_len=n, selected=selected)
+        reason[::config.beacon_period] = REASON_CODES[REASON_BEACON]
+    reason[:1] = reason[-1:] = REASON_CODES[REASON_ANCHOR]
+    step = np.abs(np.diff(v))
+    thresh = np.abs(v[1:-1]) * config.vr
+    reason[1:-1][(step[1:] > thresh) | (step[:-1] > thresh)] = REASON_CODES[REASON_VARIANCE]
+    kept = np.flatnonzero(reason >= 0)
+    return TransmissionSet(source_len=n, indices=kept, codes=reason[kept])
 
 
-def reconstruct(trace: Trace, tx: TransmissionSet, mode: str = "linear") -> Reconstruction:
-    """Rebuild the full-length series from the transmitted subset."""
+def reconstruct(trace: Trace, tx: TransmissionSet, mode: str = "linear") -> np.ndarray:
+    """Rebuild the full-length series from the transmitted subset, as a
+    read-only float64 array."""
     if tx.source_len != len(trace):
         raise ValueError("transmission set length does not match trace")
-    if len(trace) == 0:
-        return Reconstruction(values=())
-    if len(tx) == 0:
-        raise ValueError("no anchors: cannot reconstruct from an empty selection")
-    if mode not in RECON_MODES:
-        raise ValueError(f"unknown recon_mode {mode!r}")
-
     times = trace.times
     values = trace.values
-    idx = np.array(tx.indices, dtype=np.int64)
-    if mode == "linear":
+    idx = tx.indices
+    if len(trace) == 0:
+        recon = np.empty(0)
+    elif len(idx) == 0:
+        raise ValueError("no anchors: cannot reconstruct from an empty selection")
+    elif mode == "linear":
         recon = np.interp(times, times[idx], values[idx])
-    else:  # step-hold: value of the nearest transmitted sample at or before
+    elif mode == "step-hold":  # value of the nearest transmitted sample at or before
         positions = np.searchsorted(idx, np.arange(len(trace)), side="right") - 1
         positions = np.clip(positions, 0, len(idx) - 1)
         recon = values[idx[positions]]
+    else:
+        raise ValueError(f"unknown recon_mode {mode!r}")
     recon[idx] = values[idx]  # exactness at transmitted points, both modes
-    return Reconstruction(values=tuple(float(x) for x in recon))
+    recon.flags.writeable = False
+    return recon
 
 
-def gap_areas(trace: Trace, recon: Reconstruction) -> tuple[float, float]:
+def gap_areas(trace: Trace, recon: np.ndarray) -> tuple[float, float]:
     """Exact areas where the reconstruction under- and over-shoots.
 
     The difference d(t) = original - reconstructed is treated as piecewise
@@ -135,46 +140,42 @@ def gap_areas(trace: Trace, recon: Reconstruction) -> tuple[float, float]:
     splitting at the zero crossing when d changes sign. Returns
     (s_upper, s_lower) in value-units * seconds.
     """
-    if len(recon.values) != len(trace):
+    if len(recon) != len(trace):
         raise ValueError("length mismatch between trace and reconstruction")
     if len(trace) < 2:
         raise ValueError("need at least 2 samples to integrate")
     times = trace.times.astype(np.float64)
-    d = trace.values - np.array(recon.values)
-    s_upper = 0.0
-    s_lower = 0.0
-    for i in range(len(d) - 1):
-        t0, t1 = times[i], times[i + 1]
-        d0, d1 = d[i], d[i + 1]
-        if d0 * d1 >= 0:
-            area = 0.5 * (abs(d0) + abs(d1)) * (t1 - t0)
-            if d0 > 0 or d1 > 0:
-                s_upper += area
-            else:
-                s_lower += area
-        else:
-            tz = t0 + (t1 - t0) * d0 / (d0 - d1)
-            first = 0.5 * abs(d0) * (tz - t0)
-            second = 0.5 * abs(d1) * (t1 - tz)
-            if d0 > 0:
-                s_upper += first
-                s_lower += second
-            else:
-                s_lower += first
-                s_upper += second
-    return float(s_upper), float(s_lower)
+    d = trace.values - recon
+    t0, t1, d0, d1 = times[:-1], times[1:], d[:-1], d[1:]
+    # Both branches are evaluated for every segment and np.where keeps the
+    # one that applies; the other may divide by zero.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        whole = 0.5 * (np.abs(d0) + np.abs(d1)) * (t1 - t0)
+        tz = t0 + (t1 - t0) * d0 / (d0 - d1)
+        first = 0.5 * np.abs(d0) * (tz - t0)
+        second = 0.5 * np.abs(d1) * (t1 - tz)
+    same_sign = d0 * d1 >= 0
+    above = (d0 > 0) | (d1 > 0)
+    starts_above = d0 > 0
+    upper = np.where(same_sign, np.where(above, whole, 0.0),
+                     np.where(starts_above, first, second))
+    lower = np.where(same_sign, np.where(above, 0.0, whole),
+                     np.where(starts_above, second, first))
+    # cumsum adds in index order like a running total; np.sum's pairwise
+    # order would change the last bits of the reported areas.
+    return float(np.cumsum(upper)[-1]), float(np.cumsum(lower)[-1])
 
 
-def compute_metrics(trace: Trace, tx: TransmissionSet, recon: Reconstruction) -> InferenceMetrics:
+def compute_metrics(trace: Trace, tx: TransmissionSet, recon: np.ndarray) -> InferenceMetrics:
     """Savings ratio, efficiency ratio, accuracy ratio and gap areas."""
     n = len(trace)
     t = len(tx)
     if t == 0:
         raise ValueError("efficiency ratio undefined for zero transmitted samples")
-    sr = 100.0 * (n - t) / n
+    sr = savings_ratio(n, t)
     er = (n - t) / t
     orig_sum = float(np.sum(trace.values))
-    ar = 100.0 * float(np.sum(recon.values)) / orig_sum if orig_sum != 0 else None
+    ar = 100.0 * float(np.sum(recon)) / orig_sum if orig_sum != 0 else None
     s_upper, s_lower = gap_areas(trace, recon) if n >= 2 else (0.0, 0.0)
     return InferenceMetrics(
         n=n, t=t, sr=sr, er=er, ar=ar,
@@ -191,20 +192,4 @@ def savings_ratio(n: int, t: int) -> float:
 
 def metrics_report(metrics: InferenceMetrics, config: InferenceConfig) -> dict:
     """Machine-readable report object (full precision)."""
-    return {
-        "n": metrics.n,
-        "t": metrics.t,
-        "sr": metrics.sr,
-        "er": metrics.er,
-        "ar": metrics.ar,
-        "s_upper": metrics.s_upper,
-        "s_lower": metrics.s_lower,
-        "s_diff": metrics.s_diff,
-        "vr": config.vr,
-        "beacon_period": config.beacon_period,
-        "recon_mode": config.recon_mode,
-    }
-
-
-def metrics_report_json(metrics: InferenceMetrics, config: InferenceConfig) -> str:
-    return json.dumps(metrics_report(metrics, config), indent=2)
+    return {**asdict(metrics), **asdict(config)}

@@ -4,20 +4,22 @@ with per-hop byte accounting and a linear transmit-energy model."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 from .crypto import (
+    HEADER_LEN,
+    RECORD_LEN,
     CipherSuite,
+    ciphertext_size,
     decrypt,
     encrypt,
     parse_payload,
     serialize_records,
+    transmitted_records,
 )
 from .dp import DpParams, DpQuery, NoisedResult, derive_streams, noisy_query
 from .inference import (
-    REASON_ANCHOR,
-    REASON_VARIANCE,
     InferenceConfig,
     InferenceMetrics,
     TransmissionSet,
@@ -93,25 +95,10 @@ class PipelineReport:
     energy_model: EnergyModel
 
     def to_dict(self) -> dict:
-        m = self.inference_metrics
         return {
-            "inference_metrics": {
-                "n": m.n, "t": m.t, "sr": m.sr, "er": m.er, "ar": m.ar,
-                "s_upper": m.s_upper, "s_lower": m.s_lower, "s_diff": m.s_diff,
-            },
-            "log": [
-                {
-                    "hop": h.hop,
-                    "messages": h.messages,
-                    "payload_bytes": h.payload_bytes,
-                    "ciphertext_bytes": h.ciphertext_bytes,
-                }
-                for h in self.log.hops
-            ],
-            "energy_model": {
-                "joules_per_byte_tx": self.energy_model.joules_per_byte_tx,
-                "joules_per_message_overhead": self.energy_model.joules_per_message_overhead,
-            },
+            "inference_metrics": asdict(self.inference_metrics),
+            "log": [asdict(h) for h in self.log.hops],
+            "energy_model": asdict(self.energy_model),
             "energy_baseline_joules": self.energy_baseline,
             "energy_actual_joules": self.energy_actual,
             "energy_saving_percent": self.energy_saving_percent,
@@ -158,10 +145,7 @@ def _transmit(
 ) -> TransmissionLog:
     """Run the selected records through both hops, verifying the edge-side
     decryption reproduces the transmitted records bit-exactly."""
-    records = [
-        (trace.samples[idx].t, trace.samples[idx].value, reason)
-        for idx, reason in tx.selected
-    ]
+    records = transmitted_records(trace, tx)
     log = TransmissionLog()
     local = log.hop(HOP_SENSOR_GATEWAY)
     uplink = log.hop(HOP_GATEWAY_EDGE)
@@ -187,13 +171,22 @@ def _transmit(
     return log
 
 
-def _full_transmission_set(n: int) -> TransmissionSet:
-    """Every sample transmitted; the unfiltered baseline."""
-    selected = []
-    for i in range(n):
-        reason = REASON_ANCHOR if i in (0, n - 1) else REASON_VARIANCE
-        selected.append((i, reason))
-    return TransmissionSet(source_len=n, selected=tuple(selected))
+def _unfiltered_log(n: int, config: PipelineConfig) -> TransmissionLog:
+    """The log `_transmit` writes when all n samples are sent, computed from
+    the wire-format and padding sizes without encrypting anything."""
+    full, rest = divmod(n, config.batch_samples)
+    last = 1 if rest or not full else 0  # an empty trace still sends one header
+    batches = ((config.batch_samples, full), (rest, last))  # (records, batch count)
+    messages = full + last
+    payload_bytes = sum(count * (HEADER_LEN + k * RECORD_LEN) for k, count in batches)
+    ciphertext_bytes = sum(
+        count * ciphertext_size(HEADER_LEN + k * RECORD_LEN, config.suite)
+        for k, count in batches
+    )
+    return TransmissionLog(hops=[
+        HopLog(HOP_SENSOR_GATEWAY, messages, payload_bytes),
+        HopLog(HOP_GATEWAY_EDGE, messages, payload_bytes, ciphertext_bytes),
+    ])
 
 
 def run_pipeline(
@@ -211,9 +204,8 @@ def run_pipeline(
 
     # Baseline sends all N samples through the identical wire format and
     # cipher, so the savings isolate the filter's effect.
-    baseline_log = _transmit(trace, _full_transmission_set(len(trace)), config)
     energy_actual = energy_estimate(log, config.energy)
-    energy_baseline = energy_estimate(baseline_log, config.energy)
+    energy_baseline = energy_estimate(_unfiltered_log(len(trace), config), config.energy)
     saving = (
         100.0 * (energy_baseline - energy_actual) / energy_baseline
         if energy_baseline > 0

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -21,49 +22,52 @@ class TraceError(ValueError):
     """Raised for malformed trace data (bad CSV rows, broken invariants)."""
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One measurement: time offset in whole seconds plus a finite value."""
-
-    t: int
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.t < 0:
-            raise TraceError(f"negative time offset {self.t}")
-        if not math.isfinite(self.value):
-            raise TraceError(f"non-finite value at t={self.t}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """An immutable physiological time series with strictly increasing times."""
+    """An immutable physiological time series stored as two read-only columns.
+
+    `times` are int64 offsets in whole seconds, non-negative and strictly
+    increasing; `values` are finite float64 measurements of the same length.
+    """
 
     kind: str
     unit: str
-    samples: tuple[Sample, ...]
+    times: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise TraceError(f"unknown sensor kind {self.kind!r}")
         if self.unit not in UNITS:
             raise TraceError(f"unknown unit {self.unit!r}")
-        for prev, cur in zip(self.samples, self.samples[1:]):
-            if cur.t <= prev.t:
-                raise TraceError(
-                    f"non-increasing timestamps: t={cur.t} after t={prev.t}"
-                )
+        try:
+            times = np.array(self.times, dtype=np.int64)
+            values = np.array(self.values, dtype=np.float64)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise TraceError(f"times and values must be numeric columns: {exc}") from exc
+        if times.ndim != 1 or values.ndim != 1:
+            raise TraceError("times and values must be 1-D")
+        if len(times) != len(values):
+            raise TraceError(f"length mismatch: {len(times)} times, {len(values)} values")
+        negative = np.flatnonzero(times < 0)
+        if negative.size:
+            raise TraceError(f"negative time offset {times[negative[0]]}")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise TraceError(f"non-finite value at t={times[bad[0]]}")
+        back = np.flatnonzero(times[1:] <= times[:-1])
+        if back.size:
+            i = back[0]
+            raise TraceError(
+                f"non-increasing timestamps: t={times[i + 1]} after t={times[i]}"
+            )
+        times.flags.writeable = False
+        values.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples], dtype=np.int64)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([s.value for s in self.samples], dtype=np.float64)
+        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,8 @@ class SyntheticSpec:
             raise TraceError("n must be >= 0")
         if self.period < 1:
             raise TraceError("period must be >= 1")
+        if (self.n - 1) * self.period > np.iinfo(np.int64).max:
+            raise TraceError("time offsets would exceed the int64 range")
         if self.noise_scale < 0:
             raise TraceError("noise_scale must be >= 0")
 
@@ -118,7 +124,8 @@ def _unit_for_kind(kind: str) -> str:
 
 def load_csv(path: str | Path, kind: str, unit: str) -> Trace:
     """Load a `t,value` CSV (single header line) into a validated Trace."""
-    samples: list[Sample] = []
+    times: list[int] = []
+    values: list[float] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -138,8 +145,9 @@ def load_csv(path: str | Path, kind: str, unit: str) -> Trace:
             if last_t is not None and t <= last_t:
                 raise TraceError(f"{path}: non-increasing timestamps at row {rownum}")
             last_t = t
-            samples.append(Sample(t, value))
-    return Trace(kind=kind, unit=unit, samples=tuple(samples))
+            times.append(t)
+            values.append(value)
+    return Trace(kind=kind, unit=unit, times=times, values=values)
 
 
 def save_csv(trace: Trace, path: str | Path) -> None:
@@ -147,8 +155,8 @@ def save_csv(trace: Trace, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "value"])
-        for s in trace.samples:
-            writer.writerow([s.t, f"{s.value:.6f}"])
+        for t, value in zip(trace.times.tolist(), trace.values.tolist()):
+            writer.writerow([t, f"{value:.6f}"])
 
 
 def generate_trace(spec: SyntheticSpec) -> Trace:
@@ -158,16 +166,16 @@ def generate_trace(spec: SyntheticSpec) -> Trace:
     correlated, which keeps the variance-rate filter's savings realistic.
     """
     rng = np.random.default_rng(spec.seed)
-    samples = []
-    ar = 0.0
-    for i in range(spec.n):
-        t = i * spec.period
-        drift = spec.drift_amplitude * math.sin(2.0 * math.pi * t / 86400.0)
-        if spec.noise_scale > 0:
-            ar = 0.9 * ar + rng.normal(0.0, spec.noise_scale)
-        value = spec.baseline + drift + ar
-        samples.append(Sample(t, value))
-    return Trace(kind=spec.kind, unit=_unit_for_kind(spec.kind), samples=tuple(samples))
+    times = np.arange(spec.n, dtype=np.int64) * spec.period
+    drift = spec.drift_amplitude * np.sin(2.0 * np.pi * times / 86400.0)
+    if spec.noise_scale > 0:
+        # one batched draw gives the same stream as n scalar draws
+        shocks = rng.normal(0.0, spec.noise_scale, spec.n).tolist()
+        ar = list(itertools.accumulate(shocks, lambda prev, e: 0.9 * prev + e))
+    else:
+        ar = 0.0
+    values = spec.baseline + drift + ar
+    return Trace(kind=spec.kind, unit=_unit_for_kind(spec.kind), times=times, values=values)
 
 
 HR_MEAN = 73.76  # population heart-rate model, bpm

@@ -23,7 +23,6 @@ from ioht_pipeline.dp import (
 )
 from ioht_pipeline.inference import (
     InferenceConfig,
-    Reconstruction,
     gap_areas,
     reconstruct,
     savings_ratio,
@@ -32,7 +31,6 @@ from ioht_pipeline.inference import (
 from ioht_pipeline.pipeline import run_pipeline
 from ioht_pipeline.trace import (
     PersonRecord,
-    Sample,
     SyntheticSpec,
     Trace,
     generate_population,
@@ -86,7 +84,7 @@ def test_criterion_3_vr_monotonicity():
 
 def _quadrature(trace, recon, subdivisions=1000):
     times = trace.times.astype(float)
-    d = trace.values - np.array(recon.values)
+    d = trace.values - recon
     s_u = s_l = 0.0
     for i in range(len(d) - 1):
         ts = np.linspace(times[i], times[i + 1], subdivisions + 1)
@@ -100,10 +98,8 @@ def test_criterion_4_gap_area_oracle():
     rng = np.random.default_rng(2718)
     for _ in range(100):
         n = int(rng.integers(2, 50))
-        trace = Trace("other", "dimensionless",
-                      tuple(Sample(i * 2, float(v))
-                            for i, v in enumerate(rng.normal(0, 5, n))))
-        recon = Reconstruction(values=tuple(float(v) for v in rng.normal(0, 5, n)))
+        trace = Trace("other", "dimensionless", np.arange(n) * 2, rng.normal(0, 5, n))
+        recon = rng.normal(0, 5, n)
         s_u, s_l = gap_areas(trace, recon)
         q_u, q_l = _quadrature(trace, recon)
         tol = 1e-6 * (q_u + q_l) + 1e-12
@@ -111,7 +107,7 @@ def test_criterion_4_gap_area_oracle():
         assert abs(s_l - q_l) <= tol
     # perfect reconstruction limit
     trace = generate_trace(SyntheticSpec(n=100, seed=1, noise_scale=1.0))
-    perfect = Reconstruction(values=tuple(float(v) for v in trace.values))
+    perfect = trace.values.copy()
     s_u, s_l = gap_areas(trace, perfect)
     assert s_u == 0.0 and s_l == 0.0 and abs(s_u - s_l) == 0.0
     ok("criterion 4: exact gap areas match dense quadrature; zero for perfect reconstruction")

@@ -123,3 +123,16 @@ class TestCli:
         bad = tmp_path / "bad.csv"
         bad.write_text("t,value\n0,60\n0,61\n")
         assert main(["infer", "--input", str(bad)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["infer", "--n", "50", "--vr", "nan", "--json"],
+        ["pipeline", "--n", "50", "--epsilon", "nan"],
+        ["dp", "--epsilon", "0.5", "--sensitivity", "inf"],
+        # the third timestamp, 6e9 s, does not fit the wire format's 32 bits
+        ["pipeline", "--n", "3", "--period", "3000000000"],
+    ])
+    def test_bad_values_exit_2_without_output(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")

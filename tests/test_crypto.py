@@ -13,9 +13,15 @@ from ioht_pipeline.crypto import (
     plaintext_size_for_savings,
     serialize_payload,
     serialize_records,
+    transmitted_records,
 )
-from ioht_pipeline.inference import InferenceConfig, select_samples
-from ioht_pipeline.trace import SyntheticSpec, generate_trace
+from ioht_pipeline.inference import (
+    REASON_CODES,
+    InferenceConfig,
+    TransmissionSet,
+    select_samples,
+)
+from ioht_pipeline.trace import SyntheticSpec, Trace, generate_trace
 
 KEYS = {
     "aes-128-ecb": bytes(range(16)),
@@ -49,8 +55,8 @@ class TestWireFormat:
         _, _, parsed = parse_payload(data)
         assert len(parsed) == len(tx)
         for (t, value, reason), (idx, want_reason) in zip(parsed, tx.selected):
-            assert t == trace.samples[idx].t
-            assert value == trace.samples[idx].value
+            assert t == trace.times[idx]
+            assert value == trace.values[idx]
             assert reason == want_reason
 
     def test_parse_rejects_garbage(self):
@@ -61,6 +67,20 @@ class TestWireFormat:
             parse_payload(good[:-1])
         with pytest.raises(PayloadError):
             parse_payload(b"XXXX" + good[4:])
+        with pytest.raises(PayloadError, match="unknown reason code 3"):
+            parse_payload(good[:-1] + b"\x03")
+
+    @pytest.mark.parametrize("t", [2**32, -1])
+    def test_time_outside_32_bits_is_a_payload_error(self, t):
+        with pytest.raises(PayloadError, match=f"record at t={t}"):
+            serialize_records("heart-rate", "bpm", [(t, 1.0, "anchor")])
+
+    def test_transmitted_records_follow_the_selection(self):
+        trace = Trace("other", "dimensionless", [0, 10, 20], [1.5, 2.5, 3.5])
+        tx = TransmissionSet(3, [0, 2], [REASON_CODES["anchor"], REASON_CODES["beacon"]])
+        assert transmitted_records(trace, tx) == [(0, 1.5, "anchor"), (20, 3.5, "beacon")]
+        with pytest.raises(PayloadError, match="inconsistent"):
+            transmitted_records(trace, TransmissionSet(2, [0], [0]))
 
 
 class TestEncryption:

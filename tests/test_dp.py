@@ -124,6 +124,17 @@ class TestSensitivity:
         deletion = l1_sensitivity(q, pop)
         replacement = l1_sensitivity(q, pop, bounds=(40.0, 140.0), neighbor="replacement")
         assert replacement >= deletion
+        # worst neighbor: 60 replaced by the upper bound 140
+        assert replacement == pytest.approx(80.0 / 3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("epsilon,sensitivity", [
+    (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-0.5, 1.0),
+    (0.5, math.nan), (0.5, math.inf), (0.5, 0.0),
+])
+def test_params_reject_non_finite_and_non_positive(epsilon, sensitivity):
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        DpParams(epsilon=epsilon, sensitivity=sensitivity)
 
 
 class TestQueries:

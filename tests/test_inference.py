@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ioht_pipeline.inference import (
+    REASON_CODES,
     InferenceConfig,
-    Reconstruction,
     TransmissionSet,
     compute_metrics,
     gap_areas,
@@ -13,12 +13,18 @@ from ioht_pipeline.inference import (
     reconstruct,
     select_samples,
 )
-from ioht_pipeline.trace import Sample, SyntheticSpec, Trace, generate_trace
+from ioht_pipeline.trace import SyntheticSpec, Trace, generate_trace
 
 
 def make_trace(values, period=60, kind="other", unit="dimensionless"):
-    return Trace(kind, unit,
-                 tuple(Sample(i * period, float(v)) for i, v in enumerate(values)))
+    values = [float(v) for v in values]
+    return Trace(kind, unit, [i * period for i in range(len(values))], values)
+
+
+def make_tx(source_len, selected):
+    """A TransmissionSet from (index, reason name) pairs."""
+    return TransmissionSet(source_len, [i for i, _ in selected],
+                           [REASON_CODES[r] for _, r in selected])
 
 
 def reasons_of(tx):
@@ -85,29 +91,53 @@ class TestSelectSamples:
         assert gaps.max() <= k
 
 
+class TestTransmissionSet:
+    def test_columns_and_selected_view(self):
+        tx = make_tx(5, ((0, "anchor"), (2, "variance"), (4, "beacon")))
+        assert tx.indices.dtype == np.int64 and tx.codes.dtype == np.uint8
+        assert tx.codes.tolist() == [0, 1, 2]
+        assert tx.selected == ((0, "anchor"), (2, "variance"), (4, "beacon"))
+        assert len(tx) == 3
+        with pytest.raises(ValueError, match="read-only"):
+            tx.indices[0] = 1
+
+    @pytest.mark.parametrize("indices,codes,message", [
+        ([0, 5], [0, 0], "index 5 outside"),
+        ([-1], [0], "index -1 outside"),
+        ([2, 1], [0, 0], "strictly increasing"),
+        ([1, 1], [0, 0], "strictly increasing"),
+        ([0], [3], "unknown reason code 3"),
+        ([0, 1], [0], "equal length"),
+    ])
+    def test_rejects_bad_columns(self, indices, codes, message):
+        with pytest.raises(ValueError, match=message):
+            TransmissionSet(5, indices, codes)
+
+
 class TestReconstruct:
     def test_linear_collinear(self):
         trace = make_trace([10.0, 20.0, 30.0])
-        tx = TransmissionSet(3, ((0, "anchor"), (2, "anchor")))
+        tx = make_tx(3, ((0, "anchor"), (2, "anchor")))
         rec = reconstruct(trace, tx, "linear")
-        assert rec.values == (10.0, 20.0, 30.0)
+        assert rec.tolist() == [10.0, 20.0, 30.0]
+        assert rec.dtype == np.float64 and not rec.flags.writeable
 
     def test_step_hold(self):
         trace = make_trace([10.0, 20.0, 30.0])
-        tx = TransmissionSet(3, ((0, "anchor"), (2, "anchor")))
+        tx = make_tx(3, ((0, "anchor"), (2, "anchor")))
         rec = reconstruct(trace, tx, "step-hold")
-        assert rec.values == (10.0, 10.0, 30.0)
+        assert rec.tolist() == [10.0, 10.0, 30.0]
 
     def test_linear_drops_peak(self):
         trace = make_trace([0.0, 9.0, 0.0])
-        tx = TransmissionSet(3, ((0, "anchor"), (2, "anchor")))
+        tx = make_tx(3, ((0, "anchor"), (2, "anchor")))
         rec = reconstruct(trace, tx, "linear")
-        assert rec.values == (0.0, 0.0, 0.0)
+        assert rec.tolist() == [0.0, 0.0, 0.0]
 
     def test_empty_selection_errors(self):
         trace = make_trace([1.0, 2.0])
         with pytest.raises(ValueError, match="no anchors"):
-            reconstruct(trace, TransmissionSet(2, ()), "linear")
+            reconstruct(trace, make_tx(2, ()), "linear")
 
     def test_exact_at_transmitted_points(self):
         trace = generate_trace(SyntheticSpec(n=200, seed=11, noise_scale=2.0))
@@ -115,14 +145,14 @@ class TestReconstruct:
         for mode in ("linear", "step-hold"):
             rec = reconstruct(trace, tx, mode)
             for idx in tx.indices:
-                assert rec.values[idx] == trace.samples[idx].value
+                assert rec[idx] == trace.values[idx]
 
 
 def quadrature_gap_areas(trace, recon, subdivisions=1000):
     """Independent oracle: dense trapezoid integration of the piecewise-linear
     difference, clipped positive and negative."""
     times = trace.times.astype(float)
-    d = trace.values - np.array(recon.values)
+    d = trace.values - recon
     s_u = s_l = 0.0
     for i in range(len(d) - 1):
         ts = np.linspace(times[i], times[i + 1], subdivisions + 1)
@@ -135,26 +165,26 @@ def quadrature_gap_areas(trace, recon, subdivisions=1000):
 class TestGapAreas:
     def test_perfect_reconstruction_zero(self):
         trace = make_trace([1.0, 5.0, 2.0])
-        rec = Reconstruction(values=(1.0, 5.0, 2.0))
+        rec = np.array([1.0, 5.0, 2.0])
         assert gap_areas(trace, rec) == (0.0, 0.0)
 
     def test_triangle_upper(self):
         trace = make_trace([0.0, 9.0, 0.0])
-        rec = Reconstruction(values=(0.0, 0.0, 0.0))
+        rec = np.zeros(3)
         s_u, s_l = gap_areas(trace, rec)
         assert s_u == pytest.approx(540.0)
         assert s_l == 0.0
 
     def test_triangle_lower(self):
         trace = make_trace([0.0, -9.0, 0.0])
-        rec = Reconstruction(values=(0.0, 0.0, 0.0))
+        rec = np.zeros(3)
         s_u, s_l = gap_areas(trace, rec)
         assert s_u == 0.0
         assert s_l == pytest.approx(540.0)
 
     def test_sign_change_within_segment(self):
         trace = make_trace([-3.0, 6.0])
-        rec = Reconstruction(values=(0.0, 0.0))
+        rec = np.zeros(2)
         s_u, s_l = gap_areas(trace, rec)
         # zero crossing at t = 20: lower triangle 0..20, upper 20..60
         assert s_l == pytest.approx(0.5 * 20 * 3)
@@ -166,7 +196,7 @@ class TestGapAreas:
             n = int(rng.integers(2, 50))
             # short segments keep the oracle's kink error below the tolerance
             trace = make_trace(rng.normal(0, 5, size=n), period=2)
-            rec = Reconstruction(values=tuple(rng.normal(0, 5, size=n)))
+            rec = rng.normal(0, 5, size=n)
             s_u, s_l = gap_areas(trace, rec)
             q_u, q_l = quadrature_gap_areas(trace, rec)
             # 1e-6 relative to the total gap area: the quadrature's only error
@@ -177,7 +207,7 @@ class TestGapAreas:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            gap_areas(make_trace([1.0, 2.0]), Reconstruction(values=(1.0,)))
+            gap_areas(make_trace([1.0, 2.0]), np.array([1.0]))
 
 
 class TestMetrics:
@@ -205,7 +235,7 @@ class TestMetrics:
 
     def test_zero_sum_ar_flag(self):
         trace = make_trace([-1.0, 0.0, 1.0])
-        tx = TransmissionSet(3, ((0, "anchor"), (2, "anchor")))
+        tx = make_tx(3, ((0, "anchor"), (2, "anchor")))
         rec = reconstruct(trace, tx, "linear")
         m = compute_metrics(trace, tx, rec)
         assert m.ar is None
@@ -225,5 +255,11 @@ class TestMetrics:
         tx = select_samples(trace, config)
         m = compute_metrics(trace, tx, reconstruct(trace, tx, "linear"))
         report = metrics_report(m, config)
-        assert set(report) == {"n", "t", "sr", "er", "ar", "s_upper", "s_lower",
-                               "s_diff", "vr", "beacon_period", "recon_mode"}
+        assert list(report) == ["n", "t", "sr", "er", "ar", "s_upper", "s_lower",
+                                "s_diff", "vr", "beacon_period", "recon_mode"]
+        assert (report["t"], report["vr"], report["beacon_period"]) == (m.t, 0.1, 2)
+
+    @pytest.mark.parametrize("vr", [float("nan"), float("inf"), -0.01])
+    def test_config_rejects_bad_vr(self, vr):
+        with pytest.raises(ValueError, match="vr must be finite and >= 0"):
+            InferenceConfig(vr=vr)

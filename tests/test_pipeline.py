@@ -4,18 +4,31 @@ import pytest
 
 from ioht_pipeline.crypto import SUITES
 from ioht_pipeline.dp import DpParams, DpQuery
-from ioht_pipeline.inference import InferenceConfig
+from ioht_pipeline.inference import (
+    REASON_ANCHOR,
+    REASON_CODES,
+    REASON_VARIANCE,
+    InferenceConfig,
+    TransmissionSet,
+)
 from ioht_pipeline.pipeline import (
     EnergyModel,
     HopLog,
     PipelineConfig,
     TransmissionLog,
+    _transmit,
+    _unfiltered_log,
     energy_estimate,
     run_pipeline,
 )
 from ioht_pipeline.trace import SyntheticSpec, generate_population, generate_trace
 
 KEY = bytes.fromhex("00112233445566778899aabbccddeeff")
+SUITE_KEYS = {
+    "aes-128-ecb": KEY,
+    "des-ecb": KEY[:8],
+    "blowfish-ecb": KEY,
+}
 
 
 def make_config(**overrides):
@@ -54,6 +67,24 @@ class TestEnergyEstimate:
         ])
         model = EnergyModel(joules_per_byte_tx=1.0, joules_per_message_overhead=0.0)
         assert energy_estimate(log, model) == 112.0
+
+
+def _full_transmission_set(n: int) -> TransmissionSet:
+    """Every sample transmitted; the unfiltered baseline."""
+    selected = []
+    for i in range(n):
+        reason = REASON_ANCHOR if i in (0, n - 1) else REASON_VARIANCE
+        selected.append((i, reason))
+    return TransmissionSet(n, [i for i, _ in selected], [REASON_CODES[r] for _, r in selected])
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+@pytest.mark.parametrize("batch", [1, 7, 60])
+@pytest.mark.parametrize("n", [0, 1, 59, 60, 61, 1420])
+def test_unfiltered_log_matches_a_real_transmission(n, batch, suite):
+    trace = generate_trace(SyntheticSpec(n=n, seed=n, noise_scale=1.0))
+    config = make_config(suite=SUITES[suite], key=SUITE_KEYS[suite], batch_samples=batch)
+    assert _unfiltered_log(n, config) == _transmit(trace, _full_transmission_set(n), config)
 
 
 class TestRunPipeline:
@@ -136,4 +167,4 @@ class TestRunPipeline:
         from ioht_pipeline.trace import Trace
         pop = generate_population(5, 1)
         with pytest.raises(ValueError):
-            run_pipeline(Trace("heart-rate", "bpm", ()), make_config(), pop)
+            run_pipeline(Trace("heart-rate", "bpm", [], []), make_config(), pop)

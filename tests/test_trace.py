@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ioht_pipeline.trace import (
     PersonRecord,
-    Sample,
     SyntheticSpec,
     Trace,
     TraceError,
@@ -25,7 +24,8 @@ def test_load_csv_basic(tmp_path):
     p.write_text("t,value\n0,60.0\n60,61.0\n120,60.5\n")
     trace = load_csv(p, "heart-rate", "bpm")
     assert len(trace) == 3
-    assert trace.samples[1] == Sample(60, 61.0)
+    assert (trace.times[1], trace.values[1]) == (60, 61.0)
+    assert trace.times.dtype == np.int64 and trace.values.dtype == np.float64
     assert trace.unit == "bpm"
 
 
@@ -49,33 +49,63 @@ def test_load_csv_bad_value(tmp_path):
         load_csv(p, "heart-rate", "bpm")
 
 
-def test_sample_rejects_nan():
-    with pytest.raises(TraceError):
-        Sample(0, float("nan"))
+def test_trace_rejects_nan():
+    with pytest.raises(TraceError, match="non-finite value at t=5"):
+        Trace("heart-rate", "bpm", [0, 5], [1.0, float("nan")])
 
 
 def test_trace_rejects_unsorted():
-    with pytest.raises(TraceError):
-        Trace("heart-rate", "bpm", (Sample(10, 1.0), Sample(5, 2.0)))
+    with pytest.raises(TraceError, match="non-increasing timestamps: t=5 after t=10"):
+        Trace("heart-rate", "bpm", [10, 5], [1.0, 2.0])
+    with pytest.raises(TraceError, match="non-increasing"):
+        Trace("heart-rate", "bpm", [0, 10, 10], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("times,values,message", [
+    ([0, -5], [1.0, 2.0], "negative time offset -5"),
+    ([0, 5], [1.0], "length mismatch: 2 times, 1 values"),
+    ([[0, 5]], [[1.0, 2.0]], "1-D"),
+    ([2**64], [1.0], "numeric columns"),
+])
+def test_trace_rejects_malformed_columns(times, values, message):
+    with pytest.raises(TraceError, match=message):
+        Trace("other", "dimensionless", times, values)
+
+
+def test_trace_columns_are_read_only_copies():
+    times = np.array([0, 60])
+    values = np.array([1.0, 2.0])
+    trace = Trace("other", "dimensionless", times, values)
+    values[0] = 99.0  # the caller's array is not shared
+    assert trace.values[0] == 1.0
+    for column in (trace.times, trace.values):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
 
 
 def test_generate_trace_zero_noise_constant():
     spec = SyntheticSpec(kind="heart-rate", n=3, period=60, seed=1,
                          baseline=70.0, drift_amplitude=0.0, noise_scale=0.0)
     trace = generate_trace(spec)
-    assert [s.value for s in trace.samples] == [70.0, 70.0, 70.0]
-    assert [s.t for s in trace.samples] == [0, 60, 120]
+    assert trace.values.tolist() == [70.0, 70.0, 70.0]
+    assert trace.times.tolist() == [0, 60, 120]
 
 
 def test_generate_trace_deterministic():
     spec = SyntheticSpec(n=500, seed=42, noise_scale=1.5, drift_amplitude=8.0)
     a = generate_trace(spec)
     b = generate_trace(spec)
-    assert a == b
+    assert (a.kind, a.unit) == (b.kind, b.unit)
+    assert np.array_equal(a.times, b.times) and np.array_equal(a.values, b.values)
 
 
 def test_generate_trace_empty():
     assert len(generate_trace(SyntheticSpec(n=0))) == 0
+
+
+def test_synthetic_spec_rejects_times_beyond_int64():
+    with pytest.raises(TraceError, match="int64"):
+        SyntheticSpec(n=3, period=2**62)
 
 
 def test_generate_population_stats():
@@ -106,11 +136,12 @@ def test_person_record_range_check():
     )
 )
 def test_csv_round_trip(tmp_path_factory, values):
-    trace = Trace("other", "dimensionless",
-                  tuple(Sample(i * 10, v) for i, v in enumerate(values)))
+    trace = Trace("other", "dimensionless", [i * 10 for i in range(len(values))], values)
     p = tmp_path_factory.mktemp("rt") / "trace.csv"
     save_csv(trace, p)
-    assert load_csv(p, "other", "dimensionless") == trace
+    loaded = load_csv(p, "other", "dimensionless")
+    assert loaded.times.tolist() == trace.times.tolist()
+    assert loaded.values.tolist() == trace.values.tolist()
 
 
 def test_population_csv_round_trip(tmp_path):
