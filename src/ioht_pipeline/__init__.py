@@ -37,6 +37,7 @@ from .dp import (
     NoisedResult,
     l1_sensitivity,
     laplace_cdf,
+    laplace_noise,
     laplace_pdf,
     noisy_query,
     perturb_series,

@@ -238,6 +238,8 @@ def _resolve_population(args):
 
 
 def _cmd_dp(args) -> None:
+    if args.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {args.trials}")
     population = _resolve_population(args)
     query = DpQuery(aggregate=args.query,
                     field=None if args.query == "count" else args.field)

@@ -1,11 +1,12 @@
 """Tier-2 differential privacy: Laplace distribution, noise calibration
-b = sensitivity / epsilon, brute-force L1 sensitivity, noisy aggregate
-queries, per-point series perturbation, and an analytic privacy-ratio check.
+b = sensitivity / epsilon, closed-form L1 sensitivity, single and batched
+Laplace draws, noisy aggregate queries, per-point series perturbation, and
+an analytic privacy-ratio check.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -85,6 +86,22 @@ def sample_laplace(rng: np.random.Generator, mu: float, b: float) -> float:
     return mu - b * math.copysign(1.0, u) * math.log(1.0 - 2.0 * abs(u))
 
 
+def laplace_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
+    """`size` Laplace(0, b) draws: bit for bit the values of `size` calls of
+    sample_laplace(rng, 0.0, b), leaving `rng` in the same state."""
+    if b <= 0:
+        raise ValueError("scale b must be > 0")
+    u = np.empty(0)
+    while len(u) < size:  # draw again for the uniforms sample_laplace rejects
+        more = rng.random(size - len(u)) - 0.5
+        u = np.concatenate([u, more[1.0 - 2.0 * np.abs(more) > 0.0]])
+    # math.log as in sample_laplace: SIMD np.log differs from it in the last bit for some inputs.
+    logs = np.fromiter(map(math.log, (1.0 - 2.0 * np.abs(u)).tolist()), np.float64, size)
+    noise = 0.0 - (b * np.copysign(1.0, u)) * logs
+    noise[u == 0.0] = 0.0
+    return noise
+
+
 def evaluate_query(dataset: Sequence[PersonRecord], query: DpQuery) -> float:
     """The true (un-noised) aggregate."""
     if query.aggregate == "count":
@@ -102,30 +119,32 @@ def l1_sensitivity(
     bounds: Optional[tuple[float, float]] = None,
     neighbor: str = "deletion",
 ) -> float:
-    """Brute-force L1 sensitivity over enumerated neighboring datasets.
+    """Closed-form L1 sensitivity over neighboring datasets.
 
-    neighbor="deletion" removes each record in turn; "replacement"
-    additionally replaces each record's queried field with each endpoint of
-    `bounds`. Unbounded record addition would make mean sensitivity
-    unbounded, so it is not offered.
+    neighbor="deletion" removes one record; "replacement" additionally
+    replaces one record's queried field with an endpoint of `bounds`.
+    Records are not clamped into `bounds`. Deleting the only record leaves
+    mean and sum undefined, so that neighbor is skipped. Unbounded record
+    addition would make mean sensitivity unbounded, so it is not offered.
     """
     if neighbor not in ("deletion", "replacement"):
         raise ValueError(f"unknown neighbor model {neighbor!r}")
     if neighbor == "replacement" and bounds is None:
         raise ValueError("replacement neighbors require bounds")
     base = evaluate_query(dataset, query)
+    n = len(dataset)
+    if query.aggregate == "count":
+        return 1.0 if n else 0.0
+    x = np.fromiter((getattr(r, query.field) for r in dataset), np.float64, n)
+    mean = query.aggregate == "mean"
     worst = 0.0
-    records = list(dataset)
-    for i in range(len(records)):
-        neighbor_ds = records[:i] + records[i + 1:]
-        if query.aggregate != "count" and not neighbor_ds:
-            continue  # aggregate undefined on the empty neighbor
-        worst = max(worst, abs(base - evaluate_query(neighbor_ds, query)))
-        if neighbor == "replacement" and query.aggregate != "count":
-            for endpoint in bounds:
-                swapped = list(records)
-                swapped[i] = replace(records[i], **{query.field: endpoint})
-                worst = max(worst, abs(base - evaluate_query(swapped, query)))
+    if n > 1:
+        # deleting x_i moves the sum by |x_i| and the mean by |x_i - mean| / (n-1)
+        worst = float(np.max(np.abs(x - base))) / (n - 1) if mean else float(np.max(np.abs(x)))
+    if neighbor == "replacement":
+        # replacing x_i by e moves the sum by |x_i - e| and the mean by that / n
+        far = max(float(np.max(np.abs(x - e))) for e in bounds)
+        worst = max(worst, far / n if mean else far)
     return worst
 
 
@@ -147,8 +166,8 @@ def perturb_series(
     rng: np.random.Generator,
 ) -> list[float]:
     """Independent Laplace(0, b) noise added to every element."""
-    b = params.scale
-    return [float(v) + sample_laplace(rng, 0.0, b) for v in values]
+    noise = laplace_noise(rng, params.scale, len(values))
+    return (np.asarray(values, np.float64) + noise).tolist()
 
 
 def verify_dp_ratio(

@@ -12,8 +12,8 @@ from .dp import (
     EPSILON_PRESETS,
     DpParams,
     DpQuery,
+    laplace_noise,
     perturb_series,
-    sample_laplace,
 )
 from .inference import (
     InferenceConfig,
@@ -102,6 +102,8 @@ def run_epsilon_sweep(
     the average deviation of the noised mean over many trials."""
     if not population:
         raise ValueError("population must be non-empty")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     values = [getattr(r, fieldname) for r in population]
     real_mean = float(np.mean(values))
     rows = []
@@ -111,10 +113,8 @@ def run_epsilon_sweep(
         noised = perturb_series(values, params, rng)
         first_mean = float(np.mean(noised))
         # deviation of the noised mean of n points = |mean of n iid draws|
-        mean_devs = []
-        for _ in range(trials):
-            draws = [sample_laplace(rng, 0.0, params.scale) for _ in values]
-            mean_devs.append(abs(float(np.mean(draws))))
+        mean_devs = [abs(float(np.mean(laplace_noise(rng, params.scale, len(values)))))
+                     for _ in range(trials)]
         rows.append(
             EpsilonSweepRow(
                 epsilon=eps,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -136,3 +137,50 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["dp", "--epsilon", "0.5", "--trials", "0"],
+        ["epsilon-sweep", "--trials", "0"],
+        ["epsilon-sweep", "--trials", "-3"],
+    ])
+    def test_trials_below_one_exit_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: trials must be >= 1")
+        assert not out.exists()
+
+
+# sha256 of the CSVs these commands wrote before the Laplace draws were
+# batched: a draw taken out of stream order changes them.
+GOLDEN_CSV_SHA256 = {
+    ("epsilon-sweep", "--trials", "20", "--seed", "5"): {
+        "epsilon_sweep.csv":
+            "2f2e04dedb831f2c524ef4c79dfc417a01867df87f7b0b8e476b7286a6522355",
+        "noised_points_eps_0_01.csv":
+            "a8caf8d3902b7f0b1280db5d2b595faab27cc7d5e434b8b59b3eec1c9064c8f7",
+        "noised_points_eps_0_05.csv":
+            "73b7f5dbd8cea91c5ccb6d5f54c8b28e41d0c4e2928fbfc96205ae8cee6090b6",
+        "noised_points_eps_0_1.csv":
+            "c50a059ef4a673e9dcf0aef43bb79da13a6373425f03458af4e4f28295938c5c",
+        "noised_points_eps_0_2.csv":
+            "a7f94786604b34fa6e18770893d55c97308076aa47d1d7ef99731e095ae1c7c2",
+        "noised_points_eps_0_5.csv":
+            "a0433ccfa76c2193d12b6349bf7c98321b8f674c464e856631020da7f0453871",
+        "noised_points_eps_1.csv":
+            "c41239ff08639cae1bd7b5c176becd931676351d1fbfd1627dc0da88660d1644",
+    },
+    ("dp", "--epsilon", "0.5", "--trials", "5", "--seed", "5"): {
+        "dp_points.csv":
+            "7adf87e47295b7f101639d6b767d936f7241e9e64abe16c289211d240c65fbf9",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_CSV_SHA256))
+def test_noised_csv_bytes_are_golden(argv, tmp_path, capsys):
+    assert main(list(argv) + ["--out", str(tmp_path)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.glob("*.csv"))}
+    assert got == GOLDEN_CSV_SHA256[argv]

@@ -127,6 +127,15 @@ class TestSensitivity:
         # worst neighbor: 60 replaced by the upper bound 140
         assert replacement == pytest.approx(80.0 / 3.0, rel=1e-12)
 
+    def test_replacement_of_a_single_record(self):
+        # deleting the only record is undefined, but replacing it is not
+        pop = (person(60.0),)
+        for aggregate in ("mean", "sum"):
+            s = l1_sensitivity(DpQuery(aggregate, "heart_rate"), pop,
+                               bounds=(40.0, 140.0), neighbor="replacement")
+            assert s == 80.0
+            assert DpParams(epsilon=0.5, sensitivity=s).scale == 160.0
+
 
 @pytest.mark.parametrize("epsilon,sensitivity", [
     (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-0.5, 1.0),
