@@ -232,9 +232,9 @@ def _cmd_size_sweep(args) -> None:
 
 
 def _resolve_population(args):
-    if getattr(args, "population", None):
+    if args.population:
         return load_population_csv(args.population)
-    return generate_population(args.population_size, args.seed if hasattr(args, "seed") else 0)
+    return generate_population(args.population_size, args.seed)
 
 
 def _cmd_dp(args) -> None:

@@ -8,22 +8,23 @@ for real deployments. Single DES is likewise size-model fidelity only.
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
+import numpy as np
 from cryptography.hazmat.decrepit.ciphers.algorithms import Blowfish, TripleDES
 from cryptography.hazmat.primitives import padding
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .inference import REASON_CODES, REASON_NAMES, TransmissionSet
+from .inference import REASON_NAMES, TransmissionSet
 from .trace import KIND_CODES, KINDS, UNIT_CODES, UNITS, Trace
 
 MAGIC = b"IOHT"
 FORMAT_VERSION = 0x01
 HEADER_LEN = 11  # magic(4) + version(1) + kind(1) + unit(1) + count(4)
-RECORD_LEN = 13  # t(4) + value(8) + reason(1)
+# One packed wire record: big-endian time and value, then the reason code.
+RECORD_DTYPE = np.dtype([("t", ">u4"), ("value", ">f8"), ("reason", "u1")])
+RECORD_LEN = RECORD_DTYPE.itemsize  # 13
 
 
 @dataclass(frozen=True)
@@ -51,31 +52,30 @@ class PayloadError(ValueError):
     """Raised for malformed wire-format payloads."""
 
 
-def serialize_records(kind: str, unit: str, records: Sequence[tuple[int, float, str]]) -> bytes:
-    """Encode (time, value, reason) records in the canonical wire format."""
+def serialize_records(kind: str, unit: str, records: np.ndarray) -> bytes:
+    """Encode a RECORD_DTYPE array in the canonical wire format."""
+    if not isinstance(records, np.ndarray) or records.dtype != RECORD_DTYPE or records.ndim != 1:
+        raise PayloadError("records must be a 1-D RECORD_DTYPE array")
     if len(records) > 0xFFFFFFFF:
         raise PayloadError("record count exceeds 2^32 - 1")
-    out = bytearray()
-    out += MAGIC
-    out.append(FORMAT_VERSION)
-    out.append(KIND_CODES[kind])
-    out.append(UNIT_CODES[unit])
-    out += struct.pack(">I", len(records))
-    for t, value, reason in records:
-        try:
-            out += struct.pack(">Id", t, value)
-        except struct.error as exc:
-            raise PayloadError(f"record at t={t} does not fit the wire format: {exc}") from exc
-        out.append(REASON_CODES[reason])
-    return bytes(out)
+    header = MAGIC + bytes((FORMAT_VERSION, KIND_CODES[kind], UNIT_CODES[unit]))
+    return header + len(records).to_bytes(4, "big") + records.tobytes()
 
 
-def transmitted_records(trace: Trace, tx: TransmissionSet) -> list[tuple[int, float, str]]:
-    """The (time, value, reason) records of the transmitted subset of a trace."""
+def transmitted_records(trace: Trace, tx: TransmissionSet) -> np.ndarray:
+    """The wire records (RECORD_DTYPE) of the transmitted subset of a trace."""
     if tx.source_len != len(trace):
         raise PayloadError("transmission set inconsistent with trace")
-    reasons = [REASON_NAMES[code] for code in tx.codes.tolist()]
-    return list(zip(trace.times[tx.indices].tolist(), trace.values[tx.indices].tolist(), reasons))
+    times = trace.times[tx.indices]
+    # Trace times are non-negative, so only the upper end can overflow ">u4".
+    outside = times[times > 0xFFFFFFFF]
+    if len(outside):
+        raise PayloadError(f"record at t={outside[0]} does not fit the wire format (t > 2^32 - 1)")
+    records = np.empty(len(times), RECORD_DTYPE)
+    records["t"] = times
+    records["value"] = trace.values[tx.indices]
+    records["reason"] = tx.codes
+    return records
 
 
 def serialize_payload(trace: Trace, tx: TransmissionSet) -> bytes:
@@ -83,8 +83,9 @@ def serialize_payload(trace: Trace, tx: TransmissionSet) -> bytes:
     return serialize_records(trace.kind, trace.unit, transmitted_records(trace, tx))
 
 
-def parse_payload(data: bytes) -> tuple[str, str, list[tuple[int, float, str]]]:
-    """Decode a wire-format payload back to (kind, unit, records)."""
+def parse_payload(data: bytes) -> tuple[str, str, np.ndarray]:
+    """Decode a wire-format payload to (kind, unit, records), where records
+    is a RECORD_DTYPE view of `data`."""
     if len(data) < HEADER_LEN:
         raise PayloadError("payload shorter than header")
     if data[:4] != MAGIC:
@@ -96,18 +97,14 @@ def parse_payload(data: bytes) -> tuple[str, str, list[tuple[int, float, str]]]:
         unit = UNITS[data[6]]
     except IndexError as exc:
         raise PayloadError("unknown kind/unit code") from exc
-    (count,) = struct.unpack(">I", data[7:11])
+    count = int.from_bytes(data[7:11], "big")
     expected = HEADER_LEN + count * RECORD_LEN
     if len(data) != expected:
         raise PayloadError(f"payload length {len(data)} != expected {expected}")
-    records = []
-    for i in range(count):
-        off = HEADER_LEN + i * RECORD_LEN
-        t, value = struct.unpack(">Id", data[off:off + 12])
-        code = data[off + 12]
-        if code >= len(REASON_NAMES):
-            raise PayloadError(f"unknown reason code {code}")
-        records.append((t, value, REASON_NAMES[code]))
+    records = np.frombuffer(data, RECORD_DTYPE, count, HEADER_LEN)
+    unknown = records["reason"][records["reason"] >= len(REASON_NAMES)]
+    if len(unknown):
+        raise PayloadError(f"unknown reason code {unknown[0]}")
     return kind, unit, records
 
 

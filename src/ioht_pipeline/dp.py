@@ -29,6 +29,8 @@ class DpParams:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not 0 < self.sensitivity < math.inf:
             raise ValueError(f"sensitivity must be finite and > 0, got {self.sensitivity}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"sensitivity / epsilon must be finite and > 0, got {self.scale}")
 
     @property
     def scale(self) -> float:
@@ -124,8 +126,8 @@ def l1_sensitivity(
     neighbor="deletion" removes one record; "replacement" additionally
     replaces one record's queried field with an endpoint of `bounds`.
     Records are not clamped into `bounds`. Deleting the only record leaves
-    mean and sum undefined, so that neighbor is skipped. Unbounded record
-    addition would make mean sensitivity unbounded, so it is not offered.
+    a sum of 0 and no mean, so that neighbor is skipped for the mean. Unbounded
+    record addition would make mean sensitivity unbounded, so it is not offered.
     """
     if neighbor not in ("deletion", "replacement"):
         raise ValueError(f"unknown neighbor model {neighbor!r}")
@@ -138,8 +140,8 @@ def l1_sensitivity(
     x = np.fromiter((getattr(r, query.field) for r in dataset), np.float64, n)
     mean = query.aggregate == "mean"
     worst = 0.0
-    if n > 1:
-        # deleting x_i moves the sum by |x_i| and the mean by |x_i - mean| / (n-1)
+    if n > 1 or not mean:
+        # deleting x_i moves the sum by |x_i| (to 0 at n = 1) and the mean by |x_i - mean| / (n-1)
         worst = float(np.max(np.abs(x - base))) / (n - 1) if mean else float(np.max(np.abs(x)))
     if neighbor == "replacement":
         # replacing x_i by e moves the sum by |x_i - e| and the mean by that / n

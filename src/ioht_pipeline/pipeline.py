@@ -149,7 +149,6 @@ def _transmit(
     log = TransmissionLog()
     local = log.hop(HOP_SENSOR_GATEWAY)
     uplink = log.hop(HOP_GATEWAY_EDGE)
-    received: list[tuple[int, float, str]] = []
     for start in range(0, max(len(records), 1), config.batch_samples):
         batch = records[start:start + config.batch_samples]
         payload = serialize_records(trace.kind, trace.unit, batch)
@@ -164,10 +163,9 @@ def _transmit(
         decrypted = decrypt(encrypted, config.key)
         if decrypted != payload:
             raise RuntimeError("decryption mismatch: cipher or codec bug")
-        _, _, parsed = parse_payload(decrypted)
-        received.extend(parsed)
-    if received != records:
-        raise RuntimeError("edge-side records differ from transmitted records")
+        kind, unit, parsed = parse_payload(decrypted)
+        if (kind, unit) != (trace.kind, trace.unit) or parsed.tobytes() != batch.tobytes():
+            raise RuntimeError("edge-side records differ from transmitted records")
     return log
 
 

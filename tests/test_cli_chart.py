@@ -131,12 +131,17 @@ class TestCli:
         ["dp", "--epsilon", "0.5", "--sensitivity", "inf"],
         # the third timestamp, 6e9 s, does not fit the wire format's 32 bits
         ["pipeline", "--n", "3", "--period", "3000000000"],
+        # sensitivity / epsilon overflows the Laplace scale to inf
+        ["dp", "--epsilon", "1e-320", "--sensitivity", "1e10", "--out", "{out}"],
+        ["epsilon-sweep", "--grid", "1e-320", "--out", "{out}"],
     ])
-    def test_bad_values_exit_2_without_output(self, argv, capsys):
-        assert main(argv) == 2
+    def test_bad_values_exit_2_without_output(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([arg.format(out=out) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["dp", "--epsilon", "0.5", "--trials", "0"],

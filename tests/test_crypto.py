@@ -1,8 +1,13 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
+from ioht_pipeline.cli import build_parser
 from ioht_pipeline.crypto import (
     HEADER_LEN,
+    RECORD_DTYPE,
     RECORD_LEN,
     SUITES,
     PayloadError,
@@ -30,23 +35,33 @@ KEYS = {
 }
 
 
+def wire_records(*rows):
+    """A RECORD_DTYPE array of (time, value, reason name) rows."""
+    return np.array([(t, v, REASON_CODES[r]) for t, v, r in rows], dtype=RECORD_DTYPE)
+
+
 class TestWireFormat:
     def test_empty_payload_header_only(self):
-        data = serialize_records("heart-rate", "bpm", [])
+        data = serialize_records("heart-rate", "bpm", wire_records())
         assert len(data) == HEADER_LEN == 11
         assert data[:4] == b"IOHT"
 
     def test_one_record_size(self):
-        data = serialize_records("heart-rate", "bpm", [(60, 72.5, "variance")])
+        data = serialize_records("heart-rate", "bpm", wire_records((60, 72.5, "variance")))
         assert len(data) == HEADER_LEN + RECORD_LEN == 24
+        # big-endian u32 time, big-endian f64 value, one reason byte
+        assert data[HEADER_LEN:] == struct.pack(">IdB", 60, 72.5, REASON_CODES["variance"])
 
     def test_round_trip(self):
-        records = [(0, 70.0, "anchor"), (60, 71.25, "variance"), (120, 69.5, "beacon")]
+        records = wire_records((0, 70.0, "anchor"), (60, 71.25, "variance"), (120, 69.5, "beacon"))
         data = serialize_records("body-temperature", "celsius", records)
         kind, unit, parsed = parse_payload(data)
         assert kind == "body-temperature"
         assert unit == "celsius"
-        assert parsed == records
+        assert parsed.dtype == RECORD_DTYPE
+        assert parsed.tobytes() == records.tobytes()
+        assert parsed.tolist() == [(0, 70.0, 0), (60, 71.25, 1), (120, 69.5, 2)]
+        assert not parsed.flags.writeable
 
     def test_serialize_selected_subset(self):
         trace = generate_trace(SyntheticSpec(n=50, seed=1, noise_scale=1.0))
@@ -54,33 +69,71 @@ class TestWireFormat:
         data = serialize_payload(trace, tx)
         _, _, parsed = parse_payload(data)
         assert len(parsed) == len(tx)
-        for (t, value, reason), (idx, want_reason) in zip(parsed, tx.selected):
-            assert t == trace.times[idx]
-            assert value == trace.values[idx]
-            assert reason == want_reason
+        assert parsed["t"].tolist() == trace.times[tx.indices].tolist()
+        assert parsed["value"].tolist() == trace.values[tx.indices].tolist()
+        assert parsed["reason"].tolist() == tx.codes.tolist()
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(PayloadError):
             parse_payload(b"nope")
-        good = serialize_records("heart-rate", "bpm", [(0, 1.0, "anchor")])
+        good = serialize_records("heart-rate", "bpm", wire_records((0, 1.0, "anchor")))
         with pytest.raises(PayloadError):
             parse_payload(good[:-1])
         with pytest.raises(PayloadError):
             parse_payload(b"XXXX" + good[4:])
         with pytest.raises(PayloadError, match="unknown reason code 3"):
             parse_payload(good[:-1] + b"\x03")
+        bad = wire_records((0, 1.0, "anchor"), (1, 2.0, "variance"), (2, 3.0, "beacon"))
+        bad["reason"] = [0, 7, 3]
+        with pytest.raises(PayloadError, match="unknown reason code 7"):
+            parse_payload(serialize_records("heart-rate", "bpm", bad))
 
-    @pytest.mark.parametrize("t", [2**32, -1])
+    @pytest.mark.parametrize("t", [2**32, 2**63 - 1])
     def test_time_outside_32_bits_is_a_payload_error(self, t):
-        with pytest.raises(PayloadError, match=f"record at t={t}"):
-            serialize_records("heart-rate", "bpm", [(t, 1.0, "anchor")])
+        trace = Trace("other", "dimensionless", [0, 2**32 - 1, t], [1.0, 2.0, 3.0])
+        tx = TransmissionSet(3, [0, 1, 2], [0, 1, 0])
+        with pytest.raises(PayloadError, match=f"record at t={t} does not fit"):
+            transmitted_records(trace, tx)
+        with pytest.raises(PayloadError, match=f"record at t={t} does not fit"):
+            serialize_payload(trace, tx)
+        # the largest time that fits goes through unchanged
+        fits = TransmissionSet(3, [0, 1], [0, 1])
+        assert transmitted_records(trace, fits)["t"].tolist() == [0, 2**32 - 1]
+
+    @pytest.mark.parametrize("records", [
+        [(0, 1.0, 0)],
+        np.zeros(1, dtype=np.dtype(RECORD_DTYPE.descr, align=True)),
+        np.zeros(1, dtype=[("t", "<u4"), ("value", "<f8"), ("reason", "u1")]),
+        np.zeros((1, 1), dtype=RECORD_DTYPE),
+    ], ids=["list", "aligned", "little-endian", "2-D"])
+    def test_serialize_rejects_anything_but_record_arrays(self, records):
+        with pytest.raises(PayloadError, match="RECORD_DTYPE"):
+            serialize_records("heart-rate", "bpm", records)
 
     def test_transmitted_records_follow_the_selection(self):
         trace = Trace("other", "dimensionless", [0, 10, 20], [1.5, 2.5, 3.5])
         tx = TransmissionSet(3, [0, 2], [REASON_CODES["anchor"], REASON_CODES["beacon"]])
-        assert transmitted_records(trace, tx) == [(0, 1.5, "anchor"), (20, 3.5, "beacon")]
+        records = transmitted_records(trace, tx)
+        assert records.dtype == RECORD_DTYPE
+        assert records.tobytes() == wire_records((0, 1.5, "anchor"), (20, 3.5, "beacon")).tobytes()
         with pytest.raises(PayloadError, match="inconsistent"):
             transmitted_records(trace, TransmissionSet(2, [0], [0]))
+
+    def test_paper_payload_bytes_are_golden(self):
+        # the `ioht gen` trace (n 1420, seed 7) at vr 0.025 and beacon 60,
+        # enciphered under the CLI's default key
+        trace = generate_trace(SyntheticSpec(n=1420, seed=7, period=60,
+                                             drift_amplitude=8.0, noise_scale=1.5))
+        tx = select_samples(trace, InferenceConfig(vr=0.025, beacon_period=60))
+        payload = serialize_payload(trace, tx)
+        assert len(tx) == 640
+        assert len(payload) == 8331
+        assert hashlib.sha256(payload).hexdigest() == (
+            "40de9f4e9a0cc80a99095e9247fd7845d9f4499a297f42dda075df707941e913")
+        key = bytes.fromhex(build_parser().parse_args(["pipeline"]).key)
+        ciphertext = encrypt(payload, SUITES["aes-128-ecb"], key).ciphertext
+        assert hashlib.sha256(ciphertext).hexdigest() == (
+            "93733ceb6117342cdc45fb0dbb6715de503623e4c7ac5e552b04ba749a625ed6")
 
 
 class TestEncryption:

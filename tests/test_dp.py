@@ -136,10 +136,19 @@ class TestSensitivity:
             assert s == 80.0
             assert DpParams(epsilon=0.5, sensitivity=s).scale == 160.0
 
+    def test_deletion_of_a_single_record(self):
+        # the empty neighbor's sum is 0, while its mean is undefined
+        pop = (person(60.0),)
+        assert l1_sensitivity(DpQuery("sum", "heart_rate"), pop) == 60.0
+        assert l1_sensitivity(DpQuery("mean", "heart_rate"), pop) == 0.0
+        assert l1_sensitivity(DpQuery("count"), pop) == 1.0
+
 
 @pytest.mark.parametrize("epsilon,sensitivity", [
     (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-0.5, 1.0),
     (0.5, math.nan), (0.5, math.inf), (0.5, 0.0),
+    # each finite, but sensitivity / epsilon overflows to inf or underflows to 0
+    (1e-320, 1e10), (1e10, 1e-320),
 ])
 def test_params_reject_non_finite_and_non_positive(epsilon, sensitivity):
     with pytest.raises(ValueError, match="must be finite and > 0"):

@@ -1,7 +1,8 @@
 """The loop forms of select_samples, gap_areas, generate_trace,
-l1_sensitivity and the Laplace draws, kept as reference oracles: the
-columnar versions must give the same output."""
+l1_sensitivity, the Laplace draws and the wire codec, kept as reference
+oracles: the columnar versions must give the same output."""
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ioht_pipeline.crypto import (
+    FORMAT_VERSION,
+    HEADER_LEN,
+    MAGIC,
+    RECORD_DTYPE,
+    RECORD_LEN,
+    parse_payload,
+    serialize_records,
+)
 from ioht_pipeline.dp import (
     AGGREGATES,
     QUERY_FIELDS,
@@ -21,13 +31,24 @@ from ioht_pipeline.dp import (
 from ioht_pipeline.inference import (
     REASON_ANCHOR,
     REASON_BEACON,
+    REASON_CODES,
+    REASON_NAMES,
     REASON_VARIANCE,
     InferenceConfig,
     gap_areas,
     reconstruct,
     select_samples,
 )
-from ioht_pipeline.trace import PersonRecord, SyntheticSpec, Trace, generate_trace
+from ioht_pipeline.trace import (
+    KIND_CODES,
+    KINDS,
+    UNIT_CODES,
+    UNITS,
+    PersonRecord,
+    SyntheticSpec,
+    Trace,
+    generate_trace,
+)
 
 
 def select_samples_loop(trace, config):
@@ -99,15 +120,42 @@ def l1_sensitivity_loop(query, dataset, bounds=None, neighbor="deletion"):
     records = list(dataset)
     for i in range(len(records)):
         neighbor_ds = records[:i] + records[i + 1:]
-        # mean and sum are undefined on the empty deletion neighbor
-        if query.aggregate == "count" or neighbor_ds:
+        # the empty deletion neighbor has count and sum 0 but no mean
+        if neighbor_ds:
             worst = max(worst, abs(base - evaluate_query(neighbor_ds, query)))
+        elif query.aggregate != "mean":
+            worst = max(worst, abs(base))
         if neighbor == "replacement" and query.aggregate != "count":
             for endpoint in bounds:
                 swapped = list(records)
                 swapped[i] = replace(records[i], **{query.field: endpoint})
                 worst = max(worst, abs(base - evaluate_query(swapped, query)))
     return worst
+
+
+def serialize_records_loop(kind, unit, records):
+    """The wire bytes of (time, value, reason name) records, one struct.pack each."""
+    out = bytearray()
+    out += MAGIC
+    out.append(FORMAT_VERSION)
+    out.append(KIND_CODES[kind])
+    out.append(UNIT_CODES[unit])
+    out += struct.pack(">I", len(records))
+    for t, value, reason in records:
+        out += struct.pack(">Id", t, value)
+        out.append(REASON_CODES[reason])
+    return bytes(out)
+
+
+def parse_payload_loop(data):
+    """(kind, unit, records) of a well-formed payload, one struct.unpack per record."""
+    (count,) = struct.unpack(">I", data[7:11])
+    records = []
+    for i in range(count):
+        off = HEADER_LEN + i * RECORD_LEN
+        t, value = struct.unpack(">Id", data[off:off + 12])
+        records.append((t, value, REASON_NAMES[data[off + 12]]))
+    return KINDS[data[5]], UNITS[data[6]], records
 
 
 def make_trace(values, times=None):
@@ -286,3 +334,28 @@ def test_laplace_noise_rejects_zero_uniforms_like_the_loop(stream, k, b):
                      max_size=60))
 def test_laplace_noise_matches_loop_on_any_stream(k, body):
     check_against_stream(body + [0.25] * k, k, 2.0)
+
+
+def bit_exact(records):
+    """(time, value bits, reason name) rows: NaN payloads compare equal."""
+    return [(t, struct.pack(">d", v), reason) for t, v, reason in records]
+
+
+# st.floats() draws NaN, +-inf, -0.0 and subnormals along with normal values.
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(KINDS), unit=st.sampled_from(UNITS),
+       rows=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.floats(),
+                               st.sampled_from(REASON_NAMES)), max_size=70))
+@example(kind="heart-rate", unit="bpm", rows=[])
+@example(kind="other", unit="dimensionless",
+         rows=[(0, -0.0, "anchor"), (1, math.inf, "variance"), (2, -math.inf, "beacon"),
+               (3, math.nan, "anchor"), (4, 5e-324, "variance"), (2**32 - 1, -2.2e-308, "beacon")])
+def test_codec_matches_struct_loops(kind, unit, rows):
+    records = np.array([(t, v, REASON_CODES[r]) for t, v, r in rows], dtype=RECORD_DTYPE)
+    data = serialize_records(kind, unit, records)
+    assert data == serialize_records_loop(kind, unit, rows)
+    got_kind, got_unit, parsed = parse_payload(data)
+    want_kind, want_unit, want = parse_payload_loop(data)
+    assert (got_kind, got_unit) == (want_kind, want_unit) == (kind, unit)
+    got = [(t, v, REASON_NAMES[code]) for t, v, code in parsed.tolist()]
+    assert bit_exact(got) == bit_exact(want) == bit_exact(rows)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ioht_pipeline import pipeline
 from ioht_pipeline.crypto import SUITES
 from ioht_pipeline.dp import DpParams, DpQuery
 from ioht_pipeline.inference import (
@@ -85,6 +86,29 @@ def test_unfiltered_log_matches_a_real_transmission(n, batch, suite):
     trace = generate_trace(SyntheticSpec(n=n, seed=n, noise_scale=1.0))
     config = make_config(suite=SUITES[suite], key=SUITE_KEYS[suite], batch_samples=batch)
     assert _unfiltered_log(n, config) == _transmit(trace, _full_transmission_set(n), config)
+
+
+def _misread_kind(kind, unit, records):
+    return "other", unit, records
+
+
+def _misread_unit(kind, unit, records):
+    return kind, "dimensionless", records
+
+
+def _misread_last_value(kind, unit, records):
+    records = records.copy()
+    records["value"][-1] += 1.0
+    return kind, unit, records
+
+
+@pytest.mark.parametrize("misread", [_misread_kind, _misread_unit, _misread_last_value])
+def test_transmit_rejects_what_the_edge_misreads(misread, monkeypatch):
+    real_parse = pipeline.parse_payload
+    monkeypatch.setattr(pipeline, "parse_payload", lambda data: misread(*real_parse(data)))
+    trace = generate_trace(SyntheticSpec(n=130, seed=3, noise_scale=1.0))
+    with pytest.raises(RuntimeError, match="edge-side records differ"):
+        _transmit(trace, _full_transmission_set(130), make_config())
 
 
 class TestRunPipeline:
