@@ -22,6 +22,7 @@ from .inference import (
 from .crypto import (
     SUITES,
     CipherSuite,
+    EcbContext,
     EncryptedPayload,
     ciphertext_size,
     decrypt,

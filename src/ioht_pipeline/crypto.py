@@ -108,7 +108,9 @@ def parse_payload(data: bytes) -> tuple[str, str, np.ndarray]:
     return kind, unit, records
 
 
-def _cipher(suite: CipherSuite, key: bytes) -> Cipher:
+def _cipher(suite: CipherSuite, key: bytes, mode: modes.Mode) -> Cipher:
+    if not isinstance(mode, modes.ECB):
+        raise ValueError(f"{mode.name} is not supported: an EcbContext is only sound for ECB")
     if len(key) != suite.key_bits // 8:
         raise ValueError(
             f"{suite.name} needs a {suite.key_bits // 8}-byte key, got {len(key)}"
@@ -126,22 +128,49 @@ def _cipher(suite: CipherSuite, key: bytes) -> Cipher:
             algo = Blowfish(key)
     else:
         raise ValueError(f"unknown suite {suite.name!r}")
-    return Cipher(algo, modes.ECB())
+    return Cipher(algo, mode)
 
 
-def encrypt(plaintext: bytes, suite: CipherSuite, key: bytes) -> EncryptedPayload:
+class EcbContext:
+    """One key schedule for many messages: an ECB encryptor and decryptor
+    that stay open from one message to the next.
+
+    Reuse is sound only because ECB carries no state between blocks: each
+    block is enciphered on its own, so a message sent through a long-lived
+    context has the same bytes as through a fresh one. Every message is
+    whole blocks after padding, and the context pads itself (OpenSSL's
+    padding is off), so `update` keeps no block back for the next message.
+    `_cipher` refuses any other mode.
+    """
+
+    def __init__(self, suite: CipherSuite, key: bytes) -> None:
+        cipher = _cipher(suite, key, modes.ECB())
+        self.suite = suite
+        self._pkcs7 = padding.PKCS7(suite.block_bytes * 8)
+        self._encryptor = cipher.encryptor()
+        self._decryptor = cipher.decryptor()
+
+
+def encrypt(plaintext: bytes, context: EcbContext) -> EncryptedPayload:
     """ECB-encrypt with PKCS#7 padding."""
-    padder = padding.PKCS7(suite.block_bytes * 8).padder()
+    padder = context._pkcs7.padder()
     padded = padder.update(plaintext) + padder.finalize()
-    enc = _cipher(suite, key).encryptor()
-    ciphertext = enc.update(padded) + enc.finalize()
-    return EncryptedPayload(suite=suite, ciphertext=ciphertext, plaintext_len=len(plaintext))
+    ciphertext = context._encryptor.update(padded)
+    return EncryptedPayload(suite=context.suite, ciphertext=ciphertext,
+                            plaintext_len=len(plaintext))
 
 
-def decrypt(payload: EncryptedPayload, key: bytes) -> bytes:
-    dec = _cipher(payload.suite, key).decryptor()
-    padded = dec.update(payload.ciphertext) + dec.finalize()
-    unpadder = padding.PKCS7(payload.suite.block_bytes * 8).unpadder()
+def decrypt(payload: EncryptedPayload, context: EcbContext) -> bytes:
+    suite = context.suite
+    if payload.suite != suite:
+        raise ValueError(f"payload is {payload.suite.name}, the context {suite.name}")
+    if len(payload.ciphertext) % suite.block_bytes:
+        raise ValueError("ciphertext length is not a multiple of the block length")
+    padded = context._decryptor.update(payload.ciphertext)
+    if len(padded) != len(payload.ciphertext):
+        # a decryptor that kept a block back would prepend it to the next message
+        raise RuntimeError("ECB decryptor held back part of a message")
+    unpadder = context._pkcs7.unpadder()
     return unpadder.update(padded) + unpadder.finalize()
 
 

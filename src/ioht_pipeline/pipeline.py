@@ -11,6 +11,7 @@ from .crypto import (
     HEADER_LEN,
     RECORD_LEN,
     CipherSuite,
+    EcbContext,
     ciphertext_size,
     decrypt,
     encrypt,
@@ -144,8 +145,10 @@ def _transmit(
     config: PipelineConfig,
 ) -> TransmissionLog:
     """Run the selected records through both hops, verifying the edge-side
-    decryption reproduces the transmitted records bit-exactly."""
+    decryption reproduces the transmitted records bit-exactly. One ECB
+    context (one key schedule) serves every batch of the run."""
     records = transmitted_records(trace, tx)
+    context = EcbContext(config.suite, config.key)
     log = TransmissionLog()
     local = log.hop(HOP_SENSOR_GATEWAY)
     uplink = log.hop(HOP_GATEWAY_EDGE)
@@ -155,12 +158,12 @@ def _transmit(
         # body-area hop: counted but not encrypted
         local.messages += 1
         local.payload_bytes += len(payload)
-        encrypted = encrypt(payload, config.suite, config.key)
+        encrypted = encrypt(payload, context)
         uplink.messages += 1
         uplink.payload_bytes += len(payload)
         uplink.ciphertext_bytes += len(encrypted.ciphertext)
         # edge side
-        decrypted = decrypt(encrypted, config.key)
+        decrypted = decrypt(encrypted, context)
         if decrypted != payload:
             raise RuntimeError("decryption mismatch: cipher or codec bug")
         kind, unit, parsed = parse_payload(decrypted)

@@ -1,9 +1,13 @@
 """Time-series traces, CSV ingestion and seeded synthetic data generators."""
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import itertools
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -81,6 +85,9 @@ class PersonRecord:
     temperature_unit: str = "celsius"
 
     def __post_init__(self) -> None:
+        for name in ("heart_rate", "body_temperature"):
+            if not math.isfinite(getattr(self, name)):
+                raise TraceError(f"{name} must be finite, got {getattr(self, name)}")
         if self.heart_rate <= 0:
             raise TraceError(f"heart_rate must be positive, got {self.heart_rate}")
         lo, hi = (30.0, 45.0) if self.temperature_unit == "celsius" else (90.0, 110.0)
@@ -122,32 +129,92 @@ def _unit_for_kind(kind: str) -> str:
     return "dimensionless"
 
 
+# One data row of a trace CSV; columns past the second are ignored.
+_CSV_ROW = np.dtype([("t", np.int64), ("value", np.float64)])
+_LOCATOR_BLOCK_ROWS = 4096
+
+
+def _parse_rows(fh) -> np.ndarray:
+    """Parse `t,value` rows in one C pass; blank lines are skipped."""
+    with warnings.catch_warnings():
+        # a header-only file is an empty trace, not a warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", usecols=(0, 1), ndmin=1,
+                          comments=None, quotechar='"')
+
+
 def load_csv(path: str | Path, kind: str, unit: str) -> Trace:
     """Load a `t,value` CSV (single header line) into a validated Trace."""
-    times: list[int] = []
-    values: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+    with open(path) as fh:
+        if next(csv.reader(fh), None) is None:
             raise TraceError(f"{path}: empty file, expected a header line")
-        last_t: int | None = None
+        try:
+            rows = _parse_rows(fh)
+            return Trace(kind=kind, unit=unit, times=rows["t"], values=rows["value"])
+        except ValueError as exc:
+            # csv.reader refuses a field over its size limit, which numpy reads
+            with contextlib.suppress(csv.Error):
+                _raise_at_bad_row(path)
+            if isinstance(exc, TraceError):
+                raise
+            raise TraceError(f"{path}: parse failure: {exc}") from exc
+
+
+def _raise_at_bad_row(path: str | Path) -> None:
+    """The error path of `load_csv`: raise a TraceError for the first data row
+    that fails to parse, holds a non-finite value or does not increase t.
+
+    Rows are numbered as csv.reader numbers them: the header is row 1 and
+    blank rows count, which numpy's own row index does not do. Blocks of rows
+    go through the same parser as `load_csv`, and only the rows of a block
+    that fails are parsed one at a time. Returns if no row is bad.
+    """
+    with open(path) as fh:
+        lines: list[str] = []
+        reader = csv.reader(_kept_lines(fh, lines))
+        next(reader)  # the header
+        lines.clear()
+        block: list[tuple[int, str]] = []
+        last_t = None
         for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
+            if row:
+                block.append((rownum, "".join(lines)))
+            lines.clear()
+            if len(block) == _LOCATOR_BLOCK_ROWS:
+                last_t = _check_rows(path, block, last_t)
+                block.clear()
+        _check_rows(path, block, last_t)
+
+
+def _kept_lines(fh, kept: list[str]):
+    for line in fh:
+        kept.append(line)
+        yield line
+
+
+def _check_rows(path, block: list[tuple[int, str]], last_t: int | None) -> int | None:
+    """Check (row number, text) rows in order after a row at `last_t`; return
+    the last t."""
+    try:
+        parsed = _parse_rows(io.StringIO("".join(text for _, text in block))).tolist()
+    except ValueError:
+        parsed = []
+    for i, (rownum, text) in enumerate(block):
+        if len(parsed) == len(block):
+            t, value = parsed[i]
+        else:
             try:
-                t = int(row[0])
-                value = float(row[1])
-            except (ValueError, IndexError) as exc:
-                raise TraceError(f"{path}: parse failure at row {rownum}: {exc}") from exc
-            if not math.isfinite(value):
-                raise TraceError(f"{path}: non-finite value at row {rownum}")
-            if last_t is not None and t <= last_t:
-                raise TraceError(f"{path}: non-increasing timestamps at row {rownum}")
-            last_t = t
-            times.append(t)
-            values.append(value)
-    return Trace(kind=kind, unit=unit, times=times, values=values)
+                (t, value), = _parse_rows(io.StringIO(text)).tolist()
+            except ValueError as exc:
+                # numpy's own row index (0 here) would only confuse the message
+                reason = re.sub(r" at row \d+", "", str(exc))
+                raise TraceError(f"{path}: parse failure at row {rownum}: {reason}") from exc
+        if not math.isfinite(value):
+            raise TraceError(f"{path}: non-finite value at row {rownum}")
+        if last_t is not None and t <= last_t:
+            raise TraceError(f"{path}: non-increasing timestamps at row {rownum}")
+        last_t = t
+    return last_t
 
 
 def save_csv(trace: Trace, path: str | Path) -> None:

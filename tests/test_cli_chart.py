@@ -143,6 +143,25 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["heart_rate", "body_temperature"])
+    @pytest.mark.parametrize("argv", [
+        ["dp", "--epsilon", "0.5", "--out", "{out}"],
+        ["epsilon-sweep", "--trials", "5", "--out", "{out}"],
+    ], ids=["dp", "epsilon-sweep"])
+    def test_non_finite_population_exit_2_without_output(self, argv, field, value,
+                                                        tmp_path, capsys):
+        pop = tmp_path / "pop.csv"
+        row = {"id": "p0", "gender": "female", "body_temperature": "36.8", "heart_rate": "70"}
+        row[field] = value
+        pop.write_text("id,gender,body_temperature,heart_rate\n" + ",".join(row.values()) + "\n")
+        out = tmp_path / "out"
+        assert main([arg.format(out=out) for arg in argv] + ["--population", str(pop)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {pop}: parse failure at row 2: {field} must be")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["dp", "--epsilon", "0.5", "--trials", "0"],
         ["epsilon-sweep", "--trials", "0"],

@@ -1,8 +1,12 @@
 import hashlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from cryptography.hazmat.decrepit.ciphers.algorithms import Blowfish, TripleDES
+from cryptography.hazmat.primitives import padding
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from ioht_pipeline.cli import build_parser
 from ioht_pipeline.crypto import (
@@ -10,7 +14,9 @@ from ioht_pipeline.crypto import (
     RECORD_DTYPE,
     RECORD_LEN,
     SUITES,
+    EcbContext,
     PayloadError,
+    _cipher,
     ciphertext_size,
     decrypt,
     encrypt,
@@ -131,7 +137,7 @@ class TestWireFormat:
         assert hashlib.sha256(payload).hexdigest() == (
             "40de9f4e9a0cc80a99095e9247fd7845d9f4499a297f42dda075df707941e913")
         key = bytes.fromhex(build_parser().parse_args(["pipeline"]).key)
-        ciphertext = encrypt(payload, SUITES["aes-128-ecb"], key).ciphertext
+        ciphertext = encrypt(payload, EcbContext(SUITES["aes-128-ecb"], key)).ciphertext
         assert hashlib.sha256(ciphertext).hexdigest() == (
             "93733ceb6117342cdc45fb0dbb6715de503623e4c7ac5e552b04ba749a625ed6")
 
@@ -141,22 +147,61 @@ class TestEncryption:
     def test_round_trip_various_lengths(self, name):
         suite = SUITES[name]
         key = KEYS[name]
+        context = EcbContext(suite, key)
         rng = np.random.default_rng(7)
         for length in [0, 1, 7, 8, 15, 16, 17, 63, 64, 255, 300]:
             plaintext = rng.bytes(length)
-            payload = encrypt(plaintext, suite, key)
-            assert decrypt(payload, key) == plaintext
+            payload = encrypt(plaintext, context)
+            assert decrypt(payload, context) == plaintext
             assert len(payload.ciphertext) == ciphertext_size(length, suite)
             assert len(payload.ciphertext) % suite.block_bytes == 0
 
     def test_wrong_key_length(self):
         with pytest.raises(ValueError, match="key"):
-            encrypt(b"hi", SUITES["aes-128-ecb"], b"short")
+            EcbContext(SUITES["aes-128-ecb"], b"short")
 
     def test_known_aes_sizes(self):
         suite = SUITES["aes-128-ecb"]
         assert ciphertext_size(498, suite) == 512
         assert ciphertext_size(1024, suite) == 1040
+
+
+class TestEcbContext:
+    ALGORITHMS = {"aes-128-ecb": algorithms.AES, "des-ecb": TripleDES,
+                  "blowfish-ecb": Blowfish}
+
+    # the reference cipher for des-ecb is single-key TripleDES, as in _cipher
+    @pytest.mark.filterwarnings("ignore:Single-key TripleDES")
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_reused_context_matches_a_fresh_cipher_per_message(self, name):
+        suite, key = SUITES[name], KEYS[name]
+        context = EcbContext(suite, key)
+        blob = np.random.default_rng(11).bytes(8331)
+        for length in [*range(71), 791, 8331]:
+            plaintext = blob[:length]
+            padder = padding.PKCS7(suite.block_bytes * 8).padder()
+            padded = padder.update(plaintext) + padder.finalize()
+            fresh = Cipher(self.ALGORITHMS[name](key), modes.ECB()).encryptor()
+            payload = encrypt(plaintext, context)
+            assert payload.ciphertext == fresh.update(padded) + fresh.finalize()
+            assert decrypt(payload, context) == plaintext
+
+    def test_cipher_refuses_modes_other_than_ecb(self):
+        suite = SUITES["aes-128-ecb"]
+        assert isinstance(_cipher(suite, KEYS[suite.name], modes.ECB()).mode, modes.ECB)
+        for mode in (modes.CBC(bytes(16)), modes.CTR(bytes(16)), modes.GCM(bytes(12))):
+            with pytest.raises(ValueError, match="only sound for ECB"):
+                _cipher(suite, KEYS[suite.name], mode)
+
+    def test_decrypt_refuses_partial_blocks_and_other_suites(self):
+        context = EcbContext(SUITES["aes-128-ecb"], KEYS["aes-128-ecb"])
+        payload = encrypt(b"x" * 20, context)
+        with pytest.raises(ValueError, match="multiple of the block length"):
+            decrypt(replace(payload, ciphertext=payload.ciphertext[:-1]), context)
+        with pytest.raises(ValueError, match="payload is aes-128-ecb"):
+            decrypt(payload, EcbContext(SUITES["blowfish-ecb"], KEYS["blowfish-ecb"]))
+        # neither refusal leaves a partial block behind in the context
+        assert decrypt(payload, context) == b"x" * 20
 
 
 class TestSizeModel:

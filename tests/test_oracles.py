@@ -1,7 +1,9 @@
 """The loop forms of select_samples, gap_areas, generate_trace,
-l1_sensitivity, the Laplace draws and the wire codec, kept as reference
-oracles: the columnar versions must give the same output."""
+l1_sensitivity, the Laplace draws, the wire codec and the CSV loader, kept as
+reference oracles: the columnar versions must give the same output."""
+import csv
 import math
+import re
 import struct
 from dataclasses import replace
 
@@ -40,6 +42,7 @@ from ioht_pipeline.inference import (
     select_samples,
 )
 from ioht_pipeline.trace import (
+    _LOCATOR_BLOCK_ROWS,
     KIND_CODES,
     KINDS,
     UNIT_CODES,
@@ -47,7 +50,9 @@ from ioht_pipeline.trace import (
     PersonRecord,
     SyntheticSpec,
     Trace,
+    TraceError,
     generate_trace,
+    load_csv,
 )
 
 
@@ -156,6 +161,34 @@ def parse_payload_loop(data):
         t, value = struct.unpack(">Id", data[off:off + 12])
         records.append((t, value, REASON_NAMES[data[off + 12]]))
     return KINDS[data[5]], UNITS[data[6]], records
+
+
+def load_csv_loop(path, kind, unit):
+    """A `t,value` CSV as a Trace, parsed one csv.reader row at a time."""
+    times: list[int] = []
+    values: list[float] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise TraceError(f"{path}: empty file, expected a header line")
+        last_t: int | None = None
+        for rownum, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                t = int(row[0])
+                value = float(row[1])
+            except (ValueError, IndexError) as exc:
+                raise TraceError(f"{path}: parse failure at row {rownum}: {exc}") from exc
+            if not math.isfinite(value):
+                raise TraceError(f"{path}: non-finite value at row {rownum}")
+            if last_t is not None and t <= last_t:
+                raise TraceError(f"{path}: non-increasing timestamps at row {rownum}")
+            last_t = t
+            times.append(t)
+            values.append(value)
+    return Trace(kind=kind, unit=unit, times=times, values=values)
 
 
 def make_trace(values, times=None):
@@ -359,3 +392,123 @@ def test_codec_matches_struct_loops(kind, unit, rows):
     assert (got_kind, got_unit) == (want_kind, want_unit) == (kind, unit)
     got = [(t, v, REASON_NAMES[code]) for t, v, code in parsed.tolist()]
     assert bit_exact(got) == bit_exact(want) == bit_exact(rows)
+
+
+
+# Each data row of a generated CSV is spelled in one of the ways both loaders
+# read alike: repr floats (fixed and exponent form), signs, quotes,
+# surrounding blanks, extra columns, blank lines and all three line ends.
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 5e-324, -2.2e-308, 1e-5, 1e16, 123456.789]))
+EOL = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_field(draw, text):
+    if draw(st.booleans()):
+        blanks = st.sampled_from(["", " ", "\t", "  "])
+        text = draw(blanks) + text + draw(blanks)
+    return f'"{text}"' if draw(st.booleans()) else text
+
+
+@st.composite
+def csv_row(draw, t, value):
+    t_text = draw(st.sampled_from(["{}", "+{}", "00{}"])).format(t)
+    value_text = draw(st.sampled_from([repr, "{:.17e}".format, "{:+.6f}".format]))(value)
+    fields = [draw(csv_field(t_text)), draw(csv_field(value_text))]
+    fields += draw(st.lists(st.sampled_from(["", "x", "7", '"a,b"', "nan"]), max_size=2))
+    blank = "".join(draw(st.lists(EOL, max_size=2)))
+    return blank + ",".join(fields) + draw(EOL)
+
+
+@st.composite
+def csv_rows(draw, max_rows=30):
+    """(t, line) pairs with t strictly increasing from 1 or more."""
+    steps = draw(st.lists(st.integers(1, 2**20), max_size=max_rows))
+    times = np.cumsum([draw(st.integers(0, 2**40))] + steps).tolist()[1:]
+    return [(t, draw(csv_row(t, draw(FINITE)))) for t in times]
+
+
+def write_csv(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("csv") / "trace.csv"
+    path.write_bytes(("t,value\r\n" + "".join(lines)).encode())
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=csv_rows())
+@example(rows=[])
+@example(rows=[(0, "0,-0.0\r\n"), (7, '\n +7 ,"5e-324",extra\n'), (9, '"9", 1e-05 \r')])
+def test_load_csv_matches_loop(tmp_path_factory, rows):
+    path = write_csv(tmp_path_factory, [line for _, line in rows])
+    got = load_csv(path, "other", "dimensionless")
+    want = load_csv_loop(path, "other", "dimensionless")
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+ROW_ERROR = re.compile(r"(parse failure|non-finite value|non-increasing timestamps) at row (\d+)")
+
+
+def row_error(loader, path):
+    with pytest.raises(TraceError) as info:
+        loader(path, "other", "dimensionless")
+    return ROW_ERROR.search(str(info.value)).groups()
+
+
+# Bad rows, spelled from the t of the row before them.
+BAD_ROWS = ["x,1.0", "{next},abc", "{next},", "   ", "{next}", "{next}.5,1",
+            "{next},nan", "{next},-inf", "{next},1e400", "{last},1.0", "{prev},1.0"]
+
+
+def with_bad_rows(rows, bad):
+    """The lines of `rows` after a first row at t=0, with a bad row put in
+    before the row at each position of `bad` ((position, BAD_ROWS index) pairs;
+    a position past the end puts it last)."""
+    lines, last_t = ["0,0.0\n"], 0
+    for i, (t, line) in enumerate(rows + [(None, "")]):
+        lines += [BAD_ROWS[kind].format(last=last_t, next=last_t + 1, prev=last_t - 1) + "\n"
+                  for at, kind in bad if min(at, len(rows)) == i]
+        lines.append(line)
+        last_t = t
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=csv_rows(max_rows=12),
+       bad=st.lists(st.tuples(st.integers(0, 12), st.integers(0, len(BAD_ROWS) - 1)),
+                    min_size=1, max_size=3))
+@example(rows=[], bad=[(0, 9)])
+def test_load_csv_names_the_same_bad_row_as_loop(tmp_path_factory, rows, bad):
+    path = write_csv(tmp_path_factory, with_bad_rows(rows, bad))
+    assert row_error(load_csv, path) == row_error(load_csv_loop, path)
+
+
+# load_csv finds the row of an error a block of rows at a time: put bad rows
+# on both sides of the block edges, with blank lines shifting the numbering.
+# A bad row put in at position p is data row p + 1, after the row at t=0.
+EDGE = _LOCATOR_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("bad", [
+    [(0, 0)], [(EDGE - 2, 6)], [(EDGE - 1, 9)], [(EDGE - 1, 10)], [(EDGE, 3)],
+    [(2 * EDGE - 1, 4)], [(2 * EDGE + 7, 6), (2 * EDGE + 7, 0)],
+    [(2 * EDGE + 7, 0), (2 * EDGE + 7, 6)], [(3 * EDGE - 2, 9), (3 * EDGE - 2, 1)],
+    [(10_000, 5)],
+])
+def test_load_csv_names_rows_across_locator_blocks(tmp_path_factory, bad):
+    rows = [(t, f"{t},{t % 97}.5\n" + "\n" * (t % 1000 == 0)) for t in range(1, 10_001)]
+    path = write_csv(tmp_path_factory, with_bad_rows(rows, bad))
+    assert row_error(load_csv, path) == row_error(load_csv_loop, path)
+
+
+@pytest.mark.parametrize("t", [2**63, 2**64, -2**63 - 1])
+@pytest.mark.parametrize("after", ["", "5,1.0\n"])
+def test_load_csv_names_the_row_of_a_time_outside_int64(tmp_path, t, after):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"t,value\n0,1.0\n\n{t},2.0\n{after}")
+    assert row_error(load_csv, path) == ("parse failure", "4")
+    # int() reads the time, so the loop fails later: at the row after it, or
+    # in Trace with no row at all
+    with pytest.raises(TraceError):
+        load_csv_loop(path, "other", "dimensionless")

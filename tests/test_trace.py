@@ -42,6 +42,49 @@ def test_load_csv_header_only(tmp_path):
     assert len(load_csv(p, "heart-rate", "bpm")) == 0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["t,value\n", "t,value", "t,value\r\n\r\n\n"])
+def test_load_csv_header_only_is_an_empty_trace_without_warnings(tmp_path, text):
+    p = tmp_path / "t.csv"
+    p.write_bytes(text.encode())
+    trace = load_csv(p, "heart-rate", "bpm")
+    assert len(trace) == 0 and trace.times.dtype == np.int64
+
+
+def test_load_csv_empty_file(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("")
+    with pytest.raises(TraceError, match="empty file"):
+        load_csv(p, "heart-rate", "bpm")
+
+
+# int() and float() accept these; the C parser does not
+@pytest.mark.parametrize("row", ["1_0,1.0", "10,1_0.5", "\u0663,1.0", "\uff15,1.0"])
+def test_load_csv_rejects_underscores_and_non_ascii_digits(tmp_path, row):
+    p = tmp_path / "t.csv"
+    p.write_text(f"t,value\n\n{row}\n", encoding="utf-8")
+    with pytest.raises(TraceError, match="parse failure at row 3"):
+        load_csv(p, "heart-rate", "bpm")
+
+
+def test_load_csv_parse_failure_names_only_the_file_row(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("t,value\n0,1\n\n60\n")
+    with pytest.raises(TraceError) as info:
+        load_csv(p, "heart-rate", "bpm")
+    assert str(info.value) == f"{p}: parse failure at row 4: invalid column index 1 with 1 columns"
+
+
+def test_load_csv_reads_past_the_csv_field_size_limit(tmp_path):
+    p = tmp_path / "t.csv"
+    wide = "x" * 200_000  # csv.reader's default limit is 131 072
+    p.write_text(f"t,value\n5,1.0,{wide}\n6,2.0\n")
+    assert load_csv(p, "heart-rate", "bpm").times.tolist() == [5, 6]
+    p.write_text(f"t,value\n5,1.0,{wide}\n4,2.0\n")
+    with pytest.raises(TraceError, match="non-increasing timestamps"):
+        load_csv(p, "heart-rate", "bpm")
+
+
 def test_load_csv_bad_value(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("t,value\n0,abc\n")
@@ -126,6 +169,14 @@ def test_person_record_range_check():
         PersonRecord(id="x", gender="female", body_temperature=80.0, heart_rate=70.0)
     with pytest.raises(TraceError):
         PersonRecord(id="x", gender="male", body_temperature=36.8, heart_rate=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["heart_rate", "body_temperature"])
+def test_person_record_rejects_non_finite(field, value):
+    fields = {"body_temperature": 36.8, "heart_rate": 70.0, field: value}
+    with pytest.raises(TraceError, match=f"{field} must be finite"):
+        PersonRecord(id="x", gender="female", **fields)
 
 
 @settings(max_examples=30, deadline=None)
