@@ -29,7 +29,6 @@ from .crypto import (
     encrypt,
     parse_payload,
     plaintext_size_for_savings,
-    serialize_payload,
 )
 from .dp import (
     EPSILON_PRESETS,

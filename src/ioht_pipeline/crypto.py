@@ -8,7 +8,6 @@ for real deployments. Single DES is likewise size-model fidelity only.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,10 @@ from .trace import KIND_CODES, KINDS, UNIT_CODES, UNITS, Trace
 
 MAGIC = b"IOHT"
 FORMAT_VERSION = 0x01
-HEADER_LEN = 11  # magic(4) + version(1) + kind(1) + unit(1) + count(4)
+# One packed message header; `count` is the number of records that follow.
+HEADER_DTYPE = np.dtype([("magic", "S4"), ("version", "u1"), ("kind", "u1"), ("unit", "u1"),
+                         ("count", ">u4")])
+HEADER_LEN = HEADER_DTYPE.itemsize  # 11
 # One packed wire record: big-endian time and value, then the reason code.
 RECORD_DTYPE = np.dtype([("t", ">u4"), ("value", ">f8"), ("reason", "u1")])
 RECORD_LEN = RECORD_DTYPE.itemsize  # 13
@@ -52,14 +54,67 @@ class PayloadError(ValueError):
     """Raised for malformed wire-format payloads."""
 
 
-def serialize_records(kind: str, unit: str, records: np.ndarray) -> bytes:
-    """Encode a RECORD_DTYPE array in the canonical wire format."""
+def _check_records(records: np.ndarray) -> None:
     if not isinstance(records, np.ndarray) or records.dtype != RECORD_DTYPE or records.ndim != 1:
         raise PayloadError("records must be a 1-D RECORD_DTYPE array")
     if len(records) > 0xFFFFFFFF:
         raise PayloadError("record count exceeds 2^32 - 1")
-    header = MAGIC + bytes((FORMAT_VERSION, KIND_CODES[kind], UNIT_CODES[unit]))
-    return header + len(records).to_bytes(4, "big") + records.tobytes()
+
+
+def _header(kind: str, unit: str, count: int) -> bytes:
+    code = bytes((FORMAT_VERSION, KIND_CODES[kind], UNIT_CODES[unit]))
+    return MAGIC + code + count.to_bytes(4, "big")
+
+
+def serialize_records(kind: str, unit: str, records: np.ndarray) -> bytes:
+    """Encode a RECORD_DTYPE array in the canonical wire format."""
+    _check_records(records)
+    return _header(kind, unit, len(records)) + records.tobytes()
+
+
+def _message_sizes(batch: int, suite: CipherSuite) -> tuple[int, int]:
+    """(plaintext, padded) bytes of a message of `batch` records."""
+    size = HEADER_LEN + batch * RECORD_LEN
+    return size, ciphertext_size(size, suite)
+
+
+def frame_records(kind: str, unit: str, records: np.ndarray, batch: int,
+                  suite: CipherSuite) -> bytes:
+    """Every message of a run laid end to end, `batch` records to a message.
+
+    Every message but the last is a full batch, laid out as a row of header,
+    records and PKCS#7 pad. The last message (the rest, or a header alone
+    when there are no records) is left unpadded for `encrypt` to pad. The
+    buffer is then whole blocks up to its last message, so one ECB pass over
+    it gives the ciphertext of enciphering every message on its own.
+    """
+    _check_records(records)
+    size, width = _message_sizes(batch, suite)
+    full = max(len(records) - 1, 0) // batch  # the messages before the last
+    rows = np.empty((full, width), np.uint8)
+    if full:
+        rows[:, :HEADER_LEN] = np.frombuffer(_header(kind, unit, batch), np.uint8)
+    body = records[:full * batch].view(np.uint8)
+    rows[:, HEADER_LEN:size] = body.reshape(full, size - HEADER_LEN)
+    rows[:, size:] = width - size
+    return rows.tobytes() + serialize_records(kind, unit, records[full * batch:])
+
+
+def read_frames(data: bytes, batch: int,
+                suite: CipherSuite) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split the messages of a `frame_records` buffer, as decrypted, into
+    the header of each message (HEADER_DTYPE), all their records in order
+    (RECORD_DTYPE) and the pad bytes of every message but the last (one row
+    each). Nothing is checked here beyond the message boundaries."""
+    size, width = _message_sizes(batch, suite)
+    full = len(data) // width
+    rows = np.frombuffer(data, np.uint8, full * width).reshape(full, width)
+    last = np.frombuffer(data, np.uint8, offset=full * width)
+    if len(last) < HEADER_LEN or (len(last) - HEADER_LEN) % RECORD_LEN:
+        raise PayloadError(f"last message of {len(last)} bytes is not a header and whole records")
+    headers = np.concatenate((rows[:, :HEADER_LEN].reshape(-1), last[:HEADER_LEN]))
+    records = np.concatenate((rows[:, HEADER_LEN:size].reshape(-1), last[HEADER_LEN:]))
+    return headers.view(HEADER_DTYPE), records.view(RECORD_DTYPE), rows[:, size:]
 
 
 def transmitted_records(trace: Trace, tx: TransmissionSet) -> np.ndarray:
@@ -76,11 +131,6 @@ def transmitted_records(trace: Trace, tx: TransmissionSet) -> np.ndarray:
     records["value"] = trace.values[tx.indices]
     records["reason"] = tx.codes
     return records
-
-
-def serialize_payload(trace: Trace, tx: TransmissionSet) -> bytes:
-    """Serialize the transmitted subset of a trace."""
-    return serialize_records(trace.kind, trace.unit, transmitted_records(trace, tx))
 
 
 def parse_payload(data: bytes) -> tuple[str, str, np.ndarray]:
@@ -118,29 +168,26 @@ def _cipher(suite: CipherSuite, key: bytes, mode: modes.Mode) -> Cipher:
     if suite.name == "aes-128-ecb":
         algo = algorithms.AES(key)
     elif suite.name == "des-ecb":
-        # Single-key TripleDES degenerates to single DES.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            algo = TripleDES(key)
+        # TripleDES with K1 = K2 = K3 is single DES.
+        algo = TripleDES(key * 3)
     elif suite.name == "blowfish-ecb":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            algo = Blowfish(key)
+        algo = Blowfish(key)
     else:
         raise ValueError(f"unknown suite {suite.name!r}")
     return Cipher(algo, mode)
 
 
 class EcbContext:
-    """One key schedule for many messages: an ECB encryptor and decryptor
-    that stay open from one message to the next.
+    """One key schedule for a run: an ECB encryptor and decryptor that stay
+    open from one `encrypt`/`decrypt` call to the next.
 
-    Reuse is sound only because ECB carries no state between blocks: each
-    block is enciphered on its own, so a message sent through a long-lived
-    context has the same bytes as through a fresh one. Every message is
-    whole blocks after padding, and the context pads itself (OpenSSL's
-    padding is off), so `update` keeps no block back for the next message.
-    `_cipher` refuses any other mode.
+    This is sound only because ECB carries no state between blocks: each
+    block is enciphered on its own, so bytes sent through a long-lived
+    context, or many messages sent in one call, come out as they would
+    through a fresh context per message. Every message is whole blocks
+    after padding (`frame_records` pads all but the last, `encrypt` pads
+    the last), and the context pads itself (OpenSSL's padding is off), so
+    `update` keeps no block back. `_cipher` refuses any other mode.
     """
 
     def __init__(self, suite: CipherSuite, key: bytes) -> None:

@@ -137,30 +137,33 @@ def gap_areas(trace: Trace, recon: np.ndarray) -> tuple[float, float]:
 
     The difference d(t) = original - reconstructed is treated as piecewise
     linear between sample times; each segment is integrated exactly,
-    splitting at the zero crossing when d changes sign. Returns
-    (s_upper, s_lower) in value-units * seconds.
+    splitting at the zero crossing when d changes sign; the crossing is
+    worked out for those segments only. Returns (s_upper, s_lower) in
+    value-units * seconds.
     """
     if len(recon) != len(trace):
         raise ValueError("length mismatch between trace and reconstruction")
     if len(trace) < 2:
         raise ValueError("need at least 2 samples to integrate")
+    # the float cast comes before the differences: np.diff of int64 times
+    # would round differently above 2^53
     times = trace.times.astype(np.float64)
     d = trace.values - recon
     t0, t1, d0, d1 = times[:-1], times[1:], d[:-1], d[1:]
-    # Both branches are evaluated for every segment and np.where keeps the
-    # one that applies; the other may divide by zero.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         whole = 0.5 * (np.abs(d0) + np.abs(d1)) * (t1 - t0)
-        tz = t0 + (t1 - t0) * d0 / (d0 - d1)
-        first = 0.5 * np.abs(d0) * (tz - t0)
-        second = 0.5 * np.abs(d1) * (t1 - tz)
-    same_sign = d0 * d1 >= 0
+        # segments not of one sign; a NaN product (from an inf d) counts too
+        cross = np.flatnonzero(~(d0 * d1 >= 0))
+        c0, c1, s0, s1 = d0[cross], d1[cross], t0[cross], t1[cross]
+        tz = s0 + (s1 - s0) * c0 / (c0 - c1)
+        first = 0.5 * np.abs(c0) * (tz - s0)
+        second = 0.5 * np.abs(c1) * (s1 - tz)
     above = (d0 > 0) | (d1 > 0)
-    starts_above = d0 > 0
-    upper = np.where(same_sign, np.where(above, whole, 0.0),
-                     np.where(starts_above, first, second))
-    lower = np.where(same_sign, np.where(above, 0.0, whole),
-                     np.where(starts_above, second, first))
+    upper = np.where(above, whole, 0.0)
+    lower = np.where(above, 0.0, whole)
+    starts_above = c0 > 0
+    upper[cross] = np.where(starts_above, first, second)
+    lower[cross] = np.where(starts_above, second, first)
     # cumsum adds in index order like a running total; np.sum's pairwise
     # order would change the last bits of the reported areas.
     return float(np.cumsum(upper)[-1]), float(np.cumsum(lower)[-1])

@@ -4,23 +4,28 @@ with per-hop byte accounting and a linear transmit-energy model."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .crypto import (
+    FORMAT_VERSION,
     HEADER_LEN,
+    MAGIC,
     RECORD_LEN,
     CipherSuite,
     EcbContext,
     ciphertext_size,
     decrypt,
     encrypt,
-    parse_payload,
-    serialize_records,
+    frame_records,
+    read_frames,
     transmitted_records,
 )
 from .dp import DpParams, DpQuery, NoisedResult, derive_streams, noisy_query
 from .inference import (
+    REASON_NAMES,
     InferenceConfig,
     InferenceMetrics,
     TransmissionSet,
@@ -28,13 +33,13 @@ from .inference import (
     reconstruct,
     select_samples,
 )
-from .trace import PersonRecord, Trace
+from .trace import KIND_CODES, UNIT_CODES, PersonRecord, Trace
 
 HOP_SENSOR_GATEWAY = "sensor->gateway"
 HOP_GATEWAY_EDGE = "gateway->edge"
 
 
-@dataclass
+@dataclass(frozen=True)
 class HopLog:
     hop: str
     messages: int = 0
@@ -42,17 +47,9 @@ class HopLog:
     ciphertext_bytes: int = 0  # 0 on unencrypted hops
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransmissionLog:
-    hops: list[HopLog] = field(default_factory=list)
-
-    def hop(self, name: str) -> HopLog:
-        for entry in self.hops:
-            if entry.hop == name:
-                return entry
-        entry = HopLog(hop=name)
-        self.hops.append(entry)
-        return entry
+    hops: tuple[HopLog, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -139,55 +136,68 @@ def energy_estimate(log: TransmissionLog, model: EnergyModel) -> float:
     return total
 
 
+def hop_log(record_count: int, batch: int, suite: CipherSuite) -> TransmissionLog:
+    """The log of sending `record_count` records, `batch` to a message, from
+    the wire-format and padding sizes alone. `_transmit` checks the bytes it
+    really sends against it, and the unfiltered baseline is `hop_log(n, ...)`."""
+    full, rest = divmod(record_count, batch)
+    last = 1 if rest or not full else 0  # no records still sends one header
+    sizes = ((HEADER_LEN + batch * RECORD_LEN, full), (HEADER_LEN + rest * RECORD_LEN, last))
+    messages = full + last
+    payload_bytes = sum(count * size for size, count in sizes)
+    ciphertext_bytes = sum(count * ciphertext_size(size, suite) for size, count in sizes)
+    return TransmissionLog(hops=(
+        HopLog(HOP_SENSOR_GATEWAY, messages, payload_bytes),
+        HopLog(HOP_GATEWAY_EDGE, messages, payload_bytes, ciphertext_bytes),
+    ))
+
+
 def _transmit(
     trace: Trace,
     tx: TransmissionSet,
     config: PipelineConfig,
 ) -> TransmissionLog:
-    """Run the selected records through both hops, verifying the edge-side
-    decryption reproduces the transmitted records bit-exactly. One ECB
-    context (one key schedule) serves every batch of the run."""
+    """Run the selected records through both hops and check at the edge that
+    every message comes back bit-exactly; return `hop_log` of the records.
+
+    Every message of the run is laid end to end in one buffer
+    (`frame_records`), enciphered by one `encrypt` call and deciphered by one
+    `decrypt` call under one `EcbContext`. Because ECB carries no state
+    between blocks and every message is whole blocks once padded, that is
+    byte for byte what a call per message would send. The edge reads the
+    buffer back with `read_frames` and checks each message's header columns,
+    pad bytes, reason codes and records with whole-column comparisons.
+    Raises RuntimeError if anything read at the edge differs from what was
+    sent, or if the byte counts sent differ from `hop_log`.
+    """
     records = transmitted_records(trace, tx)
-    context = EcbContext(config.suite, config.key)
-    log = TransmissionLog()
-    local = log.hop(HOP_SENSOR_GATEWAY)
-    uplink = log.hop(HOP_GATEWAY_EDGE)
-    for start in range(0, max(len(records), 1), config.batch_samples):
-        batch = records[start:start + config.batch_samples]
-        payload = serialize_records(trace.kind, trace.unit, batch)
-        # body-area hop: counted but not encrypted
-        local.messages += 1
-        local.payload_bytes += len(payload)
-        encrypted = encrypt(payload, context)
-        uplink.messages += 1
-        uplink.payload_bytes += len(payload)
-        uplink.ciphertext_bytes += len(encrypted.ciphertext)
-        # edge side
-        decrypted = decrypt(encrypted, context)
-        if decrypted != payload:
-            raise RuntimeError("decryption mismatch: cipher or codec bug")
-        kind, unit, parsed = parse_payload(decrypted)
-        if (kind, unit) != (trace.kind, trace.unit) or parsed.tobytes() != batch.tobytes():
-            raise RuntimeError("edge-side records differ from transmitted records")
+    batch, suite = config.batch_samples, config.suite
+    log = hop_log(len(records), batch, suite)
+    sent = frame_records(trace.kind, trace.unit, records, batch, suite)
+    context = EcbContext(suite, config.key)
+    encrypted = encrypt(sent, context)
+    # edge side
+    decrypted = decrypt(encrypted, context)
+    if decrypted != sent:
+        raise RuntimeError("decryption mismatch: cipher or codec bug")
+    headers, received, pads = read_frames(decrypted, batch, suite)
+    counts = np.full(len(headers), batch)  # a short last message holds the rest
+    counts[len(records) // batch:] = len(records) % batch
+    if not (np.all(headers["magic"] == MAGIC) and np.all(headers["version"] == FORMAT_VERSION)
+            and np.all(headers["kind"] == KIND_CODES[trace.kind])
+            and np.all(headers["unit"] == UNIT_CODES[trace.unit])
+            and np.array_equal(headers["count"], counts)
+            and np.all(pads == pads.shape[1])
+            and received.tobytes() == records.tobytes()):
+        raise RuntimeError("edge-side records differ from transmitted records")
+    if not np.all(received["reason"] < len(REASON_NAMES)):
+        raise RuntimeError("edge-side records hold an unknown reason code")
+    uplink = log.hops[1]
+    sent_counts = (len(headers), len(sent) - pads.size, len(encrypted.ciphertext))
+    if sent_counts != (uplink.messages, uplink.payload_bytes, uplink.ciphertext_bytes):
+        raise RuntimeError(f"sent (messages, payload, ciphertext bytes) {sent_counts} "
+                           f"differ from hop_log's")
     return log
-
-
-def _unfiltered_log(n: int, config: PipelineConfig) -> TransmissionLog:
-    """The log `_transmit` writes when all n samples are sent, computed from
-    the wire-format and padding sizes without encrypting anything."""
-    full, rest = divmod(n, config.batch_samples)
-    last = 1 if rest or not full else 0  # an empty trace still sends one header
-    batches = ((config.batch_samples, full), (rest, last))  # (records, batch count)
-    messages = full + last
-    payload_bytes = sum(count * (HEADER_LEN + k * RECORD_LEN) for k, count in batches)
-    ciphertext_bytes = sum(
-        count * ciphertext_size(HEADER_LEN + k * RECORD_LEN, config.suite)
-        for k, count in batches
-    )
-    return TransmissionLog(hops=[
-        HopLog(HOP_SENSOR_GATEWAY, messages, payload_bytes),
-        HopLog(HOP_GATEWAY_EDGE, messages, payload_bytes, ciphertext_bytes),
-    ])
 
 
 def run_pipeline(
@@ -206,7 +216,8 @@ def run_pipeline(
     # Baseline sends all N samples through the identical wire format and
     # cipher, so the savings isolate the filter's effect.
     energy_actual = energy_estimate(log, config.energy)
-    energy_baseline = energy_estimate(_unfiltered_log(len(trace), config), config.energy)
+    energy_baseline = energy_estimate(
+        hop_log(len(trace), config.batch_samples, config.suite), config.energy)
     saving = (
         100.0 * (energy_baseline - energy_actual) / energy_baseline
         if energy_baseline > 0

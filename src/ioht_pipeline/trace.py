@@ -6,7 +6,9 @@ import csv
 import io
 import itertools
 import math
+import os
 import re
+import stat
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,22 +136,52 @@ _CSV_ROW = np.dtype([("t", np.int64), ("value", np.float64)])
 _LOCATOR_BLOCK_ROWS = 4096
 
 
-def _parse_rows(fh) -> np.ndarray:
-    """Parse `t,value` rows in one C pass; blank lines are skipped."""
+# The suffixes numpy's loadtxt decompresses when it is given a path.
+_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _parse_rows(source, skiprows: int = 0) -> np.ndarray:
+    """Parse `t,value` rows in one C pass; blank lines are skipped. `source`
+    is an open text handle, read a line at a time, or a path, which numpy
+    opens itself and reads in chunks after `skiprows` physical lines."""
     with warnings.catch_warnings():
         # a header-only file is an empty trace, not a warning
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", usecols=(0, 1), ndmin=1,
-                          comments=None, quotechar='"')
+        return np.loadtxt(source, dtype=_CSV_ROW, delimiter=",", usecols=(0, 1), ndmin=1,
+                          comments=None, quotechar='"', skiprows=skiprows)
+
+
+def _plain_file(fh, path: str | Path) -> str | None:
+    """The real path of the open handle's file, if numpy can reopen it by
+    that path and read the same text: a regular file (not a pipe such as
+    /dev/stdin, whose first read has already taken rows) under a name numpy
+    does not decompress. The path is absolute, so numpy never takes it for
+    a URL. None otherwise."""
+    real = os.path.realpath(path)
+    try:
+        opened, named = os.fstat(fh.fileno()), os.stat(real)
+    except OSError:
+        return None
+    if (os.path.samestat(opened, named) and stat.S_ISREG(opened.st_mode)
+            and os.path.splitext(real)[1] not in _COMPRESSED_SUFFIXES):
+        return real
+    return None
 
 
 def load_csv(path: str | Path, kind: str, unit: str) -> Trace:
-    """Load a `t,value` CSV (single header line) into a validated Trace."""
+    """Load a `t,value` CSV (single header line) into a validated Trace.
+
+    A regular file is parsed by numpy from its path, in C chunks, after the
+    lines the header took; anything else (a pipe, a name numpy would
+    decompress) is parsed from the open handle.
+    """
     with open(path) as fh:
-        if next(csv.reader(fh), None) is None:
+        reader = csv.reader(fh)
+        if next(reader, None) is None:
             raise TraceError(f"{path}: empty file, expected a header line")
         try:
-            rows = _parse_rows(fh)
+            real = _plain_file(fh, path)
+            rows = _parse_rows(fh) if real is None else _parse_rows(real, reader.line_num)
             return Trace(kind=kind, unit=unit, times=rows["t"], values=rows["value"])
         except ValueError as exc:
             # csv.reader refuses a field over its size limit, which numpy reads

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,6 @@ from ioht_pipeline.crypto import (
     encrypt,
     parse_payload,
     plaintext_size_for_savings,
-    serialize_payload,
     serialize_records,
     transmitted_records,
 )
@@ -72,7 +72,7 @@ class TestWireFormat:
     def test_serialize_selected_subset(self):
         trace = generate_trace(SyntheticSpec(n=50, seed=1, noise_scale=1.0))
         tx = select_samples(trace, InferenceConfig(vr=0.05))
-        data = serialize_payload(trace, tx)
+        data = serialize_records(trace.kind, trace.unit, transmitted_records(trace, tx))
         _, _, parsed = parse_payload(data)
         assert len(parsed) == len(tx)
         assert parsed["t"].tolist() == trace.times[tx.indices].tolist()
@@ -101,7 +101,7 @@ class TestWireFormat:
         with pytest.raises(PayloadError, match=f"record at t={t} does not fit"):
             transmitted_records(trace, tx)
         with pytest.raises(PayloadError, match=f"record at t={t} does not fit"):
-            serialize_payload(trace, tx)
+            serialize_records(trace.kind, trace.unit, transmitted_records(trace, tx))
         # the largest time that fits goes through unchanged
         fits = TransmissionSet(3, [0, 1], [0, 1])
         assert transmitted_records(trace, fits)["t"].tolist() == [0, 2**32 - 1]
@@ -131,7 +131,7 @@ class TestWireFormat:
         trace = generate_trace(SyntheticSpec(n=1420, seed=7, period=60,
                                              drift_amplitude=8.0, noise_scale=1.5))
         tx = select_samples(trace, InferenceConfig(vr=0.025, beacon_period=60))
-        payload = serialize_payload(trace, tx)
+        payload = serialize_records(trace.kind, trace.unit, transmitted_records(trace, tx))
         assert len(tx) == 640
         assert len(payload) == 8331
         assert hashlib.sha256(payload).hexdigest() == (
@@ -167,11 +167,10 @@ class TestEncryption:
 
 
 class TestEcbContext:
-    ALGORITHMS = {"aes-128-ecb": algorithms.AES, "des-ecb": TripleDES,
+    # des-ecb is TripleDES with K1 = K2 = K3, as in _cipher
+    ALGORITHMS = {"aes-128-ecb": algorithms.AES, "des-ecb": lambda key: TripleDES(key * 3),
                   "blowfish-ecb": Blowfish}
 
-    # the reference cipher for des-ecb is single-key TripleDES, as in _cipher
-    @pytest.mark.filterwarnings("ignore:Single-key TripleDES")
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_reused_context_matches_a_fresh_cipher_per_message(self, name):
         suite, key = SUITES[name], KEYS[name]
@@ -185,6 +184,19 @@ class TestEcbContext:
             payload = encrypt(plaintext, context)
             assert payload.ciphertext == fresh.update(padded) + fresh.finalize()
             assert decrypt(payload, context) == plaintext
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_every_suite_builds_without_a_warning(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            context = EcbContext(SUITES[name], KEYS[name])
+            assert decrypt(encrypt(b"IOHT", context), context) == b"IOHT"
+
+    def test_des_ecb_is_single_des(self):
+        # the textbook single-DES known answer
+        context = EcbContext(SUITES["des-ecb"], bytes.fromhex("133457799bbcdff1"))
+        ciphertext = encrypt(bytes.fromhex("0123456789abcdef"), context).ciphertext
+        assert ciphertext[:8] == bytes.fromhex("85e813540f0ab405")
 
     def test_cipher_refuses_modes_other_than_ecb(self):
         suite = SUITES["aes-128-ecb"]
@@ -240,7 +252,7 @@ class TestSizeModel:
         sizes = []
         for vr in (0.0, 0.025, 0.1):
             tx = select_samples(trace, InferenceConfig(vr=vr))
-            payload = serialize_payload(trace, tx)
+            payload = serialize_records(trace.kind, trace.unit, transmitted_records(trace, tx))
             sizes.append((len(payload), ciphertext_size(len(payload), suite)))
         plain = [p for p, _ in sizes]
         cipher = [c for _, c in sizes]

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
+from test_oracles import transmit_loop
 
 from ioht_pipeline import pipeline
-from ioht_pipeline.crypto import SUITES
+from ioht_pipeline.crypto import FORMAT_VERSION, SUITES, decrypt, transmitted_records
 from ioht_pipeline.dp import DpParams, DpQuery
 from ioht_pipeline.inference import (
     REASON_ANCHOR,
@@ -18,11 +20,17 @@ from ioht_pipeline.pipeline import (
     PipelineConfig,
     TransmissionLog,
     _transmit,
-    _unfiltered_log,
     energy_estimate,
+    hop_log,
     run_pipeline,
 )
-from ioht_pipeline.trace import SyntheticSpec, generate_population, generate_trace
+from ioht_pipeline.trace import (
+    KIND_CODES,
+    UNIT_CODES,
+    SyntheticSpec,
+    generate_population,
+    generate_trace,
+)
 
 KEY = bytes.fromhex("00112233445566778899aabbccddeeff")
 SUITE_KEYS = {
@@ -80,34 +88,120 @@ def _full_transmission_set(n: int) -> TransmissionSet:
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
-@pytest.mark.parametrize("batch", [1, 7, 60])
+@pytest.mark.parametrize("batch", [1, 7, 60, 10**12])
 @pytest.mark.parametrize("n", [0, 1, 59, 60, 61, 1420])
 def test_unfiltered_log_matches_a_real_transmission(n, batch, suite):
     trace = generate_trace(SyntheticSpec(n=n, seed=n, noise_scale=1.0))
     config = make_config(suite=SUITES[suite], key=SUITE_KEYS[suite], batch_samples=batch)
-    assert _unfiltered_log(n, config) == _transmit(trace, _full_transmission_set(n), config)
+    tx = _full_transmission_set(n)
+    _, log = transmit_loop(trace, tx, config)
+    assert hop_log(n, batch, SUITES[suite]) == log == _transmit(trace, tx, config)
 
 
-def _misread_kind(kind, unit, records):
-    return "other", unit, records
+# Misreads of what `read_frames` returns at the edge, for 130 records sent 60
+# to a message: a first, a middle and a last message of 10 records.
+def _misread_kind(headers, records, pads):
+    headers["kind"][:] = KIND_CODES["other"]
+    return headers, records, pads
 
 
-def _misread_unit(kind, unit, records):
-    return kind, "dimensionless", records
+def _misread_unit(headers, records, pads):
+    headers["unit"][:] = UNIT_CODES["dimensionless"]
+    return headers, records, pads
 
 
-def _misread_last_value(kind, unit, records):
-    records = records.copy()
+def _misread_first_count(headers, records, pads):
+    headers["count"][0] -= 1
+    return headers, records, pads
+
+
+def _misread_first_time(headers, records, pads):
+    records["t"][0] += 1
+    return headers, records, pads
+
+
+def _misread_middle_magic(headers, records, pads):
+    headers["magic"][1] = b"IOHU"
+    return headers, records, pads
+
+
+def _misread_middle_version(headers, records, pads):
+    headers["version"][1] = FORMAT_VERSION + 1
+    return headers, records, pads
+
+
+def _misread_middle_value(headers, records, pads):
+    records["value"][90] = -records["value"][90]
+    return headers, records, pads
+
+
+def _misread_last_value(headers, records, pads):
     records["value"][-1] += 1.0
-    return kind, unit, records
+    return headers, records, pads
 
 
-@pytest.mark.parametrize("misread", [_misread_kind, _misread_unit, _misread_last_value])
+def _misread_last_count(headers, records, pads):
+    headers["count"][-1] += 1
+    return headers, records, pads
+
+
+def _misread_pad_byte(headers, records, pads):
+    pads = pads.copy()
+    pads[1, -1] ^= 0x01
+    return headers, records, pads
+
+
+def _misread_reason_code_3(headers, records, pads):
+    records["reason"][70] = 3
+    return headers, records, pads
+
+
+@pytest.mark.parametrize("misread", [
+    _misread_kind, _misread_unit, _misread_first_count, _misread_first_time,
+    _misread_middle_magic, _misread_middle_version, _misread_middle_value,
+    _misread_last_value, _misread_last_count, _misread_pad_byte, _misread_reason_code_3,
+])
 def test_transmit_rejects_what_the_edge_misreads(misread, monkeypatch):
-    real_parse = pipeline.parse_payload
-    monkeypatch.setattr(pipeline, "parse_payload", lambda data: misread(*real_parse(data)))
+    real_read = pipeline.read_frames
+    monkeypatch.setattr(pipeline, "read_frames", lambda *args: misread(*real_read(*args)))
     trace = generate_trace(SyntheticSpec(n=130, seed=3, noise_scale=1.0))
-    with pytest.raises(RuntimeError, match="edge-side records differ"):
+    with pytest.raises(RuntimeError, match="edge-side records"):
+        _transmit(trace, _full_transmission_set(130), make_config())
+
+
+def test_transmit_rejects_an_unknown_reason_code_even_if_sent(monkeypatch):
+    def with_code_3(*args):
+        records = transmitted_records(*args)
+        records["reason"][70] = 3
+        return records
+
+    monkeypatch.setattr(pipeline, "transmitted_records", with_code_3)
+    trace = generate_trace(SyntheticSpec(n=130, seed=3, noise_scale=1.0))
+    with pytest.raises(RuntimeError, match="unknown reason code"):
+        _transmit(trace, _full_transmission_set(130), make_config())
+
+
+@pytest.mark.parametrize("field", ["messages", "payload_bytes", "ciphertext_bytes"])
+def test_transmit_checks_its_byte_counts_against_hop_log(field, monkeypatch):
+    def off_by_one(*args):
+        local, uplink = hop_log(*args).hops
+        uplink = replace(uplink, **{field: getattr(uplink, field) + 1})
+        return TransmissionLog(hops=(local, uplink))
+
+    monkeypatch.setattr(pipeline, "hop_log", off_by_one)
+    trace = generate_trace(SyntheticSpec(n=130, seed=3, noise_scale=1.0))
+    with pytest.raises(RuntimeError, match="differ from hop_log"):
+        _transmit(trace, _full_transmission_set(130), make_config())
+
+
+def test_transmit_rejects_a_decryption_that_differs(monkeypatch):
+    def flip_last_bit(*args):
+        plaintext = decrypt(*args)
+        return plaintext[:-1] + bytes([plaintext[-1] ^ 1])
+
+    monkeypatch.setattr(pipeline, "decrypt", flip_last_bit)
+    trace = generate_trace(SyntheticSpec(n=130, seed=3, noise_scale=1.0))
+    with pytest.raises(RuntimeError, match="decryption mismatch"):
         _transmit(trace, _full_transmission_set(130), make_config())
 
 

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ioht_pipeline
+from ioht_pipeline import trace as trace_module
 from ioht_pipeline.trace import (
     PersonRecord,
     SyntheticSpec,
@@ -90,6 +96,77 @@ def test_load_csv_bad_value(tmp_path):
     p.write_text("t,value\n0,abc\n")
     with pytest.raises(TraceError, match="row 2"):
         load_csv(p, "heart-rate", "bpm")
+
+
+def parse_sources(monkeypatch):
+    """The `source` of every `_parse_rows` call that `load_csv` makes."""
+    sources = []
+    real = trace_module._parse_rows
+
+    def spy(source, *args):
+        sources.append(source)
+        return real(source, *args)
+
+    monkeypatch.setattr(trace_module, "_parse_rows", spy)
+    return sources
+
+
+def test_load_csv_parses_a_regular_file_from_its_path(tmp_path, monkeypatch):
+    sources = parse_sources(monkeypatch)
+    p = tmp_path / "t.csv"
+    p.write_text("t,value\n0,60.0\n60,61.0\n")
+    assert load_csv(p, "heart-rate", "bpm").times.tolist() == [0, 60]
+    assert sources == [os.path.realpath(p)]
+
+
+@pytest.mark.parametrize("name", ["trace.csv.gz", "trace.bz2", "trace.xz", "trace.lzma"])
+def test_load_csv_reads_plain_text_under_a_compressed_suffix(tmp_path, monkeypatch, name):
+    sources = parse_sources(monkeypatch)
+    text = "t,value\n0,60.0\n\n60,61.5\n"
+    (tmp_path / "trace.csv").write_text(text)
+    (tmp_path / name).write_text(text)
+    plain = load_csv(tmp_path / "trace.csv", "heart-rate", "bpm")
+    named = load_csv(tmp_path / name, "heart-rate", "bpm")
+    assert named.times.tolist() == plain.times.tolist() == [0, 60]
+    assert named.values.tobytes() == plain.values.tobytes()
+    assert isinstance(sources[0], str) and not isinstance(sources[1], str)
+
+
+def test_load_csv_reads_a_cr_only_file_with_a_two_line_header(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_bytes(b'"t\rsecond line",value\r0,60.0\r\r60,61.5\r120,62.0')
+    trace = load_csv(p, "heart-rate", "bpm")
+    assert trace.times.tolist() == [0, 60, 120]
+    assert trace.values.tolist() == [60.0, 61.5, 62.0]
+    p.write_bytes(b'"t\rsecond line",value\r0,60.0\r\r0,61.5\r')
+    with pytest.raises(TraceError, match="non-increasing timestamps at row 4"):
+        load_csv(p, "heart-rate", "bpm")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("stdin", ["pipe", "file"])
+def test_infer_reads_a_trace_from_stdin(tmp_path, stdin):
+    path = tmp_path / "trace.csv"
+    save_csv(generate_trace(SyntheticSpec(n=5000, seed=7, noise_scale=1.5)), path)
+    assert path.stat().st_size >= 64 * 1024  # more than a pipe's first read
+    src = str(Path(ioht_pipeline.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def infer(source, **kwargs):
+        return subprocess.run(
+            [sys.executable, "-m", "ioht_pipeline.cli", "infer", "--input", source, "--json"],
+            capture_output=True, env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120,
+            **kwargs)
+
+    want = infer(str(path))
+    with open(path, "rb") as fh:
+        if stdin == "pipe":
+            got = infer("/dev/stdin", input=fh.read())
+        else:
+            got = infer("/dev/stdin", stdin=fh)
+    assert want.returncode == got.returncode == 0, got.stderr
+    assert b'"n": 5000' in want.stdout
+    assert got.stdout == want.stdout
 
 
 def test_trace_rejects_nan():
