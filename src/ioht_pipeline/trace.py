@@ -173,53 +173,58 @@ def load_csv(path: str | Path, kind: str, unit: str) -> Trace:
 
     A regular file is parsed by numpy from its path, in C chunks, after the
     lines the header took; anything else (a pipe, a name numpy would
-    decompress) is parsed from the open handle.
+    decompress) is read from the open handle once, and its text parsed.
     """
     with open(path) as fh:
         reader = csv.reader(fh)
         if next(reader, None) is None:
             raise TraceError(f"{path}: empty file, expected a header line")
+        real = _plain_file(fh, path)
+        # a pipe cannot be read again, so its text is kept for the error path
+        text = fh.read() if real is None else None
         try:
-            real = _plain_file(fh, path)
-            rows = _parse_rows(fh) if real is None else _parse_rows(real, reader.line_num)
+            rows = (_parse_rows(io.StringIO(text)) if real is None
+                    else _parse_rows(real, reader.line_num))
             return Trace(kind=kind, unit=unit, times=rows["t"], values=rows["value"])
         except ValueError as exc:
             # csv.reader refuses a field over its size limit, which numpy reads
             with contextlib.suppress(csv.Error):
-                _raise_at_bad_row(path)
+                if real is None:
+                    _raise_at_bad_row(path, io.StringIO(text))
+                else:
+                    with open(real) as again:
+                        _raise_at_bad_row(path, itertools.islice(again, reader.line_num, None))
             if isinstance(exc, TraceError):
                 raise
             raise TraceError(f"{path}: parse failure: {exc}") from exc
 
 
-def _raise_at_bad_row(path: str | Path) -> None:
+def _raise_at_bad_row(path: str | Path, lines: Iterable[str]) -> None:
     """The error path of `load_csv`: raise a TraceError for the first data row
-    that fails to parse, holds a non-finite value or does not increase t.
+    of `lines`, the text after the header, that fails to parse, holds a
+    non-finite value or does not increase t.
 
     Rows are numbered as csv.reader numbers them: the header is row 1 and
     blank rows count, which numpy's own row index does not do. Blocks of rows
     go through the same parser as `load_csv`, and only the rows of a block
     that fails are parsed one at a time. Returns if no row is bad.
     """
-    with open(path) as fh:
-        lines: list[str] = []
-        reader = csv.reader(_kept_lines(fh, lines))
-        next(reader)  # the header
-        lines.clear()
-        block: list[tuple[int, str]] = []
-        last_t = None
-        for rownum, row in enumerate(reader, start=2):
-            if row:
-                block.append((rownum, "".join(lines)))
-            lines.clear()
-            if len(block) == _LOCATOR_BLOCK_ROWS:
-                last_t = _check_rows(path, block, last_t)
-                block.clear()
-        _check_rows(path, block, last_t)
+    kept: list[str] = []
+    reader = csv.reader(_kept_lines(lines, kept))
+    block: list[tuple[int, str]] = []
+    last_t = None
+    for rownum, row in enumerate(reader, start=2):
+        if row:
+            block.append((rownum, "".join(kept)))
+        kept.clear()
+        if len(block) == _LOCATOR_BLOCK_ROWS:
+            last_t = _check_rows(path, block, last_t)
+            block.clear()
+    _check_rows(path, block, last_t)
 
 
-def _kept_lines(fh, kept: list[str]):
-    for line in fh:
+def _kept_lines(lines: Iterable[str], kept: list[str]):
+    for line in lines:
         kept.append(line)
         yield line
 
@@ -249,13 +254,99 @@ def _check_rows(path, block: list[tuple[int, str]], last_t: int | None) -> int |
     return last_t
 
 
+# Rows per chunk of `save_csv`: the chunk's byte matrix stays a few MB.
+_WRITE_CHUNK_ROWS = 65536
+# Below this magnitude |v| * 10**6 < 2**52, where `_micro_units` is exact.
+_EXACT_LIMIT = 2.0**32
+_VELTKAMP = 2.0**27 + 1
+
+
 def save_csv(trace: Trace, path: str | Path) -> None:
-    """Write a trace as `t,value` rows; values keep 6 fractional digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value"])
-        for t, value in zip(trace.times.tolist(), trace.values.tolist()):
-            writer.writerow([t, f"{value:.6f}"])
+    """Write a trace as `t,value` rows; values keep 6 fractional digits.
+
+    The bytes are those of csv.writer writing `[t, f"{value:.6f}"]` rows, a
+    chunk of rows at a time. A chunk holding any |value| >= 2**32 goes
+    through that f-string instead, because there the exact rounding of
+    `_micro_units` no longer holds.
+    """
+    with open(path, "wb") as fh:
+        fh.write(b"t,value\r\n")
+        for start in range(0, len(trace), _WRITE_CHUNK_ROWS):
+            times = trace.times[start:start + _WRITE_CHUNK_ROWS]
+            values = trace.values[start:start + _WRITE_CHUNK_ROWS]
+            if np.any(np.abs(values) >= _EXACT_LIMIT):
+                fh.write("".join(f"{t},{v:.6f}\r\n"
+                                 for t, v in zip(times.tolist(), values.tolist())).encode())
+            else:
+                fh.write(_csv_rows(times, values))
+
+
+def _micro_units(magnitude: np.ndarray) -> np.ndarray:
+    """round-half-even(m * 10**6) for every 0 <= m < 2**32, exactly, as the
+    `%.6f` format rounds. A Veltkamp split gives m = high + low, halves of at
+    most 27 bits, and 10**6 = 15625 * 2**6 has 14, so each half times 10**6 is
+    exact; a TwoSum makes that sum s + err with no error. As s < 2**52, every
+    half-integer near it is a float, so np.rint(s) rounds s + err right
+    unless s is exactly halfway, where the sign of err decides. (Underflow
+    can make the split inexact only for m far below 10**-6, which rounds to
+    0 all the same.)"""
+    c = magnitude * _VELTKAMP
+    high = c - (c - magnitude)
+    low = (magnitude - high) * 1e6
+    high *= 1e6
+    s = high + low
+    b = s - high
+    err = (high - (s - b)) + (low - b)
+    r = np.rint(s)
+    r += (s - r == 0.5) & (err > 0)
+    r -= (s - r == -0.5) & (err < 0)
+    return r.astype(np.uint64)
+
+
+def _csv_rows(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The `t,value` rows of a chunk whose |values| are below 2**32, as bytes.
+
+    Each row is laid out at full width, one byte column per character: t, a
+    comma, a minus sign, the whole part, a point, six fraction digits and
+    CR LF. One boolean compress then drops the leading zeros, and the minus
+    sign where the sign bit is clear (so -0.0 prints `-0.000000`, as `%.6f`
+    does). The columns are rows of a (width, rows) array, so each is written
+    in one contiguous pass.
+    """
+    whole, frac = np.divmod(_micro_units(np.abs(values)), 10**6)
+    t_width = len(str(times[-1]))  # times increase, so the last is the widest
+    sign = t_width + 1
+    point = sign + 1 + len(str(whole.max()))
+    cols = np.empty((point + 9, len(times)), np.uint8)
+    keep = np.ones(cols.shape, bool)
+    keep[:t_width] = _digits(times, cols[:t_width])
+    cols[sign - 1] = ord(",")
+    cols[sign] = ord("-")
+    keep[sign] = np.signbit(values)
+    keep[sign + 1:point] = _digits(whole, cols[sign + 1:point])
+    cols[point] = ord(".")
+    _digits(frac, cols[point + 1:point + 7])
+    cols[-2] = ord("\r")
+    cols[-1] = ord("\n")
+    return cols.T[keep.T]
+
+
+def _digits(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the digits of the non-negative integers x as ASCII into the rows
+    of `out`, one row per digit place, zero-padded; divide in uint32 where
+    the width allows it. Return the mask of the digits to print: all but the
+    leading zeros, and always the last."""
+    width = len(out)
+    x = x.astype(np.uint32 if width < 10 else np.uint64)
+    lowest = 10 ** np.arange(width - 1, -1, -1, dtype=x.dtype)  # least x to print each place
+    lowest[-1] = 0
+    mask = x >= lowest[:, None]
+    for j in range(width - 1, -1, -1):
+        q = x // 10
+        out[j] = x - q * 10
+        x = q
+    out += ord("0")
+    return mask
 
 
 def generate_trace(spec: SyntheticSpec) -> Trace:
@@ -270,7 +361,8 @@ def generate_trace(spec: SyntheticSpec) -> Trace:
     if spec.noise_scale > 0:
         # one batched draw gives the same stream as n scalar draws
         shocks = rng.normal(0.0, spec.noise_scale, spec.n).tolist()
-        ar = list(itertools.accumulate(shocks, lambda prev, e: 0.9 * prev + e))
+        ar = np.fromiter(itertools.accumulate(shocks, lambda prev, e: 0.9 * prev + e),
+                         np.float64, spec.n)
     else:
         ar = 0.0
     values = spec.baseline + drift + ar

@@ -208,3 +208,22 @@ def test_noised_csv_bytes_are_golden(argv, tmp_path, capsys):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(tmp_path.glob("*.csv"))}
     assert got == GOLDEN_CSV_SHA256[argv]
+
+
+# `ioht gen` output, a trace CSV (through save_csv's vectorised rounding)
+# and a population CSV, pinned byte for byte.
+GOLDEN_GEN_SHA256 = {
+    ("gen", "--n", "1420", "--seed", "7"):
+        "bac17b5e11b6cf7c4ee8876bbe05c7124cc877618e0020975cb433da97101263",
+    ("gen", "--n", "100000", "--seed", "7", "--drift", "8", "--noise", "1.5"):
+        "bbe2ab0354587b5e4a5c349bc54079548172e6d1c97aa099a87c54b5c37318a1",
+    ("gen", "--population", "--n", "130", "--seed", "5"):
+        "7df34c696bf8d05ac69704c258f2d7f0d54f6d1891b94f4b48d64ef2738c3909",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_GEN_SHA256))
+def test_gen_csv_bytes_are_golden(argv, tmp_path, capsys):
+    out = tmp_path / "gen.csv"
+    assert main(list(argv) + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_GEN_SHA256[argv]

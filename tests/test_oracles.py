@@ -1,7 +1,7 @@
 """The loop forms of select_samples, gap_areas, generate_trace,
-l1_sensitivity, the Laplace draws, the wire codec, the CSV loader and the
-per-message transmission, kept as reference oracles: the columnar versions
-must give the same output."""
+l1_sensitivity, the Laplace draws, the wire codec, the CSV loader and
+writer and the per-message transmission, kept as reference oracles: the
+columnar versions must give the same output."""
 import csv
 import math
 import re
@@ -61,6 +61,7 @@ from ioht_pipeline.pipeline import (
 )
 from ioht_pipeline.trace import (
     _LOCATOR_BLOCK_ROWS,
+    _WRITE_CHUNK_ROWS,
     KIND_CODES,
     KINDS,
     UNIT_CODES,
@@ -71,6 +72,7 @@ from ioht_pipeline.trace import (
     TraceError,
     generate_trace,
     load_csv,
+    save_csv,
 )
 
 
@@ -207,6 +209,15 @@ def load_csv_loop(path, kind, unit):
             times.append(t)
             values.append(value)
     return Trace(kind=kind, unit=unit, times=times, values=values)
+
+
+def save_csv_loop(trace, path):
+    """A trace written as `t,value` rows by csv.writer, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "value"])
+        for t, value in zip(trace.times.tolist(), trace.values.tolist()):
+            writer.writerow([t, f"{value:.6f}"])
 
 
 def transmit_loop(trace, tx, config):
@@ -565,6 +576,63 @@ def test_load_csv_names_the_row_of_a_time_outside_int64(tmp_path, t, after):
     # in Trace with no row at all
     with pytest.raises(TraceError):
         load_csv_loop(path, "other", "dimensionless")
+
+
+def near_tie(j, toward):
+    """The float next to the one nearest (j + 0.5) / 10**6, on one side."""
+    return float(np.nextafter((j + 0.5) / 1e6, toward))
+
+
+# `%.6f` rounds the exact value of the double half to even. Odd multiples of
+# 2**-7 are exact ties (the only dyadic (j + 0.5) / 10**6); the floats next
+# to a tie are where an inexact product would round the wrong way. Values at
+# and above 2**32 send their whole chunk down the f-string path.
+SAVED_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2**39, 2**39).map(lambda k: k / 128),
+    st.builds(near_tie, st.integers(-2**32 * 10**6, 2**32 * 10**6),
+              st.sampled_from([-math.inf, math.inf])),
+    st.sampled_from([-0.0, -1e-9, 5e-324, -5e-324, -2.2e-308, 1e-310, 5e-7, 2.5e-6,
+                     2.0**32, -2.0**32, near_tie(2**32 * 10**6, 0), -(2.0**32 - 2**-20)]),
+)
+
+
+@st.composite
+def saved_columns(draw):
+    """(times, values): int64 times from 0 to 2**63 - 1, increasing."""
+    values = draw(st.lists(SAVED_VALUES, max_size=40))
+    top = draw(st.sampled_from([10**3, 2**32, 2**63 - 1]))
+    times = draw(st.sets(st.integers(0, top), min_size=len(values), max_size=len(values)))
+    return sorted(times), values
+
+
+def long_columns(n, big_at=None):
+    """n seeded rows around the chunk size, with a value of 2**32 at `big_at`."""
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    values[::7] = rng.integers(-2**20, 2**20, len(values[::7])) / 128
+    if big_at is not None:
+        values[big_at] = 2.0**32
+    return np.cumsum(rng.integers(1, 2**20, n)), values
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=saved_columns())
+@example(columns=([], []))
+@example(columns=([0], [-0.0]))
+@example(columns=long_columns(_WRITE_CHUNK_ROWS - 1))
+@example(columns=long_columns(_WRITE_CHUNK_ROWS, big_at=_WRITE_CHUNK_ROWS - 1))
+@example(columns=long_columns(_WRITE_CHUNK_ROWS + 1, big_at=_WRITE_CHUNK_ROWS))
+def test_save_csv_matches_loop(tmp_path_factory, columns):
+    trace = make_trace(columns[1], columns[0])
+    path = tmp_path_factory.mktemp("save")
+    save_csv(trace, path / "got.csv")
+    save_csv_loop(trace, path / "want.csv")
+    assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
+    loaded = load_csv(path / "got.csv", "other", "dimensionless")
+    assert loaded.times.tobytes() == trace.times.tobytes()
+    rounded = np.array([float(f"{v:.6f}") for v in trace.values.tolist()], dtype=np.float64)
+    assert loaded.values.tobytes() == rounded.tobytes()
 
 
 KEYS = {"aes-128-ecb": bytes(range(16)), "des-ecb": bytes(range(8)),

@@ -143,21 +143,22 @@ def test_load_csv_reads_a_cr_only_file_with_a_two_line_header(tmp_path):
         load_csv(p, "heart-rate", "bpm")
 
 
+def infer(source, **kwargs):
+    """`ioht infer --input source --json` in a subprocess."""
+    src = str(Path(ioht_pipeline.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ioht_pipeline.cli", "infer", "--input", source, "--json"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120,
+        **kwargs)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
 @pytest.mark.parametrize("stdin", ["pipe", "file"])
 def test_infer_reads_a_trace_from_stdin(tmp_path, stdin):
     path = tmp_path / "trace.csv"
     save_csv(generate_trace(SyntheticSpec(n=5000, seed=7, noise_scale=1.5)), path)
     assert path.stat().st_size >= 64 * 1024  # more than a pipe's first read
-    src = str(Path(ioht_pipeline.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-
-    def infer(source, **kwargs):
-        return subprocess.run(
-            [sys.executable, "-m", "ioht_pipeline.cli", "infer", "--input", source, "--json"],
-            capture_output=True, env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120,
-            **kwargs)
-
     want = infer(str(path))
     with open(path, "rb") as fh:
         if stdin == "pipe":
@@ -167,6 +168,24 @@ def test_infer_reads_a_trace_from_stdin(tmp_path, stdin):
     assert want.returncode == got.returncode == 0, got.stderr
     assert b'"n": 5000' in want.stdout
     assert got.stdout == want.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_infer_names_the_bad_row_of_a_piped_trace(tmp_path):
+    got = infer("/dev/stdin", input=b"t,value\n0,1\nx,2\n")
+    assert got.returncode == 2
+    assert b"/dev/stdin: parse failure at row 3:" in got.stderr
+    # a bad row far past a pipe's first read, after blank lines
+    lines = [f"{60 * i},{70 + i % 13}.25\n" + "\n" * (i % 500 == 0) for i in range(8000)]
+    lines[7321] = "439260,abc\n"
+    path = tmp_path / "trace.csv"
+    path.write_text("t,value\n" + "".join(lines))
+    assert path.stat().st_size >= 64 * 1024
+    want = infer(str(path))
+    got = infer("/dev/stdin", input=path.read_bytes())
+    assert want.returncode == got.returncode == 2
+    assert b"parse failure at row 7338:" in want.stderr
+    assert got.stderr == want.stderr.replace(str(path).encode(), b"/dev/stdin")
 
 
 def test_trace_rejects_nan():
