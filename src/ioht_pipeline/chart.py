@@ -4,6 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
+from xml.sax.saxutils import escape
 
 WIDTH = 640
 HEIGHT = 400
@@ -74,7 +75,8 @@ def render_chart(
     ]
     if title:
         out.append(
-            f'<text x="{WIDTH // 2}" y="18" text-anchor="middle" font-size="14">{title}</text>'
+            f'<text x="{WIDTH // 2}" y="18" text-anchor="middle" font-size="14">'
+            f'{escape(title)}</text>'
         )
     # axes
     out.append(
@@ -107,12 +109,12 @@ def render_chart(
     if x_label:
         out.append(
             f'<text x="{MARGIN_LEFT + plot_w // 2}" y="{HEIGHT - 8}" '
-            f'text-anchor="middle">{x_label}</text>'
+            f'text-anchor="middle">{escape(x_label)}</text>'
         )
     if y_label:
         out.append(
             f'<text x="14" y="{MARGIN_TOP + plot_h // 2}" text-anchor="middle" '
-            f'transform="rotate(-90 14 {MARGIN_TOP + plot_h // 2})">{y_label}</text>'
+            f'transform="rotate(-90 14 {MARGIN_TOP + plot_h // 2})">{escape(y_label)}</text>'
         )
     # data
     for i, s in enumerate(series):
@@ -134,7 +136,7 @@ def render_chart(
         out.append(
             f'<rect x="{x}" y="{y - 8}" width="10" height="10" fill="{PALETTE[i % len(PALETTE)]}"/>'
         )
-        out.append(f'<text x="{x + 14}" y="{y + 1}">{s.name}</text>')
+        out.append(f'<text x="{x + 14}" y="{y + 1}">{escape(s.name)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -271,6 +272,13 @@ def _cmd_dp(args) -> None:
 
 
 def _cmd_epsilon_sweep(args) -> None:
+    tags: dict[str, float] = {}
+    for eps in args.grid:
+        tag = f"{eps:g}".replace(".", "_")
+        if tag in tags:
+            raise UsageError(f"--grid values {tags[tag]!r} and {eps!r} would both write "
+                             f"noised_points_eps_{tag}.csv")
+        tags[tag] = eps
     population = _resolve_population(args)
     rows = run_epsilon_sweep(population, args.grid, sensitivity=args.sensitivity,
                              trials=args.trials, seed=args.seed)
@@ -283,8 +291,7 @@ def _cmd_epsilon_sweep(args) -> None:
          for r in rows],
     )
     values = [r.heart_rate for r in population]
-    for row in rows:
-        tag = f"{row.epsilon:g}".replace(".", "_")
+    for tag, row in zip(tags, rows):
         _write_csv(out / f"noised_points_eps_{tag}.csv",
                    ["index", "original", "noised"],
                    [[i, repr(v), repr(nv)]
@@ -334,9 +341,16 @@ def _cmd_chart(args) -> None:
     with open(args.input, newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
-        for row in reader:
-            if row:
-                points.append((float(row[0]), float(row[1])))
+        for rownum, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                x, y = map(float, row[:2])
+            except ValueError as exc:
+                raise TraceError(f"{args.input}: parse failure at row {rownum}: {exc}") from exc
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise TraceError(f"{args.input}: non-finite value at row {rownum}")
+            points.append((x, y))
     if not points:
         raise TraceError(f"{args.input}: no data rows")
     chart.write_chart([chart.Series(Path(args.input).stem, tuple(points))],

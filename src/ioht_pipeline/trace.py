@@ -140,15 +140,138 @@ _LOCATOR_BLOCK_ROWS = 4096
 _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
 
-def _parse_rows(source, skiprows: int = 0) -> np.ndarray:
-    """Parse `t,value` rows in one C pass; blank lines are skipped. `source`
-    is an open text handle, read a line at a time, or a path, which numpy
-    opens itself and reads in chunks after `skiprows` physical lines."""
+def _parse_rows(source, skiprows: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The t and value columns of `t,value` rows; blank lines are skipped.
+    `source` is an open text handle, read a line at a time, or a path, whose
+    rows after `skiprows` physical lines are read from bytes by `_read_rows`
+    or, where that declines, parsed by numpy in C chunks."""
+    if isinstance(source, str):
+        columns = _read_rows(source, skiprows)
+        if columns is not None:
+            return columns
     with warnings.catch_warnings():
         # a header-only file is an empty trace, not a warning
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(source, dtype=_CSV_ROW, delimiter=",", usecols=(0, 1), ndmin=1,
+        rows = np.loadtxt(source, dtype=_CSV_ROW, delimiter=",", usecols=(0, 1), ndmin=1,
                           comments=None, quotechar='"', skiprows=skiprows)
+    return rows["t"], rows["value"]
+
+
+# Bytes per read of `_read_rows`; the partial last line carries over.
+_READ_BLOCK_BYTES = 1 << 20
+# At most this many digits in t and in a value, so each fits int64.
+_MAX_DIGITS = 18
+# The longest row `_read_rows` reads: t, comma, minus, digits, point, CR LF.
+_MAX_ROW_BYTES = 2 * _MAX_DIGITS + 5
+
+
+def _read_rows(path: str, skiprows: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The columns of a file whose data rows are all `digits,[-]digits.digits`
+    (either side of the point may be empty) ending in LF or CR LF, as
+    `save_csv` writes them, read a block of whole lines at a time; None for
+    any other file, which numpy then parses.
+
+    Each value is +-N / 10**f, N its digits and f the digits after the
+    point. As N < 2**53 and f <= 22 are exact doubles, the quotient is the
+    decimal correctly rounded (Clinger's fast path), the double numpy's
+    parser gives; a larger N sends the file to numpy.
+    """
+    with open(path, "rb") as fh:
+        header = b"".join(fh.readline() for _ in range(skiprows))
+        # a lone CR ends a line for csv.reader and numpy, but not here
+        if header.count(b"\n") != skiprows or b"\r" in header.replace(b"\r\n", b""):
+            return None
+        capacity = os.fstat(fh.fileno()).st_size // 4 + 1  # the shortest row is `0,0\n`
+        times = np.empty(capacity, np.int64)
+        values = np.empty(capacity, np.float64)
+        block = bytearray(_READ_BLOCK_BYTES)
+        rows = held = 0
+        while True:
+            got = fh.readinto(memoryview(block)[held:])
+            if got:
+                held += got
+                end = block.rfind(b"\n", 0, held) + 1
+            elif held:  # a last line with no line end
+                block[held] = ord("\n")
+                held = end = held + 1
+            else:
+                return times[:rows], values[:rows]
+            if held - end > _MAX_ROW_BYTES:  # a line longer than any row
+                return None
+            count = _read_lines(np.frombuffer(block, np.uint8, end), times[rows:], values[rows:])
+            if count is None:
+                return None
+            rows += count
+            block[:held - end] = block[end:held]
+            held -= end
+
+
+def _read_lines(lines: np.ndarray, times: np.ndarray, values: np.ndarray) -> int | None:
+    """Parse whole lines of bytes into the heads of `times` and `values`, one
+    run of lines of equal length at a time; the row count, or None."""
+    ends = np.flatnonzero(lines == ord("\n"))
+    if len(ends) > len(times):  # lines shorter than any row, or a file that grew
+        return None
+    lengths = np.diff(ends, prepend=-1)
+    runs = np.flatnonzero(np.diff(lengths, prepend=0, append=0)).tolist()
+    pieces = len(ends) // 64 + 16
+    rows = 0
+    for first, stop in zip(runs, runs[1:]):
+        width = int(lengths[first])
+        run = lines[ends[first] + 1 - width:ends[stop - 1] + 1].reshape(-1, width)
+        while len(run):
+            pieces -= 1
+            count = _read_run(run, times[rows:], values[rows:]) if pieces >= 0 else 0
+            if not count:
+                return None
+            rows += count
+            run = run[count:]
+    return rows
+
+
+def _read_run(run: np.ndarray, times: np.ndarray, values: np.ndarray) -> int:
+    """Parse the leading rows of `run`, a (rows, width) view of lines of one
+    width, that have the layout of its first row: each row's delimiters where
+    the first row has them, and digits 0-9 in every other column of t and of
+    the value. Return how many, or 0 if the first row, or any N, is outside
+    the grammar."""
+    first = run[0].tobytes()
+    stop = len(first) - 1 - first.endswith(b"\r\n")  # the end of the value
+    comma = first.find(b",", 0, stop)
+    start = comma + 1 + first.startswith(b"-", comma + 1)
+    point = first.find(b".", start, stop)
+    if not (0 < comma <= _MAX_DIGITS and point >= 0 and 0 < stop - start - 1 <= _MAX_DIGITS):
+        return 0
+    digit = np.zeros(len(first), bool)
+    digit[:comma] = digit[start:stop] = True
+    digit[point] = False
+    cols = np.ascontiguousarray(run.T)  # one row of bytes per column
+    cols -= ord("0")
+    high = cols.max(axis=1)
+    if np.any(high[digit] > 9) or np.any(high[~digit] != cols[~digit].min(axis=1)):
+        bad = (cols[digit] > 9).any(axis=0) | (cols[~digit] != cols[~digit, :1]).any(axis=0)
+        cols = cols[:, :np.argmax(bad)]
+    count = cols.shape[1]
+    mantissa = _horner(cols[np.r_[start:point, point + 1:stop]])
+    if not count or mantissa.max() >= 2**53:
+        return 0
+    times[:count] = _horner(cols[:comma])
+    np.divide(mantissa, 10.0 ** (stop - point - 1), out=values[:count])
+    if start > comma + 1:
+        np.negative(values[:count], out=values[:count])
+    return count
+
+
+def _horner(digits: np.ndarray) -> np.ndarray:
+    """The int64 numbers whose decimal digits, most significant first, are the
+    rows of `digits`: digit pairs are summed in uint8, and each int64 Horner
+    step takes a pair."""
+    odd = len(digits) % 2
+    out = digits[0].astype(np.int64) if odd else np.zeros(digits.shape[1], np.int64)
+    for pair in digits[odd::2] * np.uint8(10) + digits[odd + 1::2]:
+        out *= 100
+        out += pair
+    return out
 
 
 def _plain_file(fh, path: str | Path) -> str | None:
@@ -171,9 +294,10 @@ def _plain_file(fh, path: str | Path) -> str | None:
 def load_csv(path: str | Path, kind: str, unit: str) -> Trace:
     """Load a `t,value` CSV (single header line) into a validated Trace.
 
-    A regular file is parsed by numpy from its path, in C chunks, after the
-    lines the header took; anything else (a pipe, a name numpy would
-    decompress) is read from the open handle once, and its text parsed.
+    A regular file is read from its path after the lines the header took, by
+    `_read_rows` if its rows are those `save_csv` writes and by numpy in C
+    chunks if not; anything else (a pipe, a name numpy would decompress) is
+    read from the open handle once, and its text parsed.
     """
     with open(path) as fh:
         reader = csv.reader(fh)
@@ -183,9 +307,9 @@ def load_csv(path: str | Path, kind: str, unit: str) -> Trace:
         # a pipe cannot be read again, so its text is kept for the error path
         text = fh.read() if real is None else None
         try:
-            rows = (_parse_rows(io.StringIO(text)) if real is None
-                    else _parse_rows(real, reader.line_num))
-            return Trace(kind=kind, unit=unit, times=rows["t"], values=rows["value"])
+            times, values = (_parse_rows(io.StringIO(text)) if real is None
+                             else _parse_rows(real, reader.line_num))
+            return Trace(kind=kind, unit=unit, times=times, values=values)
         except ValueError as exc:
             # csv.reader refuses a field over its size limit, which numpy reads
             with contextlib.suppress(csv.Error):
@@ -233,7 +357,8 @@ def _check_rows(path, block: list[tuple[int, str]], last_t: int | None) -> int |
     """Check (row number, text) rows in order after a row at `last_t`; return
     the last t."""
     try:
-        parsed = _parse_rows(io.StringIO("".join(text for _, text in block))).tolist()
+        times, values = _parse_rows(io.StringIO("".join(text for _, text in block)))
+        parsed = list(zip(times.tolist(), values.tolist()))
     except ValueError:
         parsed = []
     for i, (rownum, text) in enumerate(block):
@@ -241,7 +366,7 @@ def _check_rows(path, block: list[tuple[int, str]], last_t: int | None) -> int |
             t, value = parsed[i]
         else:
             try:
-                (t, value), = _parse_rows(io.StringIO(text)).tolist()
+                (t,), (value,) = (column.tolist() for column in _parse_rows(io.StringIO(text)))
             except ValueError as exc:
                 # numpy's own row index (0 here) would only confuse the message
                 reason = re.sub(r" at row \d+", "", str(exc))

@@ -1,11 +1,26 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
+import ioht_pipeline
 from ioht_pipeline.chart import Series, render_chart, write_chart
 from ioht_pipeline.cli import main
+
+
+def ioht(*args, cwd):
+    """`ioht args...` in a subprocess, run in `cwd`."""
+    src = str(Path(ioht_pipeline.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "ioht_pipeline.cli", *args], cwd=cwd,
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
 
 
 class TestChart:
@@ -115,6 +130,40 @@ class TestCli:
         out = tmp_path / "out.svg"
         assert main(["chart", "--input", str(src), "--out", str(out)]) == 0
         assert out.read_text().startswith("<svg")
+
+    def test_chart_escapes_its_text(self, tmp_path):
+        (tmp_path / "a&b.csv").write_text("x,y\n0,1\n1,3\n")
+        got = ioht("chart", "--input", "a&b.csv", "--title", "HR & BT <1>", "--out", "c.svg",
+                   cwd=tmp_path)
+        assert got.returncode == 0, got.stderr
+        texts = [node.firstChild.data for node in
+                 minidom.parse(str(tmp_path / "c.svg")).getElementsByTagName("text")]
+        assert "HR & BT <1>" in texts and "a&b" in texts
+
+    @pytest.mark.parametrize("rows,error", [
+        ("x,y\n1\n", "parse failure at row 2: not enough values to unpack"),
+        ("x,y\n0,1\n\n1,inf\n", "non-finite value at row 4"),
+        ("x,y\n0,1\n1,abc\n", "parse failure at row 3: could not convert string to float"),
+    ])
+    def test_chart_names_the_bad_row(self, tmp_path, rows, error):
+        (tmp_path / "in.csv").write_text(rows)
+        got = ioht("chart", "--input", "in.csv", "--out", "c.svg", cwd=tmp_path)
+        assert got.returncode == 2
+        assert got.stderr.startswith(f"error: in.csv: {error}")
+        assert not (tmp_path / "c.svg").exists()
+
+    @pytest.mark.parametrize("grid,clash", [
+        (["1e-7", "1.00000001e-7"], "1e-07 and 1.00000001e-07 would both write "
+                                    "noised_points_eps_1e-07.csv"),
+        (["0.5", "0.1", "0.1"], "0.1 and 0.1 would both write noised_points_eps_0_1.csv"),
+    ])
+    def test_epsilon_sweep_refuses_grid_values_sharing_a_file(self, tmp_path, capsys, grid, clash):
+        out = tmp_path / "eps"
+        assert main(["epsilon-sweep", "--trials", "2", "--grid", *grid, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --grid values {clash}\n"
+        assert not out.exists()
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -6,6 +6,7 @@ import csv
 import math
 import re
 import struct
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -61,6 +62,7 @@ from ioht_pipeline.pipeline import (
 )
 from ioht_pipeline.trace import (
     _LOCATOR_BLOCK_ROWS,
+    _READ_BLOCK_BYTES,
     _WRITE_CHUNK_ROWS,
     KIND_CODES,
     KINDS,
@@ -576,6 +578,152 @@ def test_load_csv_names_the_row_of_a_time_outside_int64(tmp_path, t, after):
     # in Trace with no row at all
     with pytest.raises(TraceError):
         load_csv_loop(path, "other", "dimensionless")
+
+
+def loadtxt_columns(path):
+    """The (times, values) numpy's own parser reads from a one-line-header CSV."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(path, dtype=[("t", np.int64), ("value", np.float64)], delimiter=",",
+                          usecols=(0, 1), ndmin=1, comments=None, quotechar='"', skiprows=1)
+    return rows["t"], rows["value"]
+
+
+def assert_reads_as_loadtxt(path):
+    """load_csv gives the Trace of numpy's columns, or fails where that does."""
+    try:
+        want = Trace("other", "dimensionless", *loadtxt_columns(path))
+    except ValueError:
+        with pytest.raises(TraceError):
+            load_csv(path, "other", "dimensionless")
+        return
+    got = load_csv(path, "other", "dimensionless")
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+@st.composite
+def line_shape(draw):
+    """(t width, value digits, point column, sign, line end) of grammar rows:
+    t of 1-18 digits, then a value of 1-18 digits with its point at any
+    column and an optional minus sign, ending in LF or CR LF."""
+    digits = draw(st.integers(1, 18))
+    return (draw(st.integers(1, 18)), digits, draw(st.integers(0, digits)),
+            draw(st.sampled_from(["", "-"])), draw(st.sampled_from(["\n", "\r\n"])))
+
+
+def grammar_line(t, n, shape):
+    """Row t of the fast reader's grammar, its value's digits those of n
+    (below 2**53), leading zeros filling both fields out to the shape."""
+    t_width, digits, point, sign, eol = shape
+    text = str(n).zfill(digits)
+    return f"{str(t).zfill(t_width)},{sign}{text[:point]}.{text[point:]}{eol}"
+
+
+# Rows just outside the grammar, each of which sends the whole file to numpy.
+NEAR_GRAMMAR = ["\n", "+{t},1.5\n", "{t},+1.5\n", "{t}, 1.5\r\n", " {t},1.5\n", "{t},1e5\n",
+                "{t},9007199254740992.\n", "{t},900719925474099.3\n", "{t:019d},2.5\n",
+                "{t},1.5\r", "{t},1.\r5\n", "{t},1.5,7\n", "{t},15\n", '"{t}",1.5\n']
+
+
+@st.composite
+def reader_lines(draw):
+    """Grammar rows at increasing t, all of one shape (so one long run) or
+    each of its own; perhaps one row swapped for a near-grammar row or changed
+    in one byte; and the last line with or without its line end."""
+    times = sorted(draw(st.sets(st.one_of(st.integers(0, 999), st.integers(0, 10**18 - 1)),
+                                max_size=30)))
+    shape = draw(line_shape())
+    uniform = draw(st.booleans())
+    lines = []
+    for t in times:
+        row_shape = shape if uniform else draw(line_shape())
+        n = draw(st.integers(0, min(10**row_shape[1], 2**53) - 1))
+        lines.append(grammar_line(t, n, row_shape))
+    if lines and draw(st.booleans()):
+        at = draw(st.integers(0, len(lines) - 1))
+        if draw(st.booleans()):
+            lines[at] = draw(st.sampled_from(NEAR_GRAMMAR)).format(t=times[at])
+        else:
+            i = draw(st.integers(0, len(lines[at]) - 2))
+            lines[at] = lines[at][:i] + draw(st.sampled_from("0.,-+ e\r\n\"")) + lines[at][i + 1:]
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\n")
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=reader_lines())
+@example(lines=[])
+@example(lines=["0,-0.000000\r\n", "7,.5\n", "8,5.\r\n", "9,-.0", "10,0.1\n"])
+# equal lengths, but the second row has no CR, or no point, where the first has one
+@example(lines=["12,3.45\r\n", "13,3.456\n"])
+@example(lines=["12,3.45\n", "13,3456\n"])
+@example(lines=["9,10.5\n", "10,9.5\n", "11,-.25\n", "12,-1.5\n"])
+def test_load_csv_reads_bytes_as_loadtxt(tmp_path_factory, lines):
+    assert_reads_as_loadtxt(write_csv(tmp_path_factory, lines))
+
+
+def no_loadtxt(monkeypatch):
+    """Make numpy's loadtxt raise, so a load that returns used the fast reader."""
+    class LoadtxtCalled(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise LoadtxtCalled
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    return LoadtxtCalled
+
+
+# 16-byte rows after a first row whose width sets where the first 1 MiB block
+# edge falls: 7 bytes put it inside a row, 16 between rows, 17 between CR and LF.
+@pytest.mark.parametrize("first", ["0,0.5\r\n", "0000000000,0.5\r\n", "00000000000,0.5\r\n"])
+def test_fast_reader_runs_across_block_edges(tmp_path, monkeypatch, first):
+    rows = [f"{t},{t % 90 + 10}.{t % 10000:04d}\r\n" for t in range(100_000, 170_000)]
+    path = tmp_path / "trace.csv"
+    path.write_bytes(("t,value\r\n" + first + "".join(rows)).encode())
+    assert len(rows[0]) == 16 and path.stat().st_size > _READ_BLOCK_BYTES
+    times, values = loadtxt_columns(path)
+    no_loadtxt(monkeypatch)
+    got = load_csv(path, "other", "dimensionless")
+    assert got.times.tobytes() == times.tobytes()
+    assert got.values.tobytes() == values.tobytes()
+
+
+# csv.reader and numpy end a line at a lone CR, so a header holding one ends
+# before the LF that follows it; the fast reader, which counts LFs, declines.
+@pytest.mark.parametrize("header", [b"t,value\r", b'"t\rx",value\n', b"t,value\r\r\n"])
+def test_fast_reader_skips_the_header_lines_numpy_skips(tmp_path, header):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(header + b"0,1.5\n5,2.5\r\n")
+    got = load_csv(path, "other", "dimensionless")
+    assert got.times.tolist() == [0, 5] and got.values.tolist() == [1.5, 2.5]
+
+
+def test_fast_reader_starts_a_piece_where_the_layout_changes(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"t,value\n9,10.5\n10,9.5\n11,-9.5\r\n")
+    no_loadtxt(monkeypatch)
+    got = load_csv(path, "other", "dimensionless")
+    assert got.times.tolist() == [9, 10, 11]
+    assert got.values.tolist() == [10.5, 9.5, -9.5]
+
+
+def test_fast_reader_reads_save_csv_files_and_declines_blank_lines(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    trace = generate_trace(SyntheticSpec(n=70_000, seed=3, drift_amplitude=8.0, noise_scale=1.5))
+    save_csv(trace, path)
+    times, values = loadtxt_columns(path)
+    called = no_loadtxt(monkeypatch)
+    got = load_csv(path, "other", "dimensionless")
+    assert got.times.tobytes() == times.tobytes() == trace.times.tobytes()
+    assert got.values.tobytes() == values.tobytes()
+    data = path.read_bytes()
+    last = data.rindex(b"\n", 0, -1) + 1
+    path.write_bytes(data[:last] + b"\r\n" + data[last:])  # a blank line before the last row
+    with pytest.raises(called):
+        load_csv(path, "other", "dimensionless")
 
 
 def near_tie(j, toward):
