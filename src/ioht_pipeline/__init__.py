@@ -41,7 +41,6 @@ from .dp import (
     laplace_pdf,
     noisy_query,
     perturb_series,
-    sample_laplace,
     verify_dp_ratio,
 )
 from .pipeline import (

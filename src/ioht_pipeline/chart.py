@@ -1,6 +1,7 @@
 """Minimal deterministic SVG line/point charts for experiment outputs."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -37,6 +38,19 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
+def _axis_range(axis: str, values: list[float]) -> tuple[float, float]:
+    """The (lo, hi) an axis spans: the values' range, or 1 either side of a
+    single value. A span that is 0 or overflows would put nan in the SVG, so
+    it raises a ValueError."""
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        lo, hi = lo - 1.0, hi + 1.0
+    if not 0.0 < hi - lo < math.inf:
+        raise ValueError(f"{axis} values from {min(values)!r} to {max(values)!r} "
+                         "cannot be scaled to the plot")
+    return lo, hi
+
+
 def render_chart(
     series: Sequence[Series],
     style: str = "line",
@@ -50,14 +64,8 @@ def render_chart(
     if style not in ("line", "points"):
         raise ValueError(f"unknown style {style!r}")
 
-    xs = [p[0] for s in series for p in s.points]
-    ys = [p[1] for s in series for p in s.points]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    x_lo, x_hi = _axis_range("x", [p[0] for s in series for p in s.points])
+    y_lo, y_hi = _axis_range("y", [p[1] for s in series for p in s.points])
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM

@@ -353,8 +353,11 @@ def _cmd_chart(args) -> None:
             points.append((x, y))
     if not points:
         raise TraceError(f"{args.input}: no data rows")
-    chart.write_chart([chart.Series(Path(args.input).stem, tuple(points))],
-                      args.out, style=args.style, title=args.title)
+    try:
+        chart.write_chart([chart.Series(Path(args.input).stem, tuple(points))],
+                          args.out, style=args.style, title=args.title)
+    except ValueError as exc:
+        raise TraceError(f"{args.input}: {exc}") from exc
     print(f"wrote {args.out}")
 
 

@@ -1,5 +1,5 @@
 """Tier-2 differential privacy: Laplace distribution, noise calibration
-b = sensitivity / epsilon, closed-form L1 sensitivity, single and batched
+b = sensitivity / epsilon, closed-form L1 sensitivity, batched inverse-CDF
 Laplace draws, noisy aggregate queries, per-point series perturbation, and
 an analytic privacy-ratio check.
 """
@@ -75,29 +75,16 @@ def laplace_cdf(x: float, mu: float, b: float) -> float:
     return 1.0 - 0.5 * math.exp(-(x - mu) / b)
 
 
-def sample_laplace(rng: np.random.Generator, mu: float, b: float) -> float:
-    """Inverse-CDF draw: u uniform in (-1/2, 1/2), mu - b*sign(u)*ln(1-2|u|)."""
-    if b <= 0:
-        raise ValueError("scale b must be > 0")
-    while True:
-        u = rng.random() - 0.5
-        if 1.0 - 2.0 * abs(u) > 0.0:
-            break
-    if u == 0.0:
-        return mu
-    return mu - b * math.copysign(1.0, u) * math.log(1.0 - 2.0 * abs(u))
-
-
 def laplace_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
-    """`size` Laplace(0, b) draws: bit for bit the values of `size` calls of
-    sample_laplace(rng, 0.0, b), leaving `rng` in the same state."""
+    """`size` inverse-CDF Laplace(0, b) draws: for each uniform u in
+    (-1/2, 1/2), -b*sign(u)*ln(1-2|u|), and 0 where u == 0."""
     if b <= 0:
         raise ValueError("scale b must be > 0")
     u = np.empty(0)
-    while len(u) < size:  # draw again for the uniforms sample_laplace rejects
+    while len(u) < size:  # draw again for the uniforms ln(1-2|u|) cannot take
         more = rng.random(size - len(u)) - 0.5
         u = np.concatenate([u, more[1.0 - 2.0 * np.abs(more) > 0.0]])
-    # math.log as in sample_laplace: SIMD np.log differs from it in the last bit for some inputs.
+    # math.log, not np.log: SIMD np.log differs from it in the last bit for some inputs.
     logs = np.fromiter(map(math.log, (1.0 - 2.0 * np.abs(u)).tolist()), np.float64, size)
     noise = 0.0 - (b * np.copysign(1.0, u)) * logs
     noise[u == 0.0] = 0.0
@@ -158,7 +145,7 @@ def noisy_query(
 ) -> NoisedResult:
     """True aggregate plus one Laplace(0, b) draw."""
     real = evaluate_query(dataset, query)
-    noise = sample_laplace(rng, 0.0, params.scale)
+    noise = float(laplace_noise(rng, params.scale, 1)[0])
     return NoisedResult(real_result=real, noise=noise, params=params)
 
 

@@ -6,9 +6,7 @@ import csv
 import io
 import itertools
 import math
-import os
 import re
-import stat
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -136,24 +134,13 @@ _CSV_ROW = np.dtype([("t", np.int64), ("value", np.float64)])
 _LOCATOR_BLOCK_ROWS = 4096
 
 
-# The suffixes numpy's loadtxt decompresses when it is given a path.
-_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
-
-
-def _parse_rows(source, skiprows: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The t and value columns of `t,value` rows; blank lines are skipped.
-    `source` is an open text handle, read a line at a time, or a path, whose
-    rows after `skiprows` physical lines are read from bytes by `_read_rows`
-    or, where that declines, parsed by numpy in C chunks."""
-    if isinstance(source, str):
-        columns = _read_rows(source, skiprows)
-        if columns is not None:
-            return columns
+def _parse_rows(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The t and value columns of `t,value` lines; blank lines are skipped."""
     with warnings.catch_warnings():
         # a header-only file is an empty trace, not a warning
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        rows = np.loadtxt(source, dtype=_CSV_ROW, delimiter=",", usecols=(0, 1), ndmin=1,
-                          comments=None, quotechar='"', skiprows=skiprows)
+        rows = np.loadtxt(lines, dtype=_CSV_ROW, delimiter=",", usecols=(0, 1), ndmin=1,
+                          comments=None, quotechar='"')
     return rows["t"], rows["value"]
 
 
@@ -165,45 +152,46 @@ _MAX_DIGITS = 18
 _MAX_ROW_BYTES = 2 * _MAX_DIGITS + 5
 
 
-def _read_rows(path: str, skiprows: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The columns of a file whose data rows are all `digits,[-]digits.digits`
-    (either side of the point may be empty) ending in LF or CR LF, as
-    `save_csv` writes them, read a block of whole lines at a time; None for
-    any other file, which numpy then parses.
+def _read_rows(fh, skiprows: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The columns of the seekable binary handle's file after `skiprows`
+    lines, if its data rows are all `digits,[-]digits.digits` (either side of
+    the point may be empty) ending in LF or CR LF, as `save_csv` writes them,
+    read a block of whole lines at a time; None for any other file, which
+    numpy then parses.
 
     Each value is +-N / 10**f, N its digits and f the digits after the
     point. As N < 2**53 and f <= 22 are exact doubles, the quotient is the
     decimal correctly rounded (Clinger's fast path), the double numpy's
     parser gives; a larger N sends the file to numpy.
     """
-    with open(path, "rb") as fh:
-        header = b"".join(fh.readline() for _ in range(skiprows))
-        # a lone CR ends a line for csv.reader and numpy, but not here
-        if header.count(b"\n") != skiprows or b"\r" in header.replace(b"\r\n", b""):
+    capacity = fh.seek(0, io.SEEK_END) // 4 + 1  # the shortest row is `0,0\n`
+    fh.seek(0)
+    header = b"".join(fh.readline() for _ in range(skiprows))
+    # a lone CR ends a line for csv.reader and numpy, but not here
+    if header.count(b"\n") != skiprows or b"\r" in header.replace(b"\r\n", b""):
+        return None
+    times = np.empty(capacity, np.int64)
+    values = np.empty(capacity, np.float64)
+    block = bytearray(_READ_BLOCK_BYTES)
+    rows = held = 0
+    while True:
+        got = fh.readinto(memoryview(block)[held:])
+        if got:
+            held += got
+            end = block.rfind(b"\n", 0, held) + 1
+        elif held:  # a last line with no line end
+            block[held] = ord("\n")
+            held = end = held + 1
+        else:
+            return times[:rows], values[:rows]
+        if held - end > _MAX_ROW_BYTES:  # a line longer than any row
             return None
-        capacity = os.fstat(fh.fileno()).st_size // 4 + 1  # the shortest row is `0,0\n`
-        times = np.empty(capacity, np.int64)
-        values = np.empty(capacity, np.float64)
-        block = bytearray(_READ_BLOCK_BYTES)
-        rows = held = 0
-        while True:
-            got = fh.readinto(memoryview(block)[held:])
-            if got:
-                held += got
-                end = block.rfind(b"\n", 0, held) + 1
-            elif held:  # a last line with no line end
-                block[held] = ord("\n")
-                held = end = held + 1
-            else:
-                return times[:rows], values[:rows]
-            if held - end > _MAX_ROW_BYTES:  # a line longer than any row
-                return None
-            count = _read_lines(np.frombuffer(block, np.uint8, end), times[rows:], values[rows:])
-            if count is None:
-                return None
-            rows += count
-            block[:held - end] = block[end:held]
-            held -= end
+        count = _read_lines(np.frombuffer(block, np.uint8, end), times[rows:], values[rows:])
+        if count is None:
+            return None
+        rows += count
+        block[:held - end] = block[end:held]
+        held -= end
 
 
 def _read_lines(lines: np.ndarray, times: np.ndarray, values: np.ndarray) -> int | None:
@@ -274,53 +262,41 @@ def _horner(digits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _plain_file(fh, path: str | Path) -> str | None:
-    """The real path of the open handle's file, if numpy can reopen it by
-    that path and read the same text: a regular file (not a pipe such as
-    /dev/stdin, whose first read has already taken rows) under a name numpy
-    does not decompress. The path is absolute, so numpy never takes it for
-    a URL. None otherwise."""
-    real = os.path.realpath(path)
-    try:
-        opened, named = os.fstat(fh.fileno()), os.stat(real)
-    except OSError:
-        return None
-    if (os.path.samestat(opened, named) and stat.S_ISREG(opened.st_mode)
-            and os.path.splitext(real)[1] not in _COMPRESSED_SUFFIXES):
-        return real
-    return None
-
-
 def load_csv(path: str | Path, kind: str, unit: str) -> Trace:
     """Load a `t,value` CSV (single header line) into a validated Trace.
 
-    A regular file is read from its path after the lines the header took, by
-    `_read_rows` if its rows are those `save_csv` writes and by numpy in C
-    chunks if not; anything else (a pipe, a name numpy would decompress) is
-    read from the open handle once, and its text parsed.
+    The path is opened once, in binary; a source that cannot seek, such as a
+    pipe, is read into memory first. The rows after the header are read from
+    bytes by `_read_rows` if they are those `save_csv` writes, and parsed
+    from the decoded text by numpy if not.
     """
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) is None:
-            raise TraceError(f"{path}: empty file, expected a header line")
-        real = _plain_file(fh, path)
-        # a pipe cannot be read again, so its text is kept for the error path
-        text = fh.read() if real is None else None
-        try:
-            times, values = (_parse_rows(io.StringIO(text)) if real is None
-                             else _parse_rows(real, reader.line_num))
-            return Trace(kind=kind, unit=unit, times=times, values=values)
-        except ValueError as exc:
-            # csv.reader refuses a field over its size limit, which numpy reads
-            with contextlib.suppress(csv.Error):
-                if real is None:
-                    _raise_at_bad_row(path, io.StringIO(text))
-                else:
-                    with open(real) as again:
-                        _raise_at_bad_row(path, itertools.islice(again, reader.line_num, None))
-            if isinstance(exc, TraceError):
-                raise
-            raise TraceError(f"{path}: parse failure: {exc}") from exc
+    with open(path, "rb") as raw:
+        fh = raw if raw.seekable() else io.BytesIO(raw.read())
+        # decoded as open(path) decodes, with universal newlines
+        with io.TextIOWrapper(fh) as text:
+            reader = csv.reader(text)
+            if next(reader, None) is None:
+                raise TraceError(f"{path}: empty file, expected a header line")
+            try:
+                columns = _read_rows(fh, reader.line_num)
+                if columns is None:
+                    columns = _parse_rows(_lines_after(text, reader.line_num))
+                return Trace(kind, unit, *columns)
+            except ValueError as exc:
+                # csv.reader refuses a field over its size limit, which numpy reads
+                with contextlib.suppress(csv.Error):
+                    _raise_at_bad_row(path, _lines_after(text, reader.line_num))
+                if isinstance(exc, TraceError):
+                    raise
+                raise TraceError(f"{path}: parse failure: {exc}") from exc
+
+
+def _lines_after(text, skiprows: int) -> Iterable[str]:
+    """The text handle, rewound and read past its first `skiprows` lines."""
+    text.seek(0)
+    for _ in range(skiprows):
+        text.readline()
+    return text
 
 
 def _raise_at_bad_row(path: str | Path, lines: Iterable[str]) -> None:

@@ -19,7 +19,6 @@ from ioht_pipeline.dp import (
     DpQuery,
     l1_sensitivity,
     laplace_cdf,
-    sample_laplace,
     verify_dp_ratio,
 )
 from ioht_pipeline.inference import (
@@ -37,6 +36,7 @@ from ioht_pipeline.trace import (
     generate_population,
     generate_trace,
 )
+from test_oracles import sample_laplace
 from test_pipeline import make_config
 
 

@@ -144,6 +144,10 @@ class TestCli:
         ("x,y\n1\n", "parse failure at row 2: not enough values to unpack"),
         ("x,y\n0,1\n\n1,inf\n", "non-finite value at row 4"),
         ("x,y\n0,1\n1,abc\n", "parse failure at row 3: could not convert string to float"),
+        # finite values whose axis span is 0 or overflows would put nan in the SVG
+        ("x,y\n-1e308,1\n1e308,2\n", "x values from -1e+308 to 1e+308 cannot be scaled"),
+        ("x,y\n0,-1e308\n1,1e308\n", "y values from -1e+308 to 1e+308 cannot be scaled"),
+        ("x,y\n1e20,1\n", "x values from 1e+20 to 1e+20 cannot be scaled"),
     ])
     def test_chart_names_the_bad_row(self, tmp_path, rows, error):
         (tmp_path / "in.csv").write_text(rows)
@@ -151,6 +155,18 @@ class TestCli:
         assert got.returncode == 2
         assert got.stderr.startswith(f"error: in.csv: {error}")
         assert not (tmp_path / "c.svg").exists()
+
+    @pytest.mark.parametrize("rows", [
+        "x,y\n0,1\n1.7976931348623157e308,2\n",
+        "x,y\n-1e308,5e-324\n7e307,1e-323\n",
+    ])
+    def test_chart_draws_the_widest_spans_that_fit(self, tmp_path, capsys, rows):
+        src = tmp_path / "data.csv"
+        src.write_text(rows)
+        out = tmp_path / "c.svg"
+        assert main(["chart", "--input", str(src), "--out", str(out)]) == 0
+        svg = out.read_text()
+        assert "<polyline" in svg and "nan" not in svg and "inf" not in svg
 
     @pytest.mark.parametrize("grid,clash", [
         (["1e-7", "1.00000001e-7"], "1e-07 and 1.00000001e-07 would both write "

@@ -15,10 +15,10 @@ from ioht_pipeline.dp import (
     laplace_pdf,
     noisy_query,
     perturb_series,
-    sample_laplace,
     verify_dp_ratio,
 )
 from ioht_pipeline.trace import PersonRecord, generate_population
+from test_oracles import sample_laplace
 
 
 def person(hr, bt=36.8, pid="p"):

@@ -38,7 +38,7 @@ from ioht_pipeline.dp import (
     evaluate_query,
     l1_sensitivity,
     laplace_noise,
-    sample_laplace,
+    noisy_query,
 )
 from ioht_pipeline.inference import (
     REASON_ANCHOR,
@@ -373,6 +373,20 @@ def test_l1_sensitivity_matches_brute_force(data, aggregate, fieldname, neighbor
     assert math.isclose(got, want, rel_tol=0.0, abs_tol=abs_tol)
 
 
+def sample_laplace(rng, mu, b):
+    """One inverse-CDF Laplace(mu, b) draw: u uniform in (-1/2, 1/2),
+    mu - b*sign(u)*ln(1-2|u|), drawing u again where ln(1-2|u|) is -inf."""
+    if b <= 0:
+        raise ValueError("scale b must be > 0")
+    while True:
+        u = rng.random() - 0.5
+        if 1.0 - 2.0 * abs(u) > 0.0:
+            break
+    if u == 0.0:
+        return mu
+    return mu - b * math.copysign(1.0, u) * math.log(1.0 - 2.0 * abs(u))
+
+
 def scalar_draws(rng, b, k):
     return np.array([sample_laplace(rng, 0.0, b) for _ in range(k)], dtype=np.float64)
 
@@ -433,6 +447,17 @@ def test_laplace_noise_rejects_zero_uniforms_like_the_loop(stream, k, b):
                      max_size=60))
 def test_laplace_noise_matches_loop_on_any_stream(k, body):
     check_against_stream(body + [0.25] * k, k, 2.0)
+
+
+# noisy_query takes one batched draw: the scalar sampler's value and stream use.
+@pytest.mark.parametrize("stream", [[0.1], [0.5], [0.0, 0.75], [0.0, 0.0, 0.5]])
+def test_noisy_query_draws_as_the_scalar_sampler(stream):
+    params = DpParams(epsilon=0.5, sensitivity=1.5)
+    batched, scalar = StreamRng(stream), StreamRng(stream)
+    got = noisy_query((), DpQuery("count"), params, batched).noise
+    want = sample_laplace(scalar, 0.0, params.scale)
+    assert struct.pack(">d", got) == struct.pack(">d", want)
+    assert batched.used == scalar.used == len(stream)
 
 
 def bit_exact(records):

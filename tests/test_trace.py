@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ioht_pipeline
-from ioht_pipeline import trace as trace_module
 from ioht_pipeline.trace import (
     PersonRecord,
     SyntheticSpec,
@@ -23,6 +23,7 @@ from ioht_pipeline.trace import (
     save_csv,
     save_population_csv,
 )
+from test_oracles import no_loadtxt
 
 
 def test_load_csv_basic(tmp_path):
@@ -98,30 +99,36 @@ def test_load_csv_bad_value(tmp_path):
         load_csv(p, "heart-rate", "bpm")
 
 
-def parse_sources(monkeypatch):
-    """The `source` of every `_parse_rows` call that `load_csv` makes."""
-    sources = []
-    real = trace_module._parse_rows
+# A pipe (here /dev/fd/N, as /dev/stdin would be) is read into memory and
+# then by the same byte reader as a file: numpy is never called.
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_csv_reads_a_piped_save_csv_file_from_bytes(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    save_csv(generate_trace(SyntheticSpec(n=70_000, seed=7, noise_scale=1.5)), path)
+    data = path.read_bytes()
+    assert len(data) >= 1 << 20  # many times a pipe's buffer
+    want = load_csv(path, "heart-rate", "bpm")
+    read, write = os.pipe()
 
-    def spy(source, *args):
-        sources.append(source)
-        return real(source, *args)
+    def feed():
+        with open(write, "wb") as fh:
+            fh.write(data)
 
-    monkeypatch.setattr(trace_module, "_parse_rows", spy)
-    return sources
-
-
-def test_load_csv_parses_a_regular_file_from_its_path(tmp_path, monkeypatch):
-    sources = parse_sources(monkeypatch)
-    p = tmp_path / "t.csv"
-    p.write_text("t,value\n0,60.0\n60,61.0\n")
-    assert load_csv(p, "heart-rate", "bpm").times.tolist() == [0, 60]
-    assert sources == [os.path.realpath(p)]
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        no_loadtxt(monkeypatch)
+        got = load_csv(f"/dev/fd/{read}", "heart-rate", "bpm")
+    finally:
+        os.close(read)  # a writer still blocked on a full pipe now fails, not hangs
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 @pytest.mark.parametrize("name", ["trace.csv.gz", "trace.bz2", "trace.xz", "trace.lzma"])
-def test_load_csv_reads_plain_text_under_a_compressed_suffix(tmp_path, monkeypatch, name):
-    sources = parse_sources(monkeypatch)
+def test_load_csv_reads_plain_text_under_a_compressed_suffix(tmp_path, name):
     text = "t,value\n0,60.0\n\n60,61.5\n"
     (tmp_path / "trace.csv").write_text(text)
     (tmp_path / name).write_text(text)
@@ -129,7 +136,6 @@ def test_load_csv_reads_plain_text_under_a_compressed_suffix(tmp_path, monkeypat
     named = load_csv(tmp_path / name, "heart-rate", "bpm")
     assert named.times.tolist() == plain.times.tolist() == [0, 60]
     assert named.values.tobytes() == plain.values.tobytes()
-    assert isinstance(sources[0], str) and not isinstance(sources[1], str)
 
 
 def test_load_csv_reads_a_cr_only_file_with_a_two_line_header(tmp_path):
