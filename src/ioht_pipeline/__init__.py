@@ -27,7 +27,6 @@ from .crypto import (
     ciphertext_size,
     decrypt,
     encrypt,
-    parse_payload,
     plaintext_size_for_savings,
 )
 from .dp import (

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -20,6 +21,7 @@ from .dp import (
     EPSILON_PRESETS,
     DpParams,
     DpQuery,
+    derive_streams,
     noisy_query,
     perturb_series,
 )
@@ -45,6 +47,7 @@ from .trace import (
     generate_trace,
     load_csv,
     load_population_csv,
+    parse_float,
     save_csv,
     save_population_csv,
 )
@@ -245,10 +248,10 @@ def _cmd_dp(args) -> None:
     query = DpQuery(aggregate=args.query,
                     field=None if args.query == "count" else args.field)
     params = DpParams(epsilon=args.epsilon, sensitivity=args.sensitivity)
+    streams = derive_streams(args.seed, args.trials + 1)  # the last is --out's
     outs = []
     real = None
-    for i in range(args.trials):
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed, i]))
+    for rng in itertools.islice(streams, args.trials):
         result = noisy_query(population, query, params, rng)
         real = result.real_result
         outs.append(result.out_result)
@@ -264,8 +267,7 @@ def _cmd_dp(args) -> None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         values = [getattr(r, args.field) for r in population]
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed, args.trials]))
-        noised = perturb_series(values, params, rng)
+        noised = perturb_series(values, params, next(streams))
         _write_csv(out / "dp_points.csv", ["index", "original", "noised"],
                    [[i, repr(v), repr(nv)] for i, (v, nv) in enumerate(zip(values, noised))])
         print(f"wrote {out / 'dp_points.csv'}", file=sys.stderr)
@@ -345,7 +347,7 @@ def _cmd_chart(args) -> None:
             if not row:
                 continue
             try:
-                x, y = map(float, row[:2])
+                x, y = map(parse_float, row[:2])
             except ValueError as exc:
                 raise TraceError(f"{args.input}: parse failure at row {rownum}: {exc}") from exc
             if not (math.isfinite(x) and math.isfinite(y)):

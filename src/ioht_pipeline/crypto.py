@@ -47,7 +47,6 @@ SUITES = {
 class EncryptedPayload:
     suite: CipherSuite
     ciphertext: bytes
-    plaintext_len: int
 
 
 class PayloadError(ValueError):
@@ -100,21 +99,50 @@ def frame_records(kind: str, unit: str, records: np.ndarray, batch: int,
     return rows.tobytes() + serialize_records(kind, unit, records[full * batch:])
 
 
+def frame_sizes(record_count: int, batch: int, suite: CipherSuite) -> tuple[int, int, int]:
+    """(messages, plaintext bytes, ciphertext bytes) of `frame_records`
+    framing `record_count` records, `batch` to a message."""
+    full = max(record_count - 1, 0) // batch  # the messages before the last
+    size, width = _message_sizes(batch, suite)
+    last, padded = _message_sizes(record_count - full * batch, suite)
+    return full + 1, full * size + last, full * width + padded
+
+
 def read_frames(data: bytes, batch: int,
-                suite: CipherSuite) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split the messages of a `frame_records` buffer, as decrypted, into
-    the header of each message (HEADER_DTYPE), all their records in order
-    (RECORD_DTYPE) and the pad bytes of every message but the last (one row
-    each). Nothing is checked here beyond the message boundaries."""
+                suite: CipherSuite) -> tuple[str, str, np.ndarray, int, int]:
+    """Decode and check a `frame_records` buffer, as decrypted: (kind, unit,
+    every message's records in order (read-only), the message count and the
+    unpadded bytes read). One message of `count` records is read as
+    `read_frames(data, max(count, 1), suite)`. Raises PayloadError naming the
+    first fault the checks below find, or the first unknown reason code."""
     size, width = _message_sizes(batch, suite)
     full = len(data) // width
     rows = np.frombuffer(data, np.uint8, full * width).reshape(full, width)
     last = np.frombuffer(data, np.uint8, offset=full * width)
-    if len(last) < HEADER_LEN or (len(last) - HEADER_LEN) % RECORD_LEN:
-        raise PayloadError(f"last message of {len(last)} bytes is not a header and whole records")
-    headers = np.concatenate((rows[:, :HEADER_LEN].reshape(-1), last[:HEADER_LEN]))
-    records = np.concatenate((rows[:, HEADER_LEN:size].reshape(-1), last[HEADER_LEN:]))
-    return headers.view(HEADER_DTYPE), records.view(RECORD_DTYPE), rows[:, size:]
+    rest, odd = divmod(len(last) - HEADER_LEN, RECORD_LEN)
+    if rest < 0 or odd or rest > batch:
+        raise PayloadError(f"last message of {len(last)} bytes is not a header "
+                           f"and at most {batch} whole records")
+    headers = np.ndarray(full + 1, HEADER_DTYPE, data, strides=(width,))  # one per row
+    kind, unit = headers["kind"], headers["unit"]
+    counts = np.append(np.full(full, batch), rest)  # the last message holds the rest
+    for fault, ok in {
+        "bad magic bytes": headers["magic"] == MAGIC,
+        "unsupported format version": headers["version"] == FORMAT_VERSION,
+        "unknown kind/unit code": (kind < len(KINDS)) & (unit < len(UNITS)),
+        "kind or unit differs from the first message's": (kind == kind[0]) & (unit == unit[0]),
+        "header count is not the records held": headers["count"] == counts,
+        "pad byte is not the pad length": np.all(rows[:, size:] == width - size, axis=1),
+    }.items():
+        if not np.all(ok):
+            raise PayloadError(f"message {np.argmin(ok)}: {fault}")
+    body = np.concatenate((rows[:, HEADER_LEN:size].reshape(-1), last[HEADER_LEN:]))
+    records = body.view(RECORD_DTYPE)
+    records.flags.writeable = False
+    unknown = records["reason"][records["reason"] >= len(REASON_NAMES)]
+    if len(unknown):
+        raise PayloadError(f"unknown reason code {unknown[0]}")
+    return KINDS[kind[0]], UNITS[unit[0]], records, full + 1, len(data) - full * (width - size)
 
 
 def transmitted_records(trace: Trace, tx: TransmissionSet) -> np.ndarray:
@@ -131,31 +159,6 @@ def transmitted_records(trace: Trace, tx: TransmissionSet) -> np.ndarray:
     records["value"] = trace.values[tx.indices]
     records["reason"] = tx.codes
     return records
-
-
-def parse_payload(data: bytes) -> tuple[str, str, np.ndarray]:
-    """Decode a wire-format payload to (kind, unit, records), where records
-    is a RECORD_DTYPE view of `data`."""
-    if len(data) < HEADER_LEN:
-        raise PayloadError("payload shorter than header")
-    if data[:4] != MAGIC:
-        raise PayloadError("bad magic bytes")
-    if data[4] != FORMAT_VERSION:
-        raise PayloadError(f"unsupported format version {data[4]}")
-    try:
-        kind = KINDS[data[5]]
-        unit = UNITS[data[6]]
-    except IndexError as exc:
-        raise PayloadError("unknown kind/unit code") from exc
-    count = int.from_bytes(data[7:11], "big")
-    expected = HEADER_LEN + count * RECORD_LEN
-    if len(data) != expected:
-        raise PayloadError(f"payload length {len(data)} != expected {expected}")
-    records = np.frombuffer(data, RECORD_DTYPE, count, HEADER_LEN)
-    unknown = records["reason"][records["reason"] >= len(REASON_NAMES)]
-    if len(unknown):
-        raise PayloadError(f"unknown reason code {unknown[0]}")
-    return kind, unit, records
 
 
 def _cipher(suite: CipherSuite, key: bytes, mode: modes.Mode) -> Cipher:
@@ -203,8 +206,7 @@ def encrypt(plaintext: bytes, context: EcbContext) -> EncryptedPayload:
     padder = context._pkcs7.padder()
     padded = padder.update(plaintext) + padder.finalize()
     ciphertext = context._encryptor.update(padded)
-    return EncryptedPayload(suite=context.suite, ciphertext=ciphertext,
-                            plaintext_len=len(plaintext))
+    return EncryptedPayload(suite=context.suite, ciphertext=ciphertext)
 
 
 def decrypt(payload: EncryptedPayload, context: EcbContext) -> bytes:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -180,9 +180,8 @@ def verify_dp_ratio(
     return max(math.exp((abs(x - mu - shift) - abs(x - mu)) / b) for x in grid)
 
 
-def derive_streams(master_seed: int, count: int) -> list[np.random.Generator]:
-    """Independent child generators for concurrent tasks, by stream index."""
-    return [
-        np.random.default_rng(np.random.SeedSequence([master_seed, i]))
-        for i in range(count)
-    ]
+def derive_streams(master_seed: int, count: int) -> Iterator[np.random.Generator]:
+    """Independent child generators for concurrent tasks, by stream index,
+    each made when it is drawn, so a caller of many holds one at a time."""
+    return (np.random.default_rng(np.random.SeedSequence([master_seed, i]))
+            for i in range(count))

@@ -11,7 +11,7 @@ from .crypto import SUITES, ciphertext_size, plaintext_size_for_savings
 from .dp import (
     EPSILON_PRESETS,
     DpParams,
-    DpQuery,
+    derive_streams,
     laplace_noise,
     perturb_series,
 )
@@ -41,15 +41,13 @@ def run_vr_sweep(
     trace: Trace,
     vr_grid: Sequence[float] = DEFAULT_VR_GRID,
     beacon_period: Optional[int] = None,
-    recon_mode: str = "linear",
 ) -> list[VrSweepRow]:
     if len(trace) < 3:
         raise ValueError("vr sweep needs a trace of length >= 3")
     rows = []
     for vr in vr_grid:
-        config = InferenceConfig(vr=vr, beacon_period=beacon_period, recon_mode=recon_mode)
-        tx = select_samples(trace, config)
-        recon = reconstruct(trace, tx, recon_mode)
+        tx = select_samples(trace, InferenceConfig(vr=vr, beacon_period=beacon_period))
+        recon = reconstruct(trace, tx)
         m = compute_metrics(trace, tx, recon)
         rows.append(VrSweepRow(vr=vr, t=m.t, sr=m.sr, er=m.er, ar=m.ar, s_diff=m.s_diff))
     return rows
@@ -62,10 +60,7 @@ class SizeSweepRow:
     ciphertext_bytes: dict[str, int]
 
 
-def run_size_sweep(
-    savings_grid: Sequence[float] = DEFAULT_SAVINGS_GRID,
-    suite_names: Sequence[str] = ("aes-128-ecb", "des-ecb", "blowfish-ecb"),
-) -> list[SizeSweepRow]:
+def run_size_sweep(savings_grid: Sequence[float] = DEFAULT_SAVINGS_GRID) -> list[SizeSweepRow]:
     rows = []
     for savings in savings_grid:
         plain = plaintext_size_for_savings(savings)
@@ -74,7 +69,7 @@ def run_size_sweep(
                 savings=savings,
                 plaintext_bytes=plain,
                 ciphertext_bytes={
-                    name: ciphertext_size(plain, SUITES[name]) for name in suite_names
+                    name: ciphertext_size(plain, suite) for name, suite in SUITES.items()
                 },
             )
         )
@@ -96,7 +91,6 @@ def run_epsilon_sweep(
     sensitivity: float = 1.0,
     trials: int = 200,
     seed: int = 0,
-    fieldname: str = "heart_rate",
 ) -> list[EpsilonSweepRow]:
     """Per epsilon: perturb the whole series once for charting, and measure
     the average deviation of the noised mean over many trials."""
@@ -104,12 +98,11 @@ def run_epsilon_sweep(
         raise ValueError("population must be non-empty")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    values = [getattr(r, fieldname) for r in population]
+    values = [r.heart_rate for r in population]
     real_mean = float(np.mean(values))
     rows = []
-    for i, eps in enumerate(epsilons):
+    for eps, rng in zip(epsilons, derive_streams(seed, len(epsilons))):
         params = DpParams(epsilon=eps, sensitivity=sensitivity)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         noised = perturb_series(values, params, rng)
         first_mean = float(np.mean(noised))
         # deviation of the noised mean of n points = |mean of n iid draws|

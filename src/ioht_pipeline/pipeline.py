@@ -5,27 +5,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .crypto import (
-    FORMAT_VERSION,
-    HEADER_LEN,
-    MAGIC,
-    RECORD_LEN,
     CipherSuite,
     EcbContext,
-    ciphertext_size,
+    PayloadError,
     decrypt,
     encrypt,
     frame_records,
+    frame_sizes,
     read_frames,
     transmitted_records,
 )
 from .dp import DpParams, DpQuery, NoisedResult, derive_streams, noisy_query
 from .inference import (
-    REASON_NAMES,
     InferenceConfig,
     InferenceMetrics,
     TransmissionSet,
@@ -33,7 +27,7 @@ from .inference import (
     reconstruct,
     select_samples,
 )
-from .trace import KIND_CODES, UNIT_CODES, PersonRecord, Trace
+from .trace import PersonRecord, Trace
 
 HOP_SENSOR_GATEWAY = "sensor->gateway"
 HOP_GATEWAY_EDGE = "gateway->edge"
@@ -138,14 +132,9 @@ def energy_estimate(log: TransmissionLog, model: EnergyModel) -> float:
 
 def hop_log(record_count: int, batch: int, suite: CipherSuite) -> TransmissionLog:
     """The log of sending `record_count` records, `batch` to a message, from
-    the wire-format and padding sizes alone. `_transmit` checks the bytes it
-    really sends against it, and the unfiltered baseline is `hop_log(n, ...)`."""
-    full, rest = divmod(record_count, batch)
-    last = 1 if rest or not full else 0  # no records still sends one header
-    sizes = ((HEADER_LEN + batch * RECORD_LEN, full), (HEADER_LEN + rest * RECORD_LEN, last))
-    messages = full + last
-    payload_bytes = sum(count * size for size, count in sizes)
-    ciphertext_bytes = sum(count * ciphertext_size(size, suite) for size, count in sizes)
+    `frame_sizes` alone. `_transmit` checks the bytes it really sends against
+    it, and the unfiltered baseline is `hop_log(n, ...)`."""
+    messages, payload_bytes, ciphertext_bytes = frame_sizes(record_count, batch, suite)
     return TransmissionLog(hops=(
         HopLog(HOP_SENSOR_GATEWAY, messages, payload_bytes),
         HopLog(HOP_GATEWAY_EDGE, messages, payload_bytes, ciphertext_bytes),
@@ -164,11 +153,10 @@ def _transmit(
     (`frame_records`), enciphered by one `encrypt` call and deciphered by one
     `decrypt` call under one `EcbContext`. Because ECB carries no state
     between blocks and every message is whole blocks once padded, that is
-    byte for byte what a call per message would send. The edge reads the
-    buffer back with `read_frames` and checks each message's header columns,
-    pad bytes, reason codes and records with whole-column comparisons.
-    Raises RuntimeError if anything read at the edge differs from what was
-    sent, or if the byte counts sent differ from `hop_log`.
+    byte for byte what a call per message would send. Raises RuntimeError if
+    `read_frames` refuses the buffer at the edge, if what it reads differs
+    from what was sent, or if the messages and bytes it read, or the
+    ciphertext bytes, differ from `hop_log`.
     """
     records = transmitted_records(trace, tx)
     batch, suite = config.batch_samples, config.suite
@@ -180,22 +168,16 @@ def _transmit(
     decrypted = decrypt(encrypted, context)
     if decrypted != sent:
         raise RuntimeError("decryption mismatch: cipher or codec bug")
-    headers, received, pads = read_frames(decrypted, batch, suite)
-    counts = np.full(len(headers), batch)  # a short last message holds the rest
-    counts[len(records) // batch:] = len(records) % batch
-    if not (np.all(headers["magic"] == MAGIC) and np.all(headers["version"] == FORMAT_VERSION)
-            and np.all(headers["kind"] == KIND_CODES[trace.kind])
-            and np.all(headers["unit"] == UNIT_CODES[trace.unit])
-            and np.array_equal(headers["count"], counts)
-            and np.all(pads == pads.shape[1])
-            and received.tobytes() == records.tobytes()):
+    try:
+        kind, unit, received, messages, payload_bytes = read_frames(decrypted, batch, suite)
+    except PayloadError as exc:
+        raise RuntimeError(f"edge-side records differ from transmitted records: {exc}") from exc
+    if (kind, unit) != (trace.kind, trace.unit) or received.tobytes() != records.tobytes():
         raise RuntimeError("edge-side records differ from transmitted records")
-    if not np.all(received["reason"] < len(REASON_NAMES)):
-        raise RuntimeError("edge-side records hold an unknown reason code")
     uplink = log.hops[1]
-    sent_counts = (len(headers), len(sent) - pads.size, len(encrypted.ciphertext))
-    if sent_counts != (uplink.messages, uplink.payload_bytes, uplink.ciphertext_bytes):
-        raise RuntimeError(f"sent (messages, payload, ciphertext bytes) {sent_counts} "
+    read = (messages, payload_bytes, len(encrypted.ciphertext))
+    if read != (uplink.messages, uplink.payload_bytes, uplink.ciphertext_bytes):
+        raise RuntimeError(f"read (messages, payload, ciphertext bytes) {read} "
                            f"differ from hop_log's")
     return log
 

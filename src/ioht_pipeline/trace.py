@@ -82,7 +82,6 @@ class PersonRecord:
     gender: str
     body_temperature: float
     heart_rate: float
-    temperature_unit: str = "celsius"
 
     def __post_init__(self) -> None:
         for name in ("heart_rate", "body_temperature"):
@@ -90,11 +89,9 @@ class PersonRecord:
                 raise TraceError(f"{name} must be finite, got {getattr(self, name)}")
         if self.heart_rate <= 0:
             raise TraceError(f"heart_rate must be positive, got {self.heart_rate}")
-        lo, hi = (30.0, 45.0) if self.temperature_unit == "celsius" else (90.0, 110.0)
-        if not lo <= self.body_temperature <= hi:
+        if not 30.0 <= self.body_temperature <= 45.0:
             raise TraceError(
-                f"body_temperature {self.body_temperature} outside [{lo}, {hi}] "
-                f"{self.temperature_unit}"
+                f"body_temperature {self.body_temperature} outside [30.0, 45.0] celsius"
             )
 
 
@@ -142,6 +139,18 @@ def _parse_rows(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
         rows = np.loadtxt(lines, dtype=_CSV_ROW, delimiter=",", usecols=(0, 1), ndmin=1,
                           comments=None, quotechar='"')
     return rows["t"], rows["value"]
+
+
+def parse_float(text: str) -> float:
+    """A CSV field as a float by `load_csv`'s number grammar (numpy's), which
+    refuses the underscores and non-ASCII digits that float() takes."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            (value,) = np.loadtxt([text], np.float64, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        raise ValueError(f"could not convert string to float: {text!r}") from None
+    return float(value)
 
 
 # Bytes per read of `_read_rows`; the partial last line carries over.
@@ -493,18 +502,23 @@ def generate_population(n: int, seed: int) -> tuple[PersonRecord, ...]:
 
 
 def load_population_csv(path: str | Path) -> tuple[PersonRecord, ...]:
-    """Load `id,gender,body_temperature,heart_rate` rows."""
+    """Load `id,gender,body_temperature,heart_rate` rows; rows are numbered
+    as `load_csv` numbers them (the header is row 1 and blank rows count)."""
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, [])
         for rownum, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            fields = dict(zip(header, row))  # a short row lacks its last fields
             try:
                 records.append(
                     PersonRecord(
-                        id=row["id"],
-                        gender=row["gender"],
-                        body_temperature=float(row["body_temperature"]),
-                        heart_rate=float(row["heart_rate"]),
+                        id=fields["id"],
+                        gender=fields["gender"],
+                        body_temperature=float(fields["body_temperature"]),
+                        heart_rate=float(fields["heart_rate"]),
                     )
                 )
             except (KeyError, ValueError) as exc:

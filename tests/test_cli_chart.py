@@ -144,6 +144,8 @@ class TestCli:
         ("x,y\n1\n", "parse failure at row 2: not enough values to unpack"),
         ("x,y\n0,1\n\n1,inf\n", "non-finite value at row 4"),
         ("x,y\n0,1\n1,abc\n", "parse failure at row 3: could not convert string to float"),
+        # load_csv's number grammar: no underscores, unlike float()
+        ("x,y\n1_0,1\n2_0,2\n", "parse failure at row 2: could not convert string to float"),
         # finite values whose axis span is 0 or overflows would put nan in the SVG
         ("x,y\n-1e308,1\n1e308,2\n", "x values from -1e+308 to 1e+308 cannot be scaled"),
         ("x,y\n0,-1e308\n1,1e308\n", "y values from -1e+308 to 1e+308 cannot be scaled"),
@@ -226,6 +228,18 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {pop}: parse failure at row 2: {field} must be")
         assert not out.exists()
+
+    @pytest.mark.parametrize("rows,error", [
+        # blank rows count, as load_csv counts them
+        ("p0,f,36.8,70\n\n\np1,m,36.8,abc\n", "parse failure at row 5: could not convert"),
+        ("p0,f,36.8\n", "parse failure at row 2: 'heart_rate'"),
+    ])
+    def test_population_errors_name_the_file_row(self, tmp_path, rows, error):
+        (tmp_path / "pop.csv").write_text("id,gender,body_temperature,heart_rate\n" + rows)
+        got = ioht("dp", "--epsilon", "1", "--population", "pop.csv", cwd=tmp_path)
+        assert got.returncode == 2
+        assert got.stderr.startswith(f"error: pop.csv: {error}")
+        assert got.stdout == ""
 
     @pytest.mark.parametrize("argv", [
         ["dp", "--epsilon", "0.5", "--trials", "0"],

@@ -21,8 +21,9 @@ from ioht_pipeline.crypto import (
     ciphertext_size,
     decrypt,
     encrypt,
-    parse_payload,
+    frame_records,
     plaintext_size_for_savings,
+    read_frames,
     serialize_records,
     transmitted_records,
 )
@@ -32,7 +33,7 @@ from ioht_pipeline.inference import (
     TransmissionSet,
     select_samples,
 )
-from ioht_pipeline.trace import SyntheticSpec, Trace, generate_trace
+from ioht_pipeline.trace import KIND_CODES, KINDS, UNITS, SyntheticSpec, Trace, generate_trace
 
 KEYS = {
     "aes-128-ecb": bytes(range(16)),
@@ -41,9 +42,29 @@ KEYS = {
 }
 
 
+AES = SUITES["aes-128-ecb"]
+
+
 def wire_records(*rows):
     """A RECORD_DTYPE array of (time, value, reason name) rows."""
     return np.array([(t, v, REASON_CODES[r]) for t, v, r in rows], dtype=RECORD_DTYPE)
+
+
+def read_message(data, count):
+    """read_frames of one message of `count` records: a run of one."""
+    return read_frames(data, max(count, 1), AES)
+
+
+# A run of three messages, one record each, under aes-128-ecb: two rows of
+# 32 bytes (an 11-byte header, a 13-byte record and 8 pad bytes), then the
+# last message of 24 bytes, unpadded.
+RUN = frame_records("heart-rate", "bpm", wire_records(
+    (0, 1.0, "anchor"), (60, 2.0, "variance"), (120, 3.0, "beacon")), 1, AES)
+WIDTH = 32
+
+
+def corrupt(data, offset, byte):
+    return data[:offset] + bytes([byte]) + data[offset + 1:]
 
 
 class TestWireFormat:
@@ -61,38 +82,80 @@ class TestWireFormat:
     def test_round_trip(self):
         records = wire_records((0, 70.0, "anchor"), (60, 71.25, "variance"), (120, 69.5, "beacon"))
         data = serialize_records("body-temperature", "celsius", records)
-        kind, unit, parsed = parse_payload(data)
+        kind, unit, parsed, messages, payload_bytes = read_message(data, 3)
         assert kind == "body-temperature"
         assert unit == "celsius"
+        assert (messages, payload_bytes) == (1, len(data))
         assert parsed.dtype == RECORD_DTYPE
         assert parsed.tobytes() == records.tobytes()
         assert parsed.tolist() == [(0, 70.0, 0), (60, 71.25, 1), (120, 69.5, 2)]
         assert not parsed.flags.writeable
 
+    def test_run_round_trip(self):
+        kind, unit, parsed, messages, payload_bytes = read_frames(RUN, 1, AES)
+        assert (kind, unit, messages, payload_bytes) == ("heart-rate", "bpm", 3, 3 * 24)
+        assert parsed.tolist() == [(0, 1.0, 0), (60, 2.0, 1), (120, 3.0, 2)]
+        assert not parsed.flags.writeable
+        # a header alone is a message of no records
+        empty = serialize_records("other", "dimensionless", wire_records())
+        kind, unit, parsed, messages, payload_bytes = read_message(empty, 0)
+        assert (kind, unit, len(parsed), messages, payload_bytes) == (
+            "other", "dimensionless", 0, 1, HEADER_LEN)
+
     def test_serialize_selected_subset(self):
         trace = generate_trace(SyntheticSpec(n=50, seed=1, noise_scale=1.0))
         tx = select_samples(trace, InferenceConfig(vr=0.05))
         data = serialize_records(trace.kind, trace.unit, transmitted_records(trace, tx))
-        _, _, parsed = parse_payload(data)
+        _, _, parsed, _, _ = read_message(data, len(tx))
         assert len(parsed) == len(tx)
         assert parsed["t"].tolist() == trace.times[tx.indices].tolist()
         assert parsed["value"].tolist() == trace.values[tx.indices].tolist()
         assert parsed["reason"].tolist() == tx.codes.tolist()
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(PayloadError):
-            parse_payload(b"nope")
+        with pytest.raises(PayloadError, match="not a header"):
+            read_message(b"nope", 1)
         good = serialize_records("heart-rate", "bpm", wire_records((0, 1.0, "anchor")))
-        with pytest.raises(PayloadError):
-            parse_payload(good[:-1])
-        with pytest.raises(PayloadError):
-            parse_payload(b"XXXX" + good[4:])
+        with pytest.raises(PayloadError, match="not a header"):
+            read_message(good[:-1], 1)
+        with pytest.raises(PayloadError, match="bad magic"):
+            read_message(b"XXXX" + good[4:], 1)
+        with pytest.raises(PayloadError, match="unsupported format version"):
+            read_message(corrupt(good, 4, 2), 1)
+        with pytest.raises(PayloadError, match="unknown kind/unit code"):
+            read_message(corrupt(good, 5, len(KINDS)), 1)
+        with pytest.raises(PayloadError, match="unknown kind/unit code"):
+            read_message(corrupt(good, 6, len(UNITS)), 1)
+        with pytest.raises(PayloadError, match="header count"):
+            read_message(corrupt(good, 10, 2), 1)
         with pytest.raises(PayloadError, match="unknown reason code 3"):
-            parse_payload(good[:-1] + b"\x03")
+            read_message(good[:-1] + b"\x03", 1)
         bad = wire_records((0, 1.0, "anchor"), (1, 2.0, "variance"), (2, 3.0, "beacon"))
         bad["reason"] = [0, 7, 3]
         with pytest.raises(PayloadError, match="unknown reason code 7"):
-            parse_payload(serialize_records("heart-rate", "bpm", bad))
+            read_message(serialize_records("heart-rate", "bpm", bad), 3)
+        # ten records (141 bytes) read with a batch of nine, whose messages
+        # are 144 bytes padded: more records than a message holds
+        ten = wire_records(*[(t, 1.0, "anchor") for t in range(10)])
+        with pytest.raises(PayloadError, match="141 bytes is not a header and at most 9 whole"):
+            read_frames(serialize_records("heart-rate", "bpm", ten), 9, AES)
+
+    @pytest.mark.parametrize("data,fault", [
+        (RUN[:-1], "last message of 23 bytes is not a header"),
+        (RUN[:WIDTH - 1] + RUN[WIDTH:], "last message of 23 bytes is not a header"),
+        (corrupt(RUN, WIDTH + 5, KIND_CODES["other"]), "message 1: kind or unit differs"),
+        (corrupt(RUN, 2 * WIDTH + 6, 2), "message 2: kind or unit differs"),
+        (corrupt(RUN, WIDTH + 4, 0), "message 1: unsupported format version"),
+        (corrupt(RUN, WIDTH - 1, 7), "message 0: pad byte is not the pad length"),
+        (corrupt(RUN, 2 * WIDTH - 8, 0), "message 1: pad byte is not the pad length"),
+        (corrupt(RUN, 10, 2), "message 0: header count"),
+        (corrupt(RUN, 2 * WIDTH + 10, 0), "message 2: header count"),
+        (corrupt(RUN, WIDTH + 23, 3), "unknown reason code 3"),
+    ], ids=["short-last", "short-row", "kind-differs", "unit-differs", "version", "first-pad",
+            "middle-pad", "first-count", "last-count", "reason"])
+    def test_read_frames_rejects_a_bad_run(self, data, fault):
+        with pytest.raises(PayloadError, match=fault):
+            read_frames(data, 1, AES)
 
     @pytest.mark.parametrize("t", [2**32, 2**63 - 1])
     def test_time_outside_32_bits_is_a_payload_error(self, t):

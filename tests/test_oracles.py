@@ -26,7 +26,7 @@ from ioht_pipeline.crypto import (
     EcbContext,
     decrypt,
     encrypt,
-    parse_payload,
+    read_frames,
     serialize_records,
     transmitted_records,
 )
@@ -241,8 +241,9 @@ def transmit_loop(trace, tx, config):
         decrypted = decrypt(encrypted, context)
         if decrypted != payload:
             raise RuntimeError("decryption mismatch: cipher or codec bug")
-        kind, unit, parsed = parse_payload(decrypted)
-        if (kind, unit) != (trace.kind, trace.unit) or parsed.tobytes() != batch.tobytes():
+        kind, unit, parsed = parse_payload_loop(decrypted)
+        sent = [(t, value, REASON_NAMES[code]) for t, value, code in batch.tolist()]
+        if (kind, unit) != (trace.kind, trace.unit) or bit_exact(parsed) != bit_exact(sent):
             raise RuntimeError("edge-side records differ from transmitted records")
     log = TransmissionLog(hops=(
         HopLog(HOP_SENSOR_GATEWAY, messages, payload_bytes),
@@ -478,9 +479,11 @@ def test_codec_matches_struct_loops(kind, unit, rows):
     records = np.array([(t, v, REASON_CODES[r]) for t, v, r in rows], dtype=RECORD_DTYPE)
     data = serialize_records(kind, unit, records)
     assert data == serialize_records_loop(kind, unit, rows)
-    got_kind, got_unit, parsed = parse_payload(data)
+    got_kind, got_unit, parsed, messages, payload_bytes = read_frames(
+        data, max(len(rows), 1), SUITES["aes-128-ecb"])
     want_kind, want_unit, want = parse_payload_loop(data)
     assert (got_kind, got_unit) == (want_kind, want_unit) == (kind, unit)
+    assert (messages, payload_bytes) == (1, len(data))
     got = [(t, v, REASON_NAMES[code]) for t, v, code in parsed.tolist()]
     assert bit_exact(got) == bit_exact(want) == bit_exact(rows)
 

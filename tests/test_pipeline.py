@@ -1,11 +1,23 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from test_oracles import transmit_loop
 
 from ioht_pipeline import pipeline
-from ioht_pipeline.crypto import FORMAT_VERSION, SUITES, decrypt, transmitted_records
+from ioht_pipeline.crypto import (
+    FORMAT_VERSION,
+    HEADER_DTYPE,
+    HEADER_LEN,
+    RECORD_DTYPE,
+    RECORD_LEN,
+    SUITES,
+    ciphertext_size,
+    decrypt,
+    frame_records,
+    transmitted_records,
+)
 from ioht_pipeline.dp import DpParams, DpQuery
 from ioht_pipeline.inference import (
     REASON_ANCHOR,
@@ -98,62 +110,67 @@ def test_unfiltered_log_matches_a_real_transmission(n, batch, suite):
     assert hop_log(n, batch, SUITES[suite]) == log == _transmit(trace, tx, config)
 
 
-# Misreads of what `read_frames` returns at the edge, for 130 records sent 60
-# to a message: a first, a middle and a last message of 10 records.
-def _misread_kind(headers, records, pads):
-    headers["kind"][:] = KIND_CODES["other"]
-    return headers, records, pads
+# Misreads at the edge, made by corrupting the buffer `frame_records` lays out
+# for 130 records sent 60 to a message under aes-128-ecb: a first and a
+# middle message of 800 bytes (header, records, pad), then a last of 10
+# records.
+WIDTH = ciphertext_size(HEADER_LEN + 60 * RECORD_LEN, SUITES["aes-128-ecb"])
 
 
-def _misread_unit(headers, records, pads):
-    headers["unit"][:] = UNIT_CODES["dimensionless"]
-    return headers, records, pads
+def _header(buffer, message):
+    return np.ndarray((), HEADER_DTYPE, buffer, message * WIDTH)
 
 
-def _misread_first_count(headers, records, pads):
-    headers["count"][0] -= 1
-    return headers, records, pads
+def _record(buffer, i):
+    message, j = divmod(i, 60)
+    return np.ndarray((), RECORD_DTYPE, buffer, message * WIDTH + HEADER_LEN + j * RECORD_LEN)
 
 
-def _misread_first_time(headers, records, pads):
-    records["t"][0] += 1
-    return headers, records, pads
+def _misread_kind(buffer):
+    for message in range(3):
+        _header(buffer, message)["kind"] = KIND_CODES["other"]
 
 
-def _misread_middle_magic(headers, records, pads):
-    headers["magic"][1] = b"IOHU"
-    return headers, records, pads
+def _misread_unit(buffer):
+    for message in range(3):
+        _header(buffer, message)["unit"] = UNIT_CODES["dimensionless"]
 
 
-def _misread_middle_version(headers, records, pads):
-    headers["version"][1] = FORMAT_VERSION + 1
-    return headers, records, pads
+def _misread_first_count(buffer):
+    _header(buffer, 0)["count"] -= 1
 
 
-def _misread_middle_value(headers, records, pads):
-    records["value"][90] = -records["value"][90]
-    return headers, records, pads
+def _misread_first_time(buffer):
+    _record(buffer, 0)["t"] += 1
 
 
-def _misread_last_value(headers, records, pads):
-    records["value"][-1] += 1.0
-    return headers, records, pads
+def _misread_middle_magic(buffer):
+    _header(buffer, 1)["magic"] = b"IOHU"
 
 
-def _misread_last_count(headers, records, pads):
-    headers["count"][-1] += 1
-    return headers, records, pads
+def _misread_middle_version(buffer):
+    _header(buffer, 1)["version"] = FORMAT_VERSION + 1
 
 
-def _misread_pad_byte(headers, records, pads):
-    pads = pads.copy()
-    pads[1, -1] ^= 0x01
-    return headers, records, pads
+def _misread_middle_value(buffer):
+    record = _record(buffer, 90)
+    record["value"] = -record["value"]
 
 
-def _misread_reason_code_3(headers, records, pads):
-    records["reason"][70] = 3
-    return headers, records, pads
+def _misread_last_value(buffer):
+    _record(buffer, 129)["value"] += 1.0
+
+
+def _misread_last_count(buffer):
+    _header(buffer, 2)["count"] += 1
+
+
+def _misread_pad_byte(buffer):
+    buffer[2 * WIDTH - 1] ^= 0x01
+
+
+def _misread_reason_code_3(buffer):
+    _record(buffer, 70)["reason"] = 3
 
 
 @pytest.mark.parametrize("misread", [
@@ -162,8 +179,13 @@ def _misread_reason_code_3(headers, records, pads):
     _misread_last_value, _misread_last_count, _misread_pad_byte, _misread_reason_code_3,
 ])
 def test_transmit_rejects_what_the_edge_misreads(misread, monkeypatch):
-    real_read = pipeline.read_frames
-    monkeypatch.setattr(pipeline, "read_frames", lambda *args: misread(*real_read(*args)))
+    def corrupted(*args):
+        buffer = bytearray(frame_records(*args))
+        assert len(buffer) == 2 * WIDTH + HEADER_LEN + 10 * RECORD_LEN
+        misread(buffer)
+        return bytes(buffer)
+
+    monkeypatch.setattr(pipeline, "frame_records", corrupted)
     trace = generate_trace(SyntheticSpec(n=130, seed=3, noise_scale=1.0))
     with pytest.raises(RuntimeError, match="edge-side records"):
         _transmit(trace, _full_transmission_set(130), make_config())
