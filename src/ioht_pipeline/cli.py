@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import chart
-from .crypto import SUITES
+from .crypto import MAX_MESSAGE_RECORDS, SUITES
 from .dp import (
     EPSILON_PRESETS,
     DpParams,
@@ -317,6 +317,8 @@ def _cmd_pipeline(args) -> None:
         key = bytes.fromhex(args.key)
     except ValueError as exc:
         raise UsageError(f"--key is not valid hex: {exc}") from exc
+    if not 1 <= args.batch <= MAX_MESSAGE_RECORDS:  # a header counts its records in 32 bits
+        raise ValueError(f"--batch must be in [1, {MAX_MESSAGE_RECORDS}], got {args.batch}")
     config = PipelineConfig(
         inference=InferenceConfig(vr=args.vr, beacon_period=args.beacon, recon_mode=args.mode),
         suite=SUITES[args.suite],

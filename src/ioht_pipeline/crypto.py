@@ -27,6 +27,8 @@ HEADER_LEN = HEADER_DTYPE.itemsize  # 11
 # One packed wire record: big-endian time and value, then the reason code.
 RECORD_DTYPE = np.dtype([("t", ">u4"), ("value", ">f8"), ("reason", "u1")])
 RECORD_LEN = RECORD_DTYPE.itemsize  # 13
+# The most records one message can hold: its header's count is a u4.
+MAX_MESSAGE_RECORDS = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class PayloadError(ValueError):
 def _check_records(records: np.ndarray) -> None:
     if not isinstance(records, np.ndarray) or records.dtype != RECORD_DTYPE or records.ndim != 1:
         raise PayloadError("records must be a 1-D RECORD_DTYPE array")
-    if len(records) > 0xFFFFFFFF:
+    if len(records) > MAX_MESSAGE_RECORDS:
         raise PayloadError("record count exceeds 2^32 - 1")
 
 
@@ -145,19 +147,22 @@ def read_frames(data: bytes, batch: int,
     return KINDS[kind[0]], UNITS[unit[0]], records, full + 1, len(data) - full * (width - size)
 
 
-def transmitted_records(trace: Trace, tx: TransmissionSet) -> np.ndarray:
-    """The wire records (RECORD_DTYPE) of the transmitted subset of a trace."""
+def transmitted_records(trace: Trace, tx: TransmissionSet, start: int = 0,
+                        stop: int | None = None) -> np.ndarray:
+    """The wire records (RECORD_DTYPE) of the transmitted subset of a trace,
+    or of its records `start` to `stop` (as a slice takes them)."""
     if tx.source_len != len(trace):
         raise PayloadError("transmission set inconsistent with trace")
-    times = trace.times[tx.indices]
+    indices = tx.indices[start:stop]
+    times = trace.times[indices]
     # Trace times are non-negative, so only the upper end can overflow ">u4".
     outside = times[times > 0xFFFFFFFF]
     if len(outside):
         raise PayloadError(f"record at t={outside[0]} does not fit the wire format (t > 2^32 - 1)")
     records = np.empty(len(times), RECORD_DTYPE)
     records["t"] = times
-    records["value"] = trace.values[tx.indices]
-    records["reason"] = tx.codes
+    records["value"] = trace.values[indices]
+    records["reason"] = tx.codes[start:stop]
     return records
 
 
@@ -182,7 +187,8 @@ def _cipher(suite: CipherSuite, key: bytes, mode: modes.Mode) -> Cipher:
 
 class EcbContext:
     """One key schedule for a run: an ECB encryptor and decryptor that stay
-    open from one `encrypt`/`decrypt` call to the next.
+    open from one `encrypt`/`decrypt` call to the next, as `_transmit` sends
+    a run in chunks of whole messages, one call of each per chunk.
 
     This is sound only because ECB carries no state between blocks: each
     block is enciphered on its own, so bytes sent through a long-lived

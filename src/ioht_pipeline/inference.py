@@ -18,6 +18,11 @@ REASON_CODES = {name: code for code, name in enumerate(REASON_NAMES)}
 
 RECON_MODES = ("step-hold", "linear")
 
+# Samples per block of the selection, reconstruction and gap-area passes: a
+# block's temporaries stay a few hundred KB, so they are reused from the heap
+# and the caches rather than faulted in afresh at full length.
+BLOCK_SAMPLES = 65536
+
 
 @dataclass(frozen=True)
 class InferenceConfig:
@@ -62,6 +67,20 @@ class TransmissionSet:
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "codes", codes)
 
+    @classmethod
+    def _owned(cls, source_len: int, indices: np.ndarray, codes: np.ndarray) -> TransmissionSet:
+        """The set of `select_samples`' own columns, taken without a copy or
+        a check: int64 indices in [0, source_len), strictly increasing, and
+        int8 codes of known reasons, which nothing else holds."""
+        tx = object.__new__(cls)
+        codes = codes.view(np.uint8)
+        indices.flags.writeable = False
+        codes.flags.writeable = False
+        object.__setattr__(tx, "source_len", source_len)
+        object.__setattr__(tx, "indices", indices)
+        object.__setattr__(tx, "codes", codes)
+        return tx
+
     @property
     def selected(self) -> tuple[tuple[int, str], ...]:
         """(index, reason name) pairs in index order."""
@@ -92,6 +111,9 @@ def select_samples(trace: Trace, config: InferenceConfig) -> TransmissionSet:
     First and last samples are always kept so reconstruction never
     extrapolates. Beacons are kept every beacon_period samples. Recorded
     reason precedence: variance > anchor > beacon.
+
+    The interior is tested a block of `BLOCK_SAMPLES` at a time, each block
+    reading one sample either side of it.
     """
     n = len(trace)
     v = trace.values
@@ -100,34 +122,49 @@ def select_samples(trace: Trace, config: InferenceConfig) -> TransmissionSet:
     if config.beacon_period is not None:
         reason[::config.beacon_period] = REASON_CODES[REASON_BEACON]
     reason[:1] = reason[-1:] = REASON_CODES[REASON_ANCHOR]
-    step = np.abs(np.diff(v))
-    thresh = np.abs(v[1:-1]) * config.vr
-    reason[1:-1][(step[1:] > thresh) | (step[:-1] > thresh)] = REASON_CODES[REASON_VARIANCE]
+    for start in range(1, n - 1, BLOCK_SAMPLES):
+        stop = min(start + BLOCK_SAMPLES, n - 1)
+        step = np.abs(np.diff(v[start - 1:stop + 1]))
+        thresh = np.abs(v[start:stop]) * config.vr
+        varies = (step[1:] > thresh) | (step[:-1] > thresh)
+        reason[start:stop][varies] = REASON_CODES[REASON_VARIANCE]
     kept = np.flatnonzero(reason >= 0)
-    return TransmissionSet(source_len=n, indices=kept, codes=reason[kept])
+    return TransmissionSet._owned(n, kept, reason[kept])
 
 
 def reconstruct(trace: Trace, tx: TransmissionSet, mode: str = "linear") -> np.ndarray:
     """Rebuild the full-length series from the transmitted subset, as a
-    read-only float64 array."""
+    read-only float64 array.
+
+    The series is filled a block of `BLOCK_SAMPLES` at a time, each block
+    interpolated (or looked up) against the transmitted columns, which are
+    gathered once.
+    """
     if tx.source_len != len(trace):
         raise ValueError("transmission set length does not match trace")
-    times = trace.times
-    values = trace.values
+    n = len(trace)
     idx = tx.indices
-    if len(trace) == 0:
-        recon = np.empty(0)
-    elif len(idx) == 0:
+    if n and len(idx) == 0:
         raise ValueError("no anchors: cannot reconstruct from an empty selection")
-    elif mode == "linear":
-        recon = np.interp(times, times[idx], values[idx])
-    elif mode == "step-hold":  # value of the nearest transmitted sample at or before
-        positions = np.searchsorted(idx, np.arange(len(trace)), side="right") - 1
-        positions = np.clip(positions, 0, len(idx) - 1)
-        recon = values[idx[positions]]
-    else:
+    if n and mode not in RECON_MODES:
         raise ValueError(f"unknown recon_mode {mode!r}")
-    recon[idx] = values[idx]  # exactness at transmitted points, both modes
+    recon = np.empty(n)
+    kept_values = trace.values[idx]
+    if mode == "linear":
+        kept_times = trace.times[idx].astype(np.float64)  # as np.interp would cast them
+    for start in range(0, n, BLOCK_SAMPLES):
+        stop = min(start + BLOCK_SAMPLES, n)
+        first, last = np.searchsorted(idx, (start, stop))  # the kept samples in the block
+        block = recon[start:stop]
+        if mode == "linear":
+            block[:] = np.interp(trace.times[start:stop], kept_times, kept_values)
+        else:  # value of the nearest transmitted sample at or before
+            positions = np.searchsorted(idx[first:last], np.arange(start, stop), side="right")
+            positions += first - 1
+            np.maximum(positions, 0, out=positions)
+            np.take(kept_values, positions, out=block)
+        # exactness at transmitted points, both modes
+        block[idx[first:last] - start] = kept_values[first:last]
     recon.flags.writeable = False
     return recon
 
@@ -140,33 +177,45 @@ def gap_areas(trace: Trace, recon: np.ndarray) -> tuple[float, float]:
     splitting at the zero crossing when d changes sign; the crossing is
     worked out for those segments only. Returns (s_upper, s_lower) in
     value-units * seconds.
+
+    Segments are integrated a block of `BLOCK_SAMPLES` at a time. Each
+    block's areas are summed by `cumsum`, which adds in index order like a
+    running total (np.sum's pairwise order would change the last bits), with
+    the totals so far folded into the block's first area: that one addition
+    is the one the whole-run `cumsum` makes there.
     """
     if len(recon) != len(trace):
         raise ValueError("length mismatch between trace and reconstruction")
     if len(trace) < 2:
         raise ValueError("need at least 2 samples to integrate")
-    # the float cast comes before the differences: np.diff of int64 times
-    # would round differently above 2^53
-    times = trace.times.astype(np.float64)
-    d = trace.values - recon
-    t0, t1, d0, d1 = times[:-1], times[1:], d[:-1], d[1:]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        whole = 0.5 * (np.abs(d0) + np.abs(d1)) * (t1 - t0)
-        # segments not of one sign; a NaN product (from an inf d) counts too
-        cross = np.flatnonzero(~(d0 * d1 >= 0))
-        c0, c1, s0, s1 = d0[cross], d1[cross], t0[cross], t1[cross]
-        tz = s0 + (s1 - s0) * c0 / (c0 - c1)
-        first = 0.5 * np.abs(c0) * (tz - s0)
-        second = 0.5 * np.abs(c1) * (s1 - tz)
-    above = (d0 > 0) | (d1 > 0)
-    upper = np.where(above, whole, 0.0)
-    lower = np.where(above, 0.0, whole)
-    starts_above = c0 > 0
-    upper[cross] = np.where(starts_above, first, second)
-    lower[cross] = np.where(starts_above, second, first)
-    # cumsum adds in index order like a running total; np.sum's pairwise
-    # order would change the last bits of the reported areas.
-    return float(np.cumsum(upper)[-1]), float(np.cumsum(lower)[-1])
+    s_upper = s_lower = 0.0
+    for start in range(0, len(trace) - 1, BLOCK_SAMPLES):
+        stop = min(start + BLOCK_SAMPLES, len(trace) - 1) + 1  # the block's last point
+        # the float cast comes before the differences: np.diff of int64 times
+        # would round differently above 2^53
+        times = trace.times[start:stop].astype(np.float64)
+        d = trace.values[start:stop] - recon[start:stop]
+        t0, t1, d0, d1 = times[:-1], times[1:], d[:-1], d[1:]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            whole = 0.5 * (np.abs(d0) + np.abs(d1)) * (t1 - t0)
+            # segments not of one sign; a NaN product (from an inf d) counts too
+            cross = np.flatnonzero(~(d0 * d1 >= 0))
+            c0, c1, s0, s1 = d0[cross], d1[cross], t0[cross], t1[cross]
+            tz = s0 + (s1 - s0) * c0 / (c0 - c1)
+            first = 0.5 * np.abs(c0) * (tz - s0)
+            second = 0.5 * np.abs(c1) * (s1 - tz)
+        above = (d0 > 0) | (d1 > 0)
+        upper = np.where(above, whole, 0.0)
+        lower = np.where(above, 0.0, whole)
+        starts_above = c0 > 0
+        upper[cross] = np.where(starts_above, first, second)
+        lower[cross] = np.where(starts_above, second, first)
+        if start:  # the first block has no totals to carry
+            upper[0] += s_upper
+            lower[0] += s_lower
+        s_upper = np.cumsum(upper, out=upper)[-1]
+        s_lower = np.cumsum(lower, out=lower)[-1]
+    return float(s_upper), float(s_lower)
 
 
 def compute_metrics(trace: Trace, tx: TransmissionSet, recon: np.ndarray) -> InferenceMetrics:

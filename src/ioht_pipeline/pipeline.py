@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .crypto import (
+    MAX_MESSAGE_RECORDS,
     CipherSuite,
     EcbContext,
     PayloadError,
@@ -20,6 +21,7 @@ from .crypto import (
 )
 from .dp import DpParams, DpQuery, NoisedResult, derive_streams, noisy_query
 from .inference import (
+    BLOCK_SAMPLES,
     InferenceConfig,
     InferenceMetrics,
     TransmissionSet,
@@ -70,8 +72,9 @@ class PipelineConfig:
     energy: EnergyModel = EnergyModel()
 
     def __post_init__(self) -> None:
-        if self.batch_samples < 1:
-            raise ValueError("batch_samples must be >= 1")
+        if not 1 <= self.batch_samples <= MAX_MESSAGE_RECORDS:
+            raise ValueError(f"batch_samples must be in [1, {MAX_MESSAGE_RECORDS}], "
+                             f"got {self.batch_samples}")
         if len(self.key) != self.suite.key_bits // 8:
             raise ValueError("key length does not match cipher suite")
 
@@ -149,33 +152,42 @@ def _transmit(
     """Run the selected records through both hops and check at the edge that
     every message comes back bit-exactly; return `hop_log` of the records.
 
-    Every message of the run is laid end to end in one buffer
-    (`frame_records`), enciphered by one `encrypt` call and deciphered by one
-    `decrypt` call under one `EcbContext`. Because ECB carries no state
-    between blocks and every message is whole blocks once padded, that is
-    byte for byte what a call per message would send. Raises RuntimeError if
-    `read_frames` refuses the buffer at the edge, if what it reads differs
-    from what was sent, or if the messages and bytes it read, or the
-    ciphertext bytes, differ from `hop_log`.
+    The records go out in chunks of whole messages, about `BLOCK_SAMPLES`
+    records each (one header-only message when there are none). Each chunk's
+    messages are laid end to end in one buffer (`frame_records`), enciphered
+    by one `encrypt` call and deciphered by one `decrypt` call, all under one
+    `EcbContext`. Because ECB carries no state between blocks, every message
+    is whole blocks once padded, and a chunk's last message is full except
+    in the last chunk, that is byte for byte what a call per message would
+    send. Raises RuntimeError if `read_frames` refuses a chunk at the edge,
+    if what it reads differs from what was sent, or if the messages and
+    bytes it read, or the ciphertext bytes, summed over the chunks, differ
+    from `hop_log`.
     """
-    records = transmitted_records(trace, tx)
     batch, suite = config.batch_samples, config.suite
-    log = hop_log(len(records), batch, suite)
-    sent = frame_records(trace.kind, trace.unit, records, batch, suite)
+    log = hop_log(len(tx), batch, suite)
     context = EcbContext(suite, config.key)
-    encrypted = encrypt(sent, context)
-    # edge side
-    decrypted = decrypt(encrypted, context)
-    if decrypted != sent:
-        raise RuntimeError("decryption mismatch: cipher or codec bug")
-    try:
-        kind, unit, received, messages, payload_bytes = read_frames(decrypted, batch, suite)
-    except PayloadError as exc:
-        raise RuntimeError(f"edge-side records differ from transmitted records: {exc}") from exc
-    if (kind, unit) != (trace.kind, trace.unit) or received.tobytes() != records.tobytes():
-        raise RuntimeError("edge-side records differ from transmitted records")
+    chunk = batch * max(1, BLOCK_SAMPLES // batch)
+    messages = payload_bytes = ciphertext_bytes = 0
+    for start in range(0, max(len(tx), 1), chunk):
+        records = transmitted_records(trace, tx, start, start + chunk)
+        sent = frame_records(trace.kind, trace.unit, records, batch, suite)
+        encrypted = encrypt(sent, context)
+        # edge side
+        decrypted = decrypt(encrypted, context)
+        if decrypted != sent:
+            raise RuntimeError("decryption mismatch: cipher or codec bug")
+        try:
+            kind, unit, received, count, size = read_frames(decrypted, batch, suite)
+        except PayloadError as exc:
+            raise RuntimeError(f"edge-side records differ from transmitted records: {exc}") from exc
+        if (kind, unit) != (trace.kind, trace.unit) or received.tobytes() != records.tobytes():
+            raise RuntimeError("edge-side records differ from transmitted records")
+        messages += count
+        payload_bytes += size
+        ciphertext_bytes += len(encrypted.ciphertext)
     uplink = log.hops[1]
-    read = (messages, payload_bytes, len(encrypted.ciphertext))
+    read = (messages, payload_bytes, ciphertext_bytes)
     if read != (uplink.messages, uplink.payload_bytes, uplink.ciphertext_bytes):
         raise RuntimeError(f"read (messages, payload, ciphertext bytes) {read} "
                            f"differ from hop_log's")

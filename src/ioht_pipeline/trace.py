@@ -26,6 +26,13 @@ class TraceError(ValueError):
     """Raised for malformed trace data (bad CSV rows, broken invariants)."""
 
 
+def _check_labels(kind: str, unit: str) -> None:
+    if kind not in KINDS:
+        raise TraceError(f"unknown sensor kind {kind!r}")
+    if unit not in UNITS:
+        raise TraceError(f"unknown unit {unit!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Trace:
     """An immutable physiological time series stored as two read-only columns.
@@ -40,15 +47,30 @@ class Trace:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise TraceError(f"unknown sensor kind {self.kind!r}")
-        if self.unit not in UNITS:
-            raise TraceError(f"unknown unit {self.unit!r}")
+        _check_labels(self.kind, self.unit)
         try:
             times = np.array(self.times, dtype=np.int64)
             values = np.array(self.values, dtype=np.float64)
         except (OverflowError, TypeError, ValueError) as exc:
             raise TraceError(f"times and values must be numeric columns: {exc}") from exc
+        self._adopt(times, values)
+
+    @classmethod
+    def _owned(cls, kind: str, unit: str, times: np.ndarray, values: np.ndarray) -> Trace:
+        """A Trace that takes `times` and `values`, arrays that nothing else
+        holds, as its columns: without a copy when they are already
+        contiguous int64 and float64. They are checked as the constructor
+        checks them."""
+        _check_labels(kind, unit)
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "kind", kind)
+        object.__setattr__(trace, "unit", unit)
+        trace._adopt(np.ascontiguousarray(times, np.int64),
+                     np.ascontiguousarray(values, np.float64))
+        return trace
+
+    def _adopt(self, times: np.ndarray, values: np.ndarray) -> None:
+        """Check the columns, make them read-only and take them as they are."""
         if times.ndim != 1 or values.ndim != 1:
             raise TraceError("times and values must be 1-D")
         if len(times) != len(values):
@@ -192,7 +214,11 @@ def _read_rows(fh, skiprows: int) -> tuple[np.ndarray, np.ndarray] | None:
             block[held] = ord("\n")
             held = end = held + 1
         else:
-            return times[:rows], values[:rows]
+            # shrunk in place, so the trace that takes them holds no spare
+            # capacity; the views handed to `_read_lines` are gone by now
+            times.resize(rows, refcheck=False)
+            values.resize(rows, refcheck=False)
+            return times, values
         if held - end > _MAX_ROW_BYTES:  # a line longer than any row
             return None
         count = _read_lines(np.frombuffer(block, np.uint8, end), times[rows:], values[rows:])
@@ -290,7 +316,7 @@ def load_csv(path: str | Path, kind: str, unit: str) -> Trace:
                 columns = _read_rows(fh, reader.line_num)
                 if columns is None:
                     columns = _parse_rows(_lines_after(text, reader.line_num))
-                return Trace(kind, unit, *columns)
+                return Trace._owned(kind, unit, *columns)
             except ValueError as exc:
                 # csv.reader refuses a field over its size limit, which numpy reads
                 with contextlib.suppress(csv.Error):
@@ -476,7 +502,7 @@ def generate_trace(spec: SyntheticSpec) -> Trace:
     else:
         ar = 0.0
     values = spec.baseline + drift + ar
-    return Trace(kind=spec.kind, unit=_unit_for_kind(spec.kind), times=times, values=values)
+    return Trace._owned(spec.kind, _unit_for_kind(spec.kind), times, values)
 
 
 HR_MEAN = 73.76  # population heart-rate model, bpm
@@ -502,8 +528,9 @@ def generate_population(n: int, seed: int) -> tuple[PersonRecord, ...]:
 
 
 def load_population_csv(path: str | Path) -> tuple[PersonRecord, ...]:
-    """Load `id,gender,body_temperature,heart_rate` rows; rows are numbered
-    as `load_csv` numbers them (the header is row 1 and blank rows count)."""
+    """Load `id,gender,body_temperature,heart_rate` rows; numbers are read by
+    `parse_float`, and rows are numbered as `load_csv` numbers them (the
+    header is row 1 and blank rows count)."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -517,8 +544,8 @@ def load_population_csv(path: str | Path) -> tuple[PersonRecord, ...]:
                     PersonRecord(
                         id=fields["id"],
                         gender=fields["gender"],
-                        body_temperature=float(fields["body_temperature"]),
-                        heart_rate=float(fields["heart_rate"]),
+                        body_temperature=parse_float(fields["body_temperature"]),
+                        heart_rate=parse_float(fields["heart_rate"]),
                     )
                 )
             except (KeyError, ValueError) as exc:

@@ -233,12 +233,23 @@ class TestCli:
         # blank rows count, as load_csv counts them
         ("p0,f,36.8,70\n\n\np1,m,36.8,abc\n", "parse failure at row 5: could not convert"),
         ("p0,f,36.8\n", "parse failure at row 2: 'heart_rate'"),
+        # numbers are read by load_csv's grammar, which float() is not
+        ("p0,f,36.8,7_0\n", "parse failure at row 2: could not convert string to float: '7_0'"),
+        ("p0,f,36.8,70\np1,m,3_6.5,80\n", "parse failure at row 3: could not convert"),
     ])
     def test_population_errors_name_the_file_row(self, tmp_path, rows, error):
         (tmp_path / "pop.csv").write_text("id,gender,body_temperature,heart_rate\n" + rows)
         got = ioht("dp", "--epsilon", "1", "--population", "pop.csv", cwd=tmp_path)
         assert got.returncode == 2
         assert got.stderr.startswith(f"error: pop.csv: {error}")
+        assert got.stdout == ""
+
+    # a header counts its records in 32 bits
+    @pytest.mark.parametrize("batch", ["0", "4294967296", "100000000000000000000"])
+    def test_batch_outside_a_header_count_exit_2(self, batch, tmp_path):
+        got = ioht("pipeline", "--n", "5", "--batch", batch, cwd=tmp_path)
+        assert got.returncode == 2
+        assert got.stderr == f"error: --batch must be in [1, 4294967295], got {batch}\n"
         assert got.stdout == ""
 
     @pytest.mark.parametrize("argv", [

@@ -1,7 +1,8 @@
 """The loop forms of select_samples, gap_areas, generate_trace,
 l1_sensitivity, the Laplace draws, the wire codec, the CSV loader and
-writer and the per-message transmission, kept as reference oracles: the
-columnar versions must give the same output."""
+writer and the per-message transmission, and the whole-array forms of
+select_samples, reconstruct and gap_areas, kept as reference oracles: the
+columnar and blocked versions must give the same output."""
 import csv
 import math
 import re
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ioht_pipeline import pipeline
+from ioht_pipeline import inference, pipeline
 from ioht_pipeline.crypto import (
     FORMAT_VERSION,
     HEADER_LEN,
@@ -26,6 +27,7 @@ from ioht_pipeline.crypto import (
     EcbContext,
     decrypt,
     encrypt,
+    frame_records,
     read_frames,
     serialize_records,
     transmitted_records,
@@ -41,11 +43,13 @@ from ioht_pipeline.dp import (
     noisy_query,
 )
 from ioht_pipeline.inference import (
+    BLOCK_SAMPLES,
     REASON_ANCHOR,
     REASON_BEACON,
     REASON_CODES,
     REASON_NAMES,
     REASON_VARIANCE,
+    RECON_MODES,
     InferenceConfig,
     TransmissionSet,
     gap_areas,
@@ -123,6 +127,55 @@ def gap_areas_loop(trace, recon):
                 s_lower += first
                 s_upper += second
     return float(s_upper), float(s_lower)
+
+
+def select_samples_whole(trace, config):
+    """(indices, codes) of the variance-rate rule over the whole array at once."""
+    n = len(trace)
+    v = trace.values
+    reason = np.full(n, -1, dtype=np.int8)  # -1: dropped
+    if config.beacon_period is not None:
+        reason[::config.beacon_period] = REASON_CODES[REASON_BEACON]
+    reason[:1] = reason[-1:] = REASON_CODES[REASON_ANCHOR]
+    step = np.abs(np.diff(v))
+    thresh = np.abs(v[1:-1]) * config.vr
+    reason[1:-1][(step[1:] > thresh) | (step[:-1] > thresh)] = REASON_CODES[REASON_VARIANCE]
+    kept = np.flatnonzero(reason >= 0)
+    return kept, reason[kept].astype(np.uint8)
+
+
+def reconstruct_whole(trace, tx, mode):
+    """The reconstruction over the whole array at once."""
+    times, values, idx = trace.times, trace.values, tx.indices
+    if mode == "linear":
+        recon = np.interp(times, times[idx], values[idx])
+    else:
+        positions = np.searchsorted(idx, np.arange(len(trace)), side="right") - 1
+        positions = np.clip(positions, 0, len(idx) - 1)
+        recon = values[idx[positions]]
+    recon[idx] = values[idx]
+    return recon
+
+
+def gap_areas_whole(trace, recon):
+    """(s_upper, s_lower) from whole-array segment areas and one cumsum each."""
+    times = trace.times.astype(np.float64)
+    d = trace.values - recon
+    t0, t1, d0, d1 = times[:-1], times[1:], d[:-1], d[1:]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        whole = 0.5 * (np.abs(d0) + np.abs(d1)) * (t1 - t0)
+        cross = np.flatnonzero(~(d0 * d1 >= 0))
+        c0, c1, s0, s1 = d0[cross], d1[cross], t0[cross], t1[cross]
+        tz = s0 + (s1 - s0) * c0 / (c0 - c1)
+        first = 0.5 * np.abs(c0) * (tz - s0)
+        second = 0.5 * np.abs(c1) * (s1 - tz)
+    above = (d0 > 0) | (d1 > 0)
+    upper = np.where(above, whole, 0.0)
+    lower = np.where(above, 0.0, whole)
+    starts_above = c0 > 0
+    upper[cross] = np.where(starts_above, first, second)
+    lower[cross] = np.where(starts_above, second, first)
+    return float(np.cumsum(upper)[-1]), float(np.cumsum(lower)[-1])
 
 
 def generate_trace_loop(spec):
@@ -299,6 +352,85 @@ def test_gap_areas_matches_loop(data, n):
     recon[exact] = np.array(values)[exact]
     trace = make_trace(values, times)
     assert gap_areas(trace, recon) == gap_areas_loop(trace, recon)
+
+
+# Block sizes that put block edges at every sample, on and either side of a
+# beacon period of 60, and elsewhere.
+BLOCK_SIZES = st.sampled_from([1, 2, 3, 59, 60, 61, 64])
+
+
+def bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+# A spike at 59 keeps 58 to 60 and drops 61: with blocks of 60 or 61, a block
+# edge falls between a kept and a dropped sample (at 61 in select_samples,
+# whose blocks start at 1, or at 61 in the other passes).
+SPIKE_AT_59 = [70.0] * 59 + [80.0] + [70.0] * 61
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(VALUES, max_size=200),
+       vr=st.one_of(st.just(0.0), st.just(0.025), st.floats(min_value=0.0, max_value=2.0)),
+       beacon=st.one_of(st.none(), st.just(60), st.integers(min_value=1, max_value=70)),
+       block=BLOCK_SIZES)
+@example(values=[70.0] * 121, vr=0.01, beacon=60, block=60)  # edges at beacons 61 and 121
+@example(values=[70.0] * 121, vr=0.01, beacon=60, block=59)  # the last sample alone
+@example(values=SPIKE_AT_59, vr=0.01, beacon=None, block=60)
+def test_blocked_select_samples_matches_whole_array(values, vr, beacon, block):
+    trace = make_trace(values)
+    config = InferenceConfig(vr=vr, beacon_period=beacon)
+    with mock.patch.object(inference, "BLOCK_SAMPLES", block):
+        tx = select_samples(trace, config)
+    assert tx.indices.dtype == np.int64 and tx.codes.dtype == np.uint8
+    assert bits(tx.indices, tx.codes) == bits(*select_samples_whole(trace, config))
+
+
+@st.composite
+def selected_traces(draw):
+    """(times, values, kept indices, another reconstruction) drawn from a
+    seed: times that may start high enough for their float cast to round
+    (and to collide), values with ties and -0.0, a non-empty selection that
+    may or may not hold the first and last samples, and a reconstruction
+    equal to the values at some samples and either side of them elsewhere."""
+    n = draw(st.integers(min_value=1, max_value=130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = draw(st.sampled_from([0, 2**53, 2**62])) + int(rng.integers(0, 2**20))
+    times = start + np.cumsum(rng.integers(1, draw(st.sampled_from([2, 100, 10**6])), n))
+    values = np.where(rng.random(n) < 0.5, rng.integers(-4, 5, n), rng.normal(0.0, 1e3, n))
+    values[rng.random(n) < 0.1] = -0.0
+    kept = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.02, 0.3, 0.9])))
+    if not len(kept):
+        kept = rng.integers(0, n, 1)
+    other = values + rng.normal(0.0, 2.0, n) * (rng.random(n) < 0.7)
+    return times.tolist(), values.tolist(), kept.tolist(), other.tolist()
+
+
+def spaced(values, kept):
+    return list(range(0, 60 * len(values), 60)), values, kept, values[::-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=selected_traces(), mode=st.sampled_from(RECON_MODES), block=BLOCK_SIZES)
+@example(case=spaced([float(i % 7) for i in range(121)], [0, 60, 120]), mode="linear", block=60)
+@example(case=spaced([float(i % 7) for i in range(121)], [0, 60, 120]), mode="step-hold",
+         block=60)
+@example(case=spaced(SPIKE_AT_59, [0, 58, 59, 60, 120]), mode="linear", block=61)
+@example(case=spaced(SPIKE_AT_59, [0, 58, 59, 60, 120]), mode="step-hold", block=61)
+@example(case=spaced(SPIKE_AT_59, [3, 59]), mode="step-hold", block=2)
+@example(case=spaced([1.0] * 65, [64]), mode="linear", block=64)
+def test_blocked_reconstruct_and_gap_areas_match_whole_array(case, mode, block):
+    times, values, kept, other = case
+    trace = make_trace(values, times)
+    tx = TransmissionSet(len(values), kept, [REASON_CODES[REASON_VARIANCE]] * len(kept))
+    expected = reconstruct_whole(trace, tx, mode)
+    with mock.patch.object(inference, "BLOCK_SAMPLES", block):
+        recon = reconstruct(trace, tx, mode)
+        assert recon.tobytes() == expected.tobytes()
+        if len(values) > 1:
+            for against in (expected, np.array(other)):
+                assert bits(gap_areas(trace, against)) == bits(gap_areas_whole(trace, against))
 
 
 @settings(max_examples=200, deadline=None)
@@ -815,8 +947,9 @@ KEYS = {"aes-128-ecb": bytes(range(16)), "des-ecb": bytes(range(8)),
         "blowfish-ecb": bytes(range(16, 32))}
 
 
-def transmit_whole_run(trace, tx, config):
-    """(ciphertext, log) of `_transmit`, which must make one encrypt call."""
+def transmit_chunks(trace, tx, config):
+    """(the ciphertext of every `encrypt` call of `_transmit`, joined; the
+    number of calls; the log it returns)."""
     sent = []
 
     def spy(plaintext, context):
@@ -825,8 +958,7 @@ def transmit_whole_run(trace, tx, config):
 
     with mock.patch.object(pipeline, "encrypt", spy):
         log = _transmit(trace, tx, config)
-    (payload,) = sent
-    return payload.ciphertext, log
+    return b"".join(payload.ciphertext for payload in sent), len(sent), log
 
 
 # Framing depends on n, the batch size and the block size; the record bytes
@@ -834,11 +966,12 @@ def transmit_whole_run(trace, tx, config):
 # oracle covers every float.
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(0, 300), batch=st.integers(1, 70), suite=st.sampled_from(sorted(SUITES)),
-       seed=st.integers(0, 2**32 - 1))
-@example(n=0, batch=1, suite="des-ecb", seed=0)
-@example(n=120, batch=60, suite="aes-128-ecb", seed=0)
-@example(n=121, batch=60, suite="blowfish-ecb", seed=0)
-def test_transmit_matches_loop(n, batch, suite, seed):
+       seed=st.integers(0, 2**32 - 1), block=st.sampled_from([BLOCK_SAMPLES, 1, 7, 60, 64]))
+@example(n=0, batch=1, suite="des-ecb", seed=0, block=BLOCK_SAMPLES)
+@example(n=120, batch=60, suite="aes-128-ecb", seed=0, block=BLOCK_SAMPLES)
+@example(n=121, batch=60, suite="blowfish-ecb", seed=0, block=BLOCK_SAMPLES)
+@example(n=121, batch=60, suite="blowfish-ecb", seed=0, block=60)
+def test_transmit_matches_loop(n, batch, suite, seed, block):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     values[rng.random(n) < 0.1] = rng.choice([-0.0, 5e-324, -2.2e-308])
@@ -847,4 +980,43 @@ def test_transmit_matches_loop(n, batch, suite, seed):
     config = PipelineConfig(InferenceConfig(), SUITES[suite], KEYS[suite],
                             DpParams(epsilon=1.0, sensitivity=1.0), (), batch_samples=batch)
     trace = make_trace(values, times)
-    assert transmit_whole_run(trace, tx, config) == transmit_loop(trace, tx, config)
+    with mock.patch.object(pipeline, "BLOCK_SAMPLES", block):
+        ciphertext, _, log = transmit_chunks(trace, tx, config)
+    assert (ciphertext, log) == transmit_loop(trace, tx, config)
+
+
+# Chunks of whole messages, about BLOCK_SAMPLES records each: a run of one
+# chunk, of one chunk and one record, and of none (one header-only message).
+@pytest.mark.parametrize("suite", ["aes-128-ecb", "des-ecb"])
+@pytest.mark.parametrize("batch", [1, 7, 60, BLOCK_SAMPLES + 1])
+@pytest.mark.parametrize("count", ["none", "one", "chunk", "chunk+1"])
+def test_chunked_transmit_sends_the_ciphertext_of_the_whole_run(count, batch, suite):
+    chunk = batch * max(1, BLOCK_SAMPLES // batch)
+    k = {"none": 0, "one": 1, "chunk": chunk, "chunk+1": chunk + 1}[count]
+    n = max(k, 3)
+    trace = generate_trace(SyntheticSpec(n=n, seed=k, noise_scale=1.0))
+    tx = TransmissionSet(n, np.arange(k), np.arange(k) % len(REASON_NAMES))
+    config = PipelineConfig(InferenceConfig(), SUITES[suite], KEYS[suite],
+                            DpParams(epsilon=1.0, sensitivity=1.0), (), batch_samples=batch)
+    ciphertext, calls, log = transmit_chunks(trace, tx, config)
+    whole = frame_records(trace.kind, trace.unit, transmitted_records(trace, tx), batch,
+                          config.suite)
+    assert ciphertext == encrypt(whole, EcbContext(config.suite, config.key)).ciphertext
+    assert calls == max(1, -(-k // chunk))
+    assert log == pipeline.hop_log(k, batch, config.suite)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(VALUES, max_size=100),
+       vr=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0)),
+       beacon=st.one_of(st.none(), st.integers(min_value=1, max_value=70)))
+@example(values=[], vr=0.025, beacon=None)
+def test_owned_transmission_set_equals_the_validated_one(values, vr, beacon):
+    owned = select_samples(make_trace(values), InferenceConfig(vr=vr, beacon_period=beacon))
+    checked = TransmissionSet(owned.source_len, owned.indices, owned.codes)
+    assert owned.source_len == checked.source_len
+    for got, expected in ((owned.indices, checked.indices), (owned.codes, checked.codes)):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert not got.flags.writeable and got.flags.c_contiguous

@@ -8,6 +8,7 @@ from test_oracles import transmit_loop
 from ioht_pipeline import pipeline
 from ioht_pipeline.crypto import (
     FORMAT_VERSION,
+    MAX_MESSAGE_RECORDS,
     HEADER_DTYPE,
     HEADER_LEN,
     RECORD_DTYPE,
@@ -104,7 +105,10 @@ def _full_transmission_set(n: int) -> TransmissionSet:
 @pytest.mark.parametrize("n", [0, 1, 59, 60, 61, 1420])
 def test_unfiltered_log_matches_a_real_transmission(n, batch, suite):
     trace = generate_trace(SyntheticSpec(n=n, seed=n, noise_scale=1.0))
-    config = make_config(suite=SUITES[suite], key=SUITE_KEYS[suite], batch_samples=batch)
+    # hop_log takes any batch, but a config refuses one over what a header
+    # can count; at the most it takes, each run here is one message all the same
+    sent = min(batch, MAX_MESSAGE_RECORDS)
+    config = make_config(suite=SUITES[suite], key=SUITE_KEYS[suite], batch_samples=sent)
     tx = _full_transmission_set(n)
     _, log = transmit_loop(trace, tx, config)
     assert hop_log(n, batch, SUITES[suite]) == log == _transmit(trace, tx, config)
@@ -298,6 +302,12 @@ class TestRunPipeline:
             "inference_metrics", "log", "energy_model", "energy_baseline_joules",
             "energy_actual_joules", "energy_saving_percent", "query_results",
         }
+
+    @pytest.mark.parametrize("batch", [0, MAX_MESSAGE_RECORDS + 1, 10**20])
+    def test_batch_beyond_a_header_count_rejected(self, batch):
+        with pytest.raises(ValueError, match="batch_samples must be in"):
+            make_config(batch_samples=batch)
+        assert make_config(batch_samples=MAX_MESSAGE_RECORDS).batch_samples == 2**32 - 1
 
     def test_key_length_validated(self):
         with pytest.raises(ValueError, match="key"):

@@ -228,6 +228,50 @@ def test_trace_columns_are_read_only_copies():
             column[0] = 0
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, np.int32])
+def test_trace_never_aliases_a_callers_writeable_columns(dtype):
+    times = np.array([0, 60, 120], dtype=dtype)
+    values = np.array([1.0, 2.0, 3.0])
+    trace = Trace("other", "dimensionless", times, values)
+    assert times.flags.writeable and values.flags.writeable
+    assert not np.shares_memory(trace.times, times)
+    assert not np.shares_memory(trace.values, values)
+
+
+def test_owned_trace_takes_its_columns_read_only_without_a_copy():
+    times = np.array([0, 60, 120])
+    values = np.array([1.0, 2.0, 3.0])
+    trace = Trace._owned("other", "dimensionless", times, values)
+    assert trace.times is times and trace.values is values
+    assert not times.flags.writeable and not values.flags.writeable
+
+
+def test_loaded_and_generated_traces_hold_read_only_columns(tmp_path):
+    trace = generate_trace(SyntheticSpec(n=50, seed=1, noise_scale=1.0))
+    save_csv(trace, tmp_path / "t.csv")
+    (tmp_path / "spaced.csv").write_text("t,value\n0, 1.5\n60, 2.5\n")  # read by numpy
+    for made in (trace, load_csv(tmp_path / "t.csv", "heart-rate", "bpm"),
+                 load_csv(tmp_path / "spaced.csv", "heart-rate", "bpm")):
+        for column, dtype in ((made.times, np.int64), (made.values, np.float64)):
+            assert column.dtype == dtype and column.flags.c_contiguous
+            assert not column.flags.writeable
+
+
+@pytest.mark.parametrize("kind,unit,times,values,message", [
+    ("pulse", "bpm", [0], [1.0], "unknown sensor kind"),
+    ("other", "rpm", [0], [1.0], "unknown unit"),
+    ("other", "dimensionless", [0, -5], [1.0, 2.0], "negative time offset -5"),
+    ("other", "dimensionless", [0, 5], [1.0], "length mismatch: 2 times, 1 values"),
+    ("other", "dimensionless", [[0, 5]], [[1.0, 2.0]], "1-D"),
+    ("other", "dimensionless", [0, 5], [1.0, math.inf], "non-finite value at t=5"),
+    ("other", "dimensionless", [10, 5], [1.0, 2.0], "non-increasing timestamps: t=5 after t=10"),
+])
+def test_owned_trace_checks_as_the_constructor_checks(kind, unit, times, values, message):
+    for make in (Trace, Trace._owned):
+        with pytest.raises(TraceError, match=message):
+            make(kind, unit, np.array(times), np.array(values))
+
+
 def test_generate_trace_zero_noise_constant():
     spec = SyntheticSpec(kind="heart-rate", n=3, period=60, seed=1,
                          baseline=70.0, drift_amplitude=0.0, noise_scale=0.0)
