@@ -137,8 +137,8 @@ def reconstruct(trace: Trace, tx: TransmissionSet, mode: str = "linear") -> np.n
     read-only float64 array.
 
     The series is filled a block of `BLOCK_SAMPLES` at a time, each block
-    interpolated (or looked up) against the transmitted columns, which are
-    gathered once.
+    interpolated (or looked up) against only the transmitted samples it falls
+    between: from the one before its first sample to the one after its last.
     """
     if tx.source_len != len(trace):
         raise ValueError("transmission set length does not match trace")
@@ -149,22 +149,30 @@ def reconstruct(trace: Trace, tx: TransmissionSet, mode: str = "linear") -> np.n
     if n and mode not in RECON_MODES:
         raise ValueError(f"unknown recon_mode {mode!r}")
     recon = np.empty(n)
-    kept_values = trace.values[idx]
-    if mode == "linear":
-        kept_times = trace.times[idx].astype(np.float64)  # as np.interp would cast them
+    times = trace.times
     for start in range(0, n, BLOCK_SAMPLES):
         stop = min(start + BLOCK_SAMPLES, n)
-        first, last = np.searchsorted(idx, (start, stop))  # the kept samples in the block
+        # as Python ints: numpy scalar arithmetic would cost microseconds a call
+        first, last = np.searchsorted(idx, (start, stop)).tolist()  # the kept samples in the block
+        lo, hi = max(first - 1, 0), min(last + 1, len(idx))
+        # Above 2^53 distinct times cast to one float, and np.interp takes the
+        # last of equal xp: take in every kept time equal to the block's last.
+        end_time = float(times[stop - 1])
+        while hi < len(idx) and float(times[idx[hi]]) == end_time:
+            hi += 1
+        window = idx[lo:hi]
+        kept_values = trace.values[window]
         block = recon[start:stop]
         if mode == "linear":
-            block[:] = np.interp(trace.times[start:stop], kept_times, kept_values)
+            # float times, as np.interp would cast them
+            block[:] = np.interp(times[start:stop], times[window].astype(np.float64), kept_values)
         else:  # value of the nearest transmitted sample at or before
             positions = np.searchsorted(idx[first:last], np.arange(start, stop), side="right")
-            positions += first - 1
+            positions += first - 1 - lo
             np.maximum(positions, 0, out=positions)
             np.take(kept_values, positions, out=block)
         # exactness at transmitted points, both modes
-        block[idx[first:last] - start] = kept_values[first:last]
+        block[idx[first:last] - start] = kept_values[first - lo:last - lo]
     recon.flags.writeable = False
     return recon
 

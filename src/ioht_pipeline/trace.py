@@ -221,7 +221,7 @@ def _read_rows(fh, skiprows: int) -> tuple[np.ndarray, np.ndarray] | None:
             return times, values
         if held - end > _MAX_ROW_BYTES:  # a line longer than any row
             return None
-        count = _read_lines(np.frombuffer(block, np.uint8, end), times[rows:], values[rows:])
+        count = _read_lines(block, end, times[rows:], values[rows:])
         if count is None:
             return None
         rows += count
@@ -229,26 +229,42 @@ def _read_rows(fh, skiprows: int) -> tuple[np.ndarray, np.ndarray] | None:
         held -= end
 
 
-def _read_lines(lines: np.ndarray, times: np.ndarray, values: np.ndarray) -> int | None:
-    """Parse whole lines of bytes into the heads of `times` and `values`, one
-    run of lines of equal length at a time; the row count, or None."""
-    ends = np.flatnonzero(lines == ord("\n"))
-    if len(ends) > len(times):  # lines shorter than any row, or a file that grew
-        return None
-    lengths = np.diff(ends, prepend=-1)
-    runs = np.flatnonzero(np.diff(lengths, prepend=0, append=0)).tolist()
-    pieces = len(ends) // 64 + 16
-    rows = 0
-    for first, stop in zip(runs, runs[1:]):
-        width = int(lengths[first])
-        run = lines[ends[first] + 1 - width:ends[stop - 1] + 1].reshape(-1, width)
-        while len(run):
-            pieces -= 1
-            count = _read_run(run, times[rows:], values[rows:]) if pieces >= 0 else 0
-            if not count:
-                return None
-            rows += count
-            run = run[count:]
+def _read_lines(block: bytearray, end: int, times: np.ndarray, values: np.ndarray) -> int | None:
+    """Parse the whole lines of `block[:end]` into the heads of `times` and
+    `values`, one run of rows of one width at a time; the row count, or None.
+
+    From a row's start, the width is that of its own line. The rest of the
+    block is viewed as rows of that width, and `_read_run` gets the leading
+    rows whose last byte is LF, found in a window that doubles while every row
+    in it ends in LF, so a run costs its own length. `_read_run` checks every
+    byte of every row against its first row's layout, so a row it accepts is
+    one line. Runs of fewer than 64 rows on average send the file to numpy,
+    which reads it faster.
+    """
+    lines = np.frombuffer(block, np.uint8, end)
+    pos = rows = runs = 0
+    while pos < end:
+        width = block.find(b"\n", pos, pos + _MAX_ROW_BYTES + 1) + 1 - pos
+        runs += 1
+        if width <= 0 or runs > 16 + rows // 64:  # a line longer than any row, or short runs
+            return None
+        last = lines[pos + width - 1:end:width][:len(times) - rows]  # each row's last byte
+        stop, window = 0, 64
+        while stop < len(last):
+            other = last[stop:stop + window] != ord("\n")
+            if other.any():
+                stop += int(other.argmax())
+                break
+            stop += len(other)
+            window *= 2
+        if not stop:  # no room left: the file grew after its size was taken
+            return None
+        count = _read_run(lines[pos:pos + stop * width].reshape(stop, width),
+                          times[rows:], values[rows:])
+        if not count:
+            return None
+        rows += count
+        pos += count * width
     return rows
 
 
@@ -303,8 +319,10 @@ def load_csv(path: str | Path, kind: str, unit: str) -> Trace:
     The path is opened once, in binary; a source that cannot seek, such as a
     pipe, is read into memory first. The rows after the header are read from
     bytes by `_read_rows` if they are those `save_csv` writes, and parsed
-    from the decoded text by numpy if not.
+    from the decoded text by numpy if not, or if they fail the Trace's
+    checks: that route names the bad row.
     """
+    _check_labels(kind, unit)  # a bad label fails here, before any row is read
     with open(path, "rb") as raw:
         fh = raw if raw.seekable() else io.BytesIO(raw.read())
         # decoded as open(path) decodes, with universal newlines
@@ -312,18 +330,12 @@ def load_csv(path: str | Path, kind: str, unit: str) -> Trace:
             reader = csv.reader(text)
             if next(reader, None) is None:
                 raise TraceError(f"{path}: empty file, expected a header line")
-            try:
-                columns = _read_rows(fh, reader.line_num)
-                if columns is None:
-                    columns = _parse_rows(_lines_after(text, reader.line_num))
-                return Trace._owned(kind, unit, *columns)
-            except ValueError as exc:
-                # csv.reader refuses a field over its size limit, which numpy reads
-                with contextlib.suppress(csv.Error):
-                    _raise_at_bad_row(path, _lines_after(text, reader.line_num))
-                if isinstance(exc, TraceError):
-                    raise
-                raise TraceError(f"{path}: parse failure: {exc}") from exc
+            columns = _read_rows(fh, reader.line_num)
+            if columns is not None:
+                with contextlib.suppress(TraceError):  # the numpy route names the bad row
+                    return Trace._owned(kind, unit, *columns)
+            columns = _parse_text(path, _lines_after(text, reader.line_num))
+            return Trace._owned(kind, unit, *columns)
 
 
 def _lines_after(text, skiprows: int) -> Iterable[str]:
@@ -334,28 +346,60 @@ def _lines_after(text, skiprows: int) -> Iterable[str]:
     return text
 
 
-def _raise_at_bad_row(path: str | Path, lines: Iterable[str]) -> None:
-    """The error path of `load_csv`: raise a TraceError for the first data row
-    of `lines`, the text after the header, that fails to parse, holds a
-    non-finite value or does not increase t.
+def _parse_text(path: str | Path, text) -> tuple[np.ndarray, np.ndarray]:
+    """The numpy route of `load_csv`: the columns of the rows of the text
+    handle, parsed a block of whole lines, about `_READ_BLOCK_BYTES`
+    characters, at a time. A block that fails to parse, or whose rows are
+    not finite and increasing after the last t, is searched for its bad row.
+    A block holding a quote takes in the rest of the text, since a quoted
+    field may span lines; elsewhere each line is a row of csv.reader's.
+    """
+    times, values = [np.empty(0, np.int64)], [np.empty(0)]
+    rownum, last_t = 2, None  # the header is row 1
+    while block := text.read(_READ_BLOCK_BYTES):
+        block += text.readline()
+        if '"' in block:
+            block += text.read()
+        try:
+            t, v = _parse_rows(io.StringIO(block))
+        except ValueError as exc:
+            _raise_at_bad_row(path, block, rownum, last_t)
+            raise TraceError(f"{path}: parse failure: {exc}") from exc
+        ordered = t if last_t is None else np.r_[last_t, t]
+        if not np.isfinite(v).all() or np.any(ordered[1:] <= ordered[:-1]):
+            # a row it cannot name fails the Trace's own checks
+            _raise_at_bad_row(path, block, rownum, last_t)
+        times.append(t)
+        values.append(v)
+        rownum += block.count("\n")
+        if len(t):
+            last_t = int(t[-1])
+    return np.concatenate(times), np.concatenate(values)
 
-    Rows are numbered as csv.reader numbers them: the header is row 1 and
-    blank rows count, which numpy's own row index does not do. Blocks of rows
-    go through the same parser as `load_csv`, and only the rows of a block
-    that fails are parsed one at a time. Returns if no row is bad.
+
+def _raise_at_bad_row(path: str | Path, text: str, first_row: int, last_t: int | None) -> None:
+    """The error path of `load_csv`: raise a TraceError for the first row of
+    `text`, numbered from `first_row`, that fails to parse, holds a non-finite
+    value or does not increase t (from `last_t`, the t before them).
+
+    Rows are numbered as csv.reader numbers them: blank rows count, which
+    numpy's own row index does not do. Blocks of rows go through the same
+    parser as `load_csv`, and only the rows of a block that fails are parsed
+    one at a time. Returns if no row is bad, or if csv.reader refuses a field
+    over its size limit, which numpy reads.
     """
     kept: list[str] = []
-    reader = csv.reader(_kept_lines(lines, kept))
+    reader = csv.reader(_kept_lines(io.StringIO(text), kept))
     block: list[tuple[int, str]] = []
-    last_t = None
-    for rownum, row in enumerate(reader, start=2):
-        if row:
-            block.append((rownum, "".join(kept)))
-        kept.clear()
-        if len(block) == _LOCATOR_BLOCK_ROWS:
-            last_t = _check_rows(path, block, last_t)
-            block.clear()
-    _check_rows(path, block, last_t)
+    with contextlib.suppress(csv.Error):
+        for rownum, row in enumerate(reader, start=first_row):
+            if row:
+                block.append((rownum, "".join(kept)))
+            kept.clear()
+            if len(block) == _LOCATOR_BLOCK_ROWS:
+                last_t = _check_rows(path, block, last_t)
+                block.clear()
+        _check_rows(path, block, last_t)
 
 
 def _kept_lines(lines: Iterable[str], kept: list[str]):
@@ -528,28 +572,40 @@ def generate_population(n: int, seed: int) -> tuple[PersonRecord, ...]:
 
 
 def load_population_csv(path: str | Path) -> tuple[PersonRecord, ...]:
-    """Load `id,gender,body_temperature,heart_rate` rows; numbers are read by
-    `parse_float`, and rows are numbered as `load_csv` numbers them (the
-    header is row 1 and blank rows count)."""
-    records = []
+    """Load `id,gender,body_temperature,heart_rate` rows; rows are numbered as
+    `load_csv` numbers them (the header is row 1 and blank rows count).
+
+    The two numeric columns are read by one np.loadtxt, in `load_csv`'s
+    number grammar. If it refuses them, or finds other rows than csv.reader,
+    each field is read by `parse_float`, which names the bad row.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            fields = dict(zip(header, row))  # a short row lacks its last fields
-            try:
-                records.append(
-                    PersonRecord(
-                        id=fields["id"],
-                        gender=fields["gender"],
-                        body_temperature=parse_float(fields["body_temperature"]),
-                        heart_rate=parse_float(fields["heart_rate"]),
-                    )
-                )
-            except (KeyError, ValueError) as exc:
-                raise TraceError(f"{path}: parse failure at row {rownum}: {exc}") from exc
+        text = fh.read()
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, [])
+    skiprows = reader.line_num
+    rows = [(rownum, dict(zip(header, row))) for rownum, row in enumerate(reader, start=2) if row]
+    column = {name: i for i, name in enumerate(header)}  # as dict(zip()), the last of a name
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            numbers = np.loadtxt(io.StringIO(text, newline=""), np.float64, delimiter=",",
+                                 usecols=(column["body_temperature"], column["heart_rate"]),
+                                 skiprows=skiprows, comments=None, quotechar='"',
+                                 ndmin=2).tolist()
+    except (KeyError, ValueError):
+        numbers = []
+    if len(numbers) != len(rows):
+        numbers = [None] * len(rows)
+    records = []
+    for (rownum, fields), pair in zip(rows, numbers):
+        try:
+            records.append(PersonRecord(
+                fields["id"], fields["gender"],
+                *(pair or (parse_float(fields["body_temperature"]),
+                           parse_float(fields["heart_rate"])))))
+        except (KeyError, ValueError) as exc:
+            raise TraceError(f"{path}: parse failure at row {rownum}: {exc}") from exc
     return tuple(records)
 
 

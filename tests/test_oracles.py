@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ioht_pipeline import inference, pipeline
+from ioht_pipeline import trace as trace_module
 from ioht_pipeline.crypto import (
     FORMAT_VERSION,
     HEADER_LEN,
@@ -411,6 +412,12 @@ def spaced(values, kept):
     return list(range(0, 60 * len(values), 60)), values, kept, values[::-1]
 
 
+def colliding(n, kept):
+    """n samples at times 2**62 + i, which all cast to one float64."""
+    values = [float(i) for i in range(n)]
+    return [2**62 + i for i in range(n)], values, kept, values[::-1]
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=selected_traces(), mode=st.sampled_from(RECON_MODES), block=BLOCK_SIZES)
 @example(case=spaced([float(i % 7) for i in range(121)], [0, 60, 120]), mode="linear", block=60)
@@ -420,6 +427,11 @@ def spaced(values, kept):
 @example(case=spaced(SPIKE_AT_59, [0, 58, 59, 60, 120]), mode="step-hold", block=61)
 @example(case=spaced(SPIKE_AT_59, [3, 59]), mode="step-hold", block=2)
 @example(case=spaced([1.0] * 65, [64]), mode="linear", block=64)
+# np.interp takes the last of equal float times, which lies past the block's
+# next kept sample: after sample 0 alone, or across the edge at sample 4
+@example(case=colliding(5, [1, 3]), mode="linear", block=1)
+@example(case=colliding(9, [2, 4, 6]), mode="linear", block=4)
+@example(case=colliding(9, [2, 4, 6]), mode="step-hold", block=4)
 def test_blocked_reconstruct_and_gap_areas_match_whole_array(case, mode, block):
     times, values, kept, other = case
     trace = make_trace(values, times)
@@ -661,13 +673,20 @@ def write_csv(tmp_path_factory, lines):
     return path
 
 
+# numpy's route parses blocks of about `_READ_BLOCK_BYTES` characters of
+# whole lines; small blocks put block edges between the rows.
+TEXT_BLOCKS = st.sampled_from([_READ_BLOCK_BYTES, 64, 100])
+
+
 @settings(max_examples=300, deadline=None)
-@given(rows=csv_rows())
-@example(rows=[])
-@example(rows=[(0, "0,-0.0\r\n"), (7, '\n +7 ,"5e-324",extra\n'), (9, '"9", 1e-05 \r')])
-def test_load_csv_matches_loop(tmp_path_factory, rows):
+@given(rows=csv_rows(), block=TEXT_BLOCKS)
+@example(rows=[], block=_READ_BLOCK_BYTES)
+@example(rows=[(0, "0,-0.0\r\n"), (7, '\n +7 ,"5e-324",extra\n'), (9, '"9", 1e-05 \r')],
+         block=_READ_BLOCK_BYTES)
+def test_load_csv_matches_loop(tmp_path_factory, rows, block):
     path = write_csv(tmp_path_factory, [line for _, line in rows])
-    got = load_csv(path, "other", "dimensionless")
+    with mock.patch.object(trace_module, "_READ_BLOCK_BYTES", block):
+        got = load_csv(path, "other", "dimensionless")
     want = load_csv_loop(path, "other", "dimensionless")
     assert got.times.tobytes() == want.times.tobytes()
     assert got.values.tobytes() == want.values.tobytes()
@@ -703,11 +722,13 @@ def with_bad_rows(rows, bad):
 @settings(max_examples=300, deadline=None)
 @given(rows=csv_rows(max_rows=12),
        bad=st.lists(st.tuples(st.integers(0, 12), st.integers(0, len(BAD_ROWS) - 1)),
-                    min_size=1, max_size=3))
-@example(rows=[], bad=[(0, 9)])
-def test_load_csv_names_the_same_bad_row_as_loop(tmp_path_factory, rows, bad):
+                    min_size=1, max_size=3),
+       block=TEXT_BLOCKS)
+@example(rows=[], bad=[(0, 9)], block=_READ_BLOCK_BYTES)
+def test_load_csv_names_the_same_bad_row_as_loop(tmp_path_factory, rows, bad, block):
     path = write_csv(tmp_path_factory, with_bad_rows(rows, bad))
-    assert row_error(load_csv, path) == row_error(load_csv_loop, path)
+    with mock.patch.object(trace_module, "_READ_BLOCK_BYTES", block):
+        assert row_error(load_csv, path) == row_error(load_csv_loop, path)
 
 
 # load_csv finds the row of an error a block of rows at a time: put bad rows
@@ -726,6 +747,23 @@ def test_load_csv_names_rows_across_locator_blocks(tmp_path_factory, bad):
     rows = [(t, f"{t},{t % 97}.5\n" + "\n" * (t % 1000 == 0)) for t in range(1, 10_001)]
     path = write_csv(tmp_path_factory, with_bad_rows(rows, bad))
     assert row_error(load_csv, path) == row_error(load_csv_loop, path)
+
+
+def test_load_csv_searches_only_the_block_that_fails(tmp_path, monkeypatch):
+    rows = "".join(f"{t},{t % 97}.5\n" for t in range(1, 10_001))
+    path = tmp_path / "trace.csv"
+    path.write_text(f"t,value\n{rows}\n{rows}")  # rows 2-10 001, a blank row, t from 1 again
+    checked = []
+
+    def count(path, block, last_t):
+        checked.extend(rownum for rownum, _ in block)
+        return check_rows(path, block, last_t)
+
+    check_rows = trace_module._check_rows
+    monkeypatch.setattr(trace_module, "_check_rows", count)
+    monkeypatch.setattr(trace_module, "_READ_BLOCK_BYTES", 4096)
+    assert row_error(load_csv, path) == ("non-increasing timestamps", "10003")
+    assert 0 < len(checked) < 1000 and min(checked) > 9000
 
 
 @pytest.mark.parametrize("t", [2**63, 2**64, -2**63 - 1])
@@ -820,6 +858,8 @@ def reader_lines(draw):
 @example(lines=["12,3.45\r\n", "13,3.456\n"])
 @example(lines=["12,3.45\n", "13,3456\n"])
 @example(lines=["9,10.5\n", "10,9.5\n", "11,-.25\n", "12,-1.5\n"])
+# the 10 bytes after the first row are two lines, and end in LF
+@example(lines=["1,12345.5\n", "2,.5\n", "3,.5\n"])
 def test_load_csv_reads_bytes_as_loadtxt(tmp_path_factory, lines):
     assert_reads_as_loadtxt(write_csv(tmp_path_factory, lines))
 
@@ -868,6 +908,24 @@ def test_fast_reader_starts_a_piece_where_the_layout_changes(tmp_path, monkeypat
     got = load_csv(path, "other", "dimensionless")
     assert got.times.tolist() == [9, 10, 11]
     assert got.values.tolist() == [10.5, 9.5, -9.5]
+
+
+# Rows whose value widths alternate every `run` rows: runs of one row each are
+# read faster by numpy, and runs of 100 rows from bytes.
+@pytest.mark.parametrize("run", [1, 100])
+def test_fast_reader_sends_short_runs_to_numpy(tmp_path, monkeypatch, run):
+    path = tmp_path / "trace.csv"
+    rows = [f"{t},{'1' * (t // run % 2)}7.5\n" for t in range(3000)]
+    path.write_text("t,value\n" + "".join(rows))
+    times, values = loadtxt_columns(path)
+    called = no_loadtxt(monkeypatch)
+    if run == 1:
+        with pytest.raises(called):
+            load_csv(path, "other", "dimensionless")
+        return
+    got = load_csv(path, "other", "dimensionless")
+    assert got.times.tobytes() == times.tobytes()
+    assert got.values.tobytes() == values.tobytes()
 
 
 def test_fast_reader_reads_save_csv_files_and_declines_blank_lines(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ioht_pipeline
+from ioht_pipeline import trace as trace_module
 from ioht_pipeline.trace import (
     PersonRecord,
     SyntheticSpec,
@@ -20,6 +22,7 @@ from ioht_pipeline.trace import (
     generate_trace,
     load_csv,
     load_population_csv,
+    parse_float,
     save_csv,
     save_population_csv,
 )
@@ -351,3 +354,20 @@ def test_population_csv_round_trip(tmp_path):
         assert a.id == b.id and a.gender == b.gender
         assert math.isclose(a.heart_rate, b.heart_rate, abs_tol=1e-6)
         assert math.isclose(a.body_temperature, b.body_temperature, abs_tol=1e-6)
+
+
+def test_population_numbers_are_read_at_once_as_each_field_parses(tmp_path, monkeypatch):
+    p = tmp_path / "pop.csv"
+    save_population_csv(generate_population(1000, seed=5), p)
+    with open(p, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    want = [(parse_float(r["body_temperature"]), parse_float(r["heart_rate"])) for r in rows]
+
+    def refuse(text):
+        raise AssertionError("a field parsed alone")
+
+    monkeypatch.setattr(trace_module, "parse_float", refuse)
+    loaded = load_population_csv(p)
+    got = [(r.body_temperature, r.heart_rate) for r in loaded]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert [(r.id, r.gender) for r in loaded] == [(r["id"], r["gender"]) for r in rows]
