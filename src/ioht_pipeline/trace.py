@@ -1,16 +1,16 @@
 """Time-series traces, CSV ingestion and seeded synthetic data generators."""
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import io
-import itertools
 import math
 import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -175,58 +175,111 @@ def parse_float(text: str) -> float:
     return float(value)
 
 
-# Bytes per read of `_read_rows`; the partial last line carries over.
+# Bytes per block of `load_csv`; each block ends at a line end.
 _READ_BLOCK_BYTES = 1 << 20
 # At most this many digits in t and in a value, so each fits int64.
 _MAX_DIGITS = 18
-# The longest row `_read_rows` reads: t, comma, minus, digits, point, CR LF.
+# The longest row the byte reader reads: t, comma, minus, digits, point, CR LF.
 _MAX_ROW_BYTES = 2 * _MAX_DIGITS + 5
 
 
-def _read_rows(fh, skiprows: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The columns of the seekable binary handle's file after `skiprows`
-    lines, if its data rows are all `digits,[-]digits.digits` (either side of
-    the point may be empty) ending in LF or CR LF, as `save_csv` writes them,
-    read a block of whole lines at a time; None for any other file, which
-    numpy then parses.
+def load_csv(path: str | Path, kind: str, unit: str) -> Trace:
+    """Load a `t,value` CSV (single header line) into a validated Trace.
 
-    Each value is +-N / 10**f, N its digits and f the digits after the
-    point. As N < 2**53 and f <= 22 are exact doubles, the quotient is the
-    decimal correctly rounded (Clinger's fast path), the double numpy's
-    parser gives; a larger N sends the file to numpy.
+    The path is opened once, in binary; a source that cannot seek, such as a
+    pipe, is read into memory first.
+    """
+    _check_labels(kind, unit)  # a bad label fails here, before any row is read
+    with open(path, "rb") as raw:
+        fh = raw if raw.seekable() else io.BytesIO(raw.read())
+        # decoded as open(path) decodes, with universal newlines
+        with io.TextIOWrapper(fh) as text:
+            reader = csv.reader(text)
+            if next(reader, None) is None:
+                raise TraceError(f"{path}: empty file, expected a header line")
+            columns = _read_blocks(path, fh, text, reader.line_num)
+    return Trace._owned(kind, unit, *columns)
+
+
+def _read_blocks(path: str | Path, fh, text, skiprows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of the rows after the `skiprows` header lines of the
+    seekable binary handle `fh`, read a block of whole lines at a time.
+
+    While its rows are `digits,[-]digits.digits` lines, as `save_csv` writes
+    them, and t increases, a block is read from bytes by `_read_lines`. The
+    first block that is not, and every block after it, is decoded as `text`
+    decodes and parsed by numpy; one that numpy refuses, or whose rows are
+    not finite and increasing, is searched for its bad row. A decoded block
+    holding a quote takes in the rest of the file, since a quoted field may
+    span lines; elsewhere each line is a row of csv.reader's.
     """
     capacity = fh.seek(0, io.SEEK_END) // 4 + 1  # the shortest row is `0,0\n`
     fh.seek(0)
     header = b"".join(fh.readline() for _ in range(skiprows))
-    # a lone CR ends a line for csv.reader and numpy, but not here
-    if header.count(b"\n") != skiprows or b"\r" in header.replace(b"\r\n", b""):
-        return None
     times = np.empty(capacity, np.int64)
     values = np.empty(capacity, np.float64)
-    block = bytearray(_READ_BLOCK_BYTES)
+    parsed: list[tuple[np.ndarray, np.ndarray]] = []  # numpy's blocks, after the byte rows
+    block = bytearray(_READ_BLOCK_BYTES)  # reused for every block read from bytes
     rows = held = 0
+    rownum, last_t = 2, None  # the header is row 1
+    read, readline = fh.read, fh.readline
+    decoder = codecs.getincrementaldecoder(text.encoding)(text.errors)
+    decode = io.IncrementalNewlineDecoder(decoder, translate=True).decode
+    # a lone CR ends a line for csv.reader and numpy, but not for the byte reader
+    in_grammar = header.count(b"\n") == skiprows and b"\r" not in header.replace(b"\r\n", b"")
+    if not in_grammar:  # numpy reads the rows from the text handle, after the header lines
+        text.seek(0)
+        for _ in range(skiprows):
+            text.readline()
+        read, readline, decode = text.read, text.readline, str
     while True:
-        got = fh.readinto(memoryview(block)[held:])
-        if got:
+        if in_grammar:
+            got = fh.readinto(memoryview(block)[held:])
             held += got
+            if not held:
+                break
             end = block.rfind(b"\n", 0, held) + 1
-        elif held:  # a last line with no line end
-            block[held] = ord("\n")
-            held = end = held + 1
-        else:
-            # shrunk in place, so the trace that takes them holds no spare
-            # capacity; the views handed to `_read_lines` are gone by now
-            times.resize(rows, refcheck=False)
-            values.resize(rows, refcheck=False)
-            return times, values
-        if held - end > _MAX_ROW_BYTES:  # a line longer than any row
-            return None
-        count = _read_lines(block, end, times[rows:], values[rows:])
-        if count is None:
-            return None
-        rows += count
-        block[:held - end] = block[end:held]
-        held -= end
+            # numpy reads a line longer than any row, and a last line with no line end
+            count = (_read_lines(block, end, times[rows:], values[rows:])
+                     if got and held - end <= _MAX_ROW_BYTES else None)
+            if count is not None and _increasing(times[rows:rows + count], last_t):
+                rows += count
+                rownum += count
+                last_t = int(times[rows - 1]) if rows else None
+                block[:held - end] = block[end:held]
+                held -= end
+                continue
+            in_grammar, data = False, block[:held]  # as read: `_read_run` parses a copy
+        elif not (data := read(_READ_BLOCK_BYTES)):
+            break
+        chunk = decode(data + readline())
+        if '"' in chunk:
+            chunk += decode(read())
+        try:
+            t, v = _parse_rows(io.StringIO(chunk))
+        except ValueError as exc:
+            _raise_at_bad_row(path, chunk, rownum, last_t)
+            raise TraceError(f"{path}: parse failure: {exc}") from exc
+        if not np.isfinite(v).all() or not _increasing(t, last_t):
+            # a row it cannot name fails the Trace's own checks
+            _raise_at_bad_row(path, chunk, rownum, last_t)
+        parsed.append((t, v))
+        rownum += chunk.count("\n")
+        last_t = int(t[-1]) if len(t) else last_t
+    if parsed:
+        t, v = zip(*parsed)
+        return np.concatenate([times[:rows], *t]), np.concatenate([values[:rows], *v])
+    # shrunk in place, so the trace that takes them holds no spare capacity;
+    # the views handed to `_read_lines` are gone by now
+    times.resize(rows, refcheck=False)
+    values.resize(rows, refcheck=False)
+    return times, values
+
+
+def _increasing(t: np.ndarray, last_t: int | None) -> bool:
+    """Whether the times `t` increase, starting above `last_t` if it is set."""
+    above = not len(t) or last_t is None or t[0] > last_t
+    return above and not np.any(t[1:] <= t[:-1])
 
 
 def _read_lines(block: bytearray, end: int, times: np.ndarray, values: np.ndarray) -> int | None:
@@ -238,7 +291,7 @@ def _read_lines(block: bytearray, end: int, times: np.ndarray, values: np.ndarra
     rows whose last byte is LF, found in a window that doubles while every row
     in it ends in LF, so a run costs its own length. `_read_run` checks every
     byte of every row against its first row's layout, so a row it accepts is
-    one line. Runs of fewer than 64 rows on average send the file to numpy,
+    one line. Runs of fewer than 64 rows on average send the block to numpy,
     which reads it faster.
     """
     lines = np.frombuffer(block, np.uint8, end)
@@ -273,7 +326,9 @@ def _read_run(run: np.ndarray, times: np.ndarray, values: np.ndarray) -> int:
     width, that have the layout of its first row: each row's delimiters where
     the first row has them, and digits 0-9 in every other column of t and of
     the value. Return how many, or 0 if the first row, or any N, is outside
-    the grammar."""
+    the grammar. A value is +-N / 10**f, N its digits and f those after the
+    point; as N < 2**53 and f <= 22 are exact doubles, the quotient is the
+    decimal correctly rounded (Clinger's fast path), the double numpy gives."""
     first = run[0].tobytes()
     stop = len(first) - 1 - first.endswith(b"\r\n")  # the end of the value
     comma = first.find(b",", 0, stop)
@@ -284,7 +339,7 @@ def _read_run(run: np.ndarray, times: np.ndarray, values: np.ndarray) -> int:
     digit = np.zeros(len(first), bool)
     digit[:comma] = digit[start:stop] = True
     digit[point] = False
-    cols = np.ascontiguousarray(run.T)  # one row of bytes per column
+    cols = np.array(run.T, order="C")  # one row of bytes per column; a copy, even of one row
     cols -= ord("0")
     high = cols.max(axis=1)
     if np.any(high[digit] > 9) or np.any(high[~digit] != cols[~digit].min(axis=1)):
@@ -311,70 +366,6 @@ def _horner(digits: np.ndarray) -> np.ndarray:
         out *= 100
         out += pair
     return out
-
-
-def load_csv(path: str | Path, kind: str, unit: str) -> Trace:
-    """Load a `t,value` CSV (single header line) into a validated Trace.
-
-    The path is opened once, in binary; a source that cannot seek, such as a
-    pipe, is read into memory first. The rows after the header are read from
-    bytes by `_read_rows` if they are those `save_csv` writes, and parsed
-    from the decoded text by numpy if not, or if they fail the Trace's
-    checks: that route names the bad row.
-    """
-    _check_labels(kind, unit)  # a bad label fails here, before any row is read
-    with open(path, "rb") as raw:
-        fh = raw if raw.seekable() else io.BytesIO(raw.read())
-        # decoded as open(path) decodes, with universal newlines
-        with io.TextIOWrapper(fh) as text:
-            reader = csv.reader(text)
-            if next(reader, None) is None:
-                raise TraceError(f"{path}: empty file, expected a header line")
-            columns = _read_rows(fh, reader.line_num)
-            if columns is not None:
-                with contextlib.suppress(TraceError):  # the numpy route names the bad row
-                    return Trace._owned(kind, unit, *columns)
-            columns = _parse_text(path, _lines_after(text, reader.line_num))
-            return Trace._owned(kind, unit, *columns)
-
-
-def _lines_after(text, skiprows: int) -> Iterable[str]:
-    """The text handle, rewound and read past its first `skiprows` lines."""
-    text.seek(0)
-    for _ in range(skiprows):
-        text.readline()
-    return text
-
-
-def _parse_text(path: str | Path, text) -> tuple[np.ndarray, np.ndarray]:
-    """The numpy route of `load_csv`: the columns of the rows of the text
-    handle, parsed a block of whole lines, about `_READ_BLOCK_BYTES`
-    characters, at a time. A block that fails to parse, or whose rows are
-    not finite and increasing after the last t, is searched for its bad row.
-    A block holding a quote takes in the rest of the text, since a quoted
-    field may span lines; elsewhere each line is a row of csv.reader's.
-    """
-    times, values = [np.empty(0, np.int64)], [np.empty(0)]
-    rownum, last_t = 2, None  # the header is row 1
-    while block := text.read(_READ_BLOCK_BYTES):
-        block += text.readline()
-        if '"' in block:
-            block += text.read()
-        try:
-            t, v = _parse_rows(io.StringIO(block))
-        except ValueError as exc:
-            _raise_at_bad_row(path, block, rownum, last_t)
-            raise TraceError(f"{path}: parse failure: {exc}") from exc
-        ordered = t if last_t is None else np.r_[last_t, t]
-        if not np.isfinite(v).all() or np.any(ordered[1:] <= ordered[:-1]):
-            # a row it cannot name fails the Trace's own checks
-            _raise_at_bad_row(path, block, rownum, last_t)
-        times.append(t)
-        values.append(v)
-        rownum += block.count("\n")
-        if len(t):
-            last_t = int(t[-1])
-    return np.concatenate(times), np.concatenate(values)
 
 
 def _raise_at_bad_row(path: str | Path, text: str, first_row: int, last_t: int | None) -> None:
@@ -541,12 +532,19 @@ def generate_trace(spec: SyntheticSpec) -> Trace:
     if spec.noise_scale > 0:
         # one batched draw gives the same stream as n scalar draws
         shocks = rng.normal(0.0, spec.noise_scale, spec.n).tolist()
-        ar = np.fromiter(itertools.accumulate(shocks, lambda prev, e: 0.9 * prev + e),
-                         np.float64, spec.n)
+        ar = np.fromiter(_ar1(shocks), np.float64, spec.n)
     else:
         ar = 0.0
     values = spec.baseline + drift + ar
     return Trace._owned(spec.kind, _unit_for_kind(spec.kind), times, values)
+
+
+def _ar1(shocks: Iterable[float]) -> Iterator[float]:
+    """The AR(1) series x[i] = 0.9 * x[i - 1] + e[i] of `shocks`, from 0.0."""
+    prev = 0.0
+    for e in shocks:
+        prev = 0.9 * prev + e
+        yield prev
 
 
 HR_MEAN = 73.76  # population heart-rate model, bpm
@@ -562,8 +560,8 @@ def generate_population(n: int, seed: int) -> tuple[PersonRecord, ...]:
     rng = np.random.default_rng(seed)
     records = []
     for i in range(n):
-        hr = float(np.clip(rng.normal(HR_MEAN, HR_STD), 40.0, 140.0))
-        bt = float(np.clip(rng.normal(BT_MEAN, BT_STD), 30.0, 45.0))
+        hr = min(max(rng.normal(HR_MEAN, HR_STD), 40.0), 140.0)
+        bt = min(max(rng.normal(BT_MEAN, BT_STD), 30.0), 45.0)
         gender = "female" if rng.random() < 0.5 else "male"
         records.append(
             PersonRecord(id=f"p{i:04d}", gender=gender, body_temperature=bt, heart_rate=hr)

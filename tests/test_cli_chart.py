@@ -266,54 +266,54 @@ class TestCli:
         assert not out.exists()
 
 
-# sha256 of the CSVs these commands wrote before the Laplace draws were
-# batched: a draw taken out of stream order changes them.
-GOLDEN_CSV_SHA256 = {
-    ("epsilon-sweep", "--trials", "20", "--seed", "5"): {
-        "epsilon_sweep.csv":
-            "2f2e04dedb831f2c524ef4c79dfc417a01867df87f7b0b8e476b7286a6522355",
-        "noised_points_eps_0_01.csv":
-            "a8caf8d3902b7f0b1280db5d2b595faab27cc7d5e434b8b59b3eec1c9064c8f7",
-        "noised_points_eps_0_05.csv":
-            "73b7f5dbd8cea91c5ccb6d5f54c8b28e41d0c4e2928fbfc96205ae8cee6090b6",
-        "noised_points_eps_0_1.csv":
-            "c50a059ef4a673e9dcf0aef43bb79da13a6373425f03458af4e4f28295938c5c",
-        "noised_points_eps_0_2.csv":
-            "a7f94786604b34fa6e18770893d55c97308076aa47d1d7ef99731e095ae1c7c2",
-        "noised_points_eps_0_5.csv":
-            "a0433ccfa76c2193d12b6349bf7c98321b8f674c464e856631020da7f0453871",
-        "noised_points_eps_1.csv":
-            "c41239ff08639cae1bd7b5c176becd931676351d1fbfd1627dc0da88660d1644",
-    },
-    ("dp", "--epsilon", "0.5", "--trials", "5", "--seed", "5"): {
-        "dp_points.csv":
-            "7adf87e47295b7f101639d6b767d936f7241e9e64abe16c289211d240c65fbf9",
-    },
+# Every CLI command at tier-1 size, pinned byte for byte: each entry of the
+# manifest holds a command line, its exit code, the sha256 of its stdout and
+# the sha256 of every file it writes. Each runs in a fresh directory that
+# links the input files below. With IOHT_GOLDEN_REGEN=1 the test writes what
+# the commands give now into the manifest instead of checking it, so a change
+# that moves an output shows as one JSON diff.
+GOLDEN = Path(__file__).with_name("golden_outputs.json")
+GOLDEN_ENTRIES = json.loads(GOLDEN.read_text())
+GOLDEN_INPUTS = {
+    "trace.csv": "gen --n 100000 --seed 7 --drift 8 --noise 1.5",
+    "short.csv": "gen --n 1420 --seed 7",
+    "population.csv": "gen --population --n 130 --seed 5",
 }
+# trace-exp.csv is trace.csv with this data row's value in exponent form: the
+# same numbers, with one row outside load_csv's byte grammar in the second
+# of the file's two 1 MiB blocks.
+EXPONENT_ROW = 75_000
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN_CSV_SHA256))
-def test_noised_csv_bytes_are_golden(argv, tmp_path, capsys):
-    assert main(list(argv) + ["--out", str(tmp_path)]) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(tmp_path.glob("*.csv"))}
-    assert got == GOLDEN_CSV_SHA256[argv]
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("inputs")
+    for name, command in GOLDEN_INPUTS.items():
+        assert main(command.split() + ["--out", str(directory / name)]) == 0
+    lines = (directory / "trace.csv").read_bytes().split(b"\r\n")
+    lines[EXPONENT_ROW + 1] += b"e0"
+    (directory / "trace-exp.csv").write_bytes(b"\r\n".join(lines))
+    return directory
 
 
-# `ioht gen` output, a trace CSV (through save_csv's vectorised rounding)
-# and a population CSV, pinned byte for byte.
-GOLDEN_GEN_SHA256 = {
-    ("gen", "--n", "1420", "--seed", "7"):
-        "bac17b5e11b6cf7c4ee8876bbe05c7124cc877618e0020975cb433da97101263",
-    ("gen", "--n", "100000", "--seed", "7", "--drift", "8", "--noise", "1.5"):
-        "bbe2ab0354587b5e4a5c349bc54079548172e6d1c97aa099a87c54b5c37318a1",
-    ("gen", "--population", "--n", "130", "--seed", "5"):
-        "7df34c696bf8d05ac69704c258f2d7f0d54f6d1891b94f4b48d64ef2738c3909",
-}
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN_GEN_SHA256))
-def test_gen_csv_bytes_are_golden(argv, tmp_path, capsys):
-    out = tmp_path / "gen.csv"
-    assert main(list(argv) + ["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_GEN_SHA256[argv]
+@pytest.mark.parametrize("entry", GOLDEN_ENTRIES, ids=[
+    "_".join(arg.lstrip("-") for arg in entry["command"].split()) for entry in GOLDEN_ENTRIES])
+def test_cli_output_is_golden(entry, golden_inputs, tmp_path, monkeypatch, capsys):
+    for source in golden_inputs.iterdir():
+        (tmp_path / source.name).symlink_to(source)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    got = {"command": entry["command"], "exit": main(entry["command"].split())}
+    got["stdout"] = sha256(capsys.readouterr().out.encode())
+    got["files"] = {path.relative_to(tmp_path).as_posix(): sha256(path.read_bytes())
+                    for path in sorted(tmp_path.rglob("*"))
+                    if path.is_file() and not path.is_symlink()}
+    if os.environ.get("IOHT_GOLDEN_REGEN") == "1":
+        entry.update(got)
+        GOLDEN.write_text(json.dumps(GOLDEN_ENTRIES, indent=2) + "\n")
+    else:
+        assert got == entry

@@ -673,8 +673,8 @@ def write_csv(tmp_path_factory, lines):
     return path
 
 
-# numpy's route parses blocks of about `_READ_BLOCK_BYTES` characters of
-# whole lines; small blocks put block edges between the rows.
+# load_csv reads blocks of about `_READ_BLOCK_BYTES` bytes of whole lines,
+# from bytes or by numpy; small blocks put block edges between the rows.
 TEXT_BLOCKS = st.sampled_from([_READ_BLOCK_BYTES, 64, 100])
 
 
@@ -749,21 +749,80 @@ def test_load_csv_names_rows_across_locator_blocks(tmp_path_factory, bad):
     assert row_error(load_csv, path) == row_error(load_csv_loop, path)
 
 
-def test_load_csv_searches_only_the_block_that_fails(tmp_path, monkeypatch):
-    rows = "".join(f"{t},{t % 97}.5\n" for t in range(1, 10_001))
-    path = tmp_path / "trace.csv"
-    path.write_text(f"t,value\n{rows}\n{rows}")  # rows 2-10 001, a blank row, t from 1 again
+def checked_rows(monkeypatch):
+    """The list of row numbers `_check_rows` is handed from now on."""
     checked = []
+    check_rows = trace_module._check_rows
 
     def count(path, block, last_t):
         checked.extend(rownum for rownum, _ in block)
         return check_rows(path, block, last_t)
 
-    check_rows = trace_module._check_rows
     monkeypatch.setattr(trace_module, "_check_rows", count)
+    return checked
+
+
+def test_load_csv_searches_only_the_block_that_fails(tmp_path, monkeypatch):
+    rows = "".join(f"{t},{t % 97}.5\n" for t in range(1, 10_001))
+    path = tmp_path / "trace.csv"
+    path.write_text(f"t,value\n{rows}\n{rows}")  # rows 2-10 001, a blank row, t from 1 again
+    checked = checked_rows(monkeypatch)
     monkeypatch.setattr(trace_module, "_READ_BLOCK_BYTES", 4096)
     assert row_error(load_csv, path) == ("non-increasing timestamps", "10003")
     assert 0 < len(checked) < 1000 and min(checked) > 9000
+
+
+def test_load_csv_searches_only_the_byte_block_whose_t_goes_back(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    trace = generate_trace(SyntheticSpec(n=10_000, seed=3, noise_scale=1.5))
+    save_csv(trace, path)
+    rows = path.read_bytes().split(b"\r\n", 1)[1]
+    path.write_bytes(path.read_bytes() + rows)  # rows 2-10 001, then t from 0 again
+    checked = checked_rows(monkeypatch)
+    monkeypatch.setattr(trace_module, "_READ_BLOCK_BYTES", 4096)
+    assert row_error(load_csv, path) == ("non-increasing timestamps", "10002")
+    assert 0 < len(checked) < 1000 and min(checked) > 9000
+
+
+def test_load_csv_parses_by_numpy_only_the_blocks_from_the_first_off_grammar_one(
+        tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    save_csv(generate_trace(SyntheticSpec(n=20_000, seed=3, noise_scale=1.5)), path)
+    path.write_bytes(path.read_bytes()[:-2] + b"e0\r\n")  # the same last value, in exponent form
+    parsed = []
+
+    def count(lines):
+        columns = parse_rows(lines)
+        parsed.append(len(columns[0]))
+        return columns
+
+    parse_rows = trace_module._parse_rows
+    monkeypatch.setattr(trace_module, "_parse_rows", count)
+    monkeypatch.setattr(trace_module, "_READ_BLOCK_BYTES", 4096)
+    got = load_csv(path, "other", "dimensionless")
+    times, values = loadtxt_columns(path)
+    assert got.times.tobytes() == times.tobytes()
+    assert got.values.tobytes() == values.tobytes()
+    assert len(parsed) == 1 and 0 < parsed[0] <= 4096 // 10  # a row is at least 10 bytes
+
+
+# The byte reader's columns hold as many rows as the file's size taken when
+# it was opened allows; rows past that are read by numpy.
+def test_load_csv_reads_rows_appended_after_its_size_was_taken(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    path.write_text("t,value\n" + "".join(f"{t},1.5\n" for t in range(10)))
+    read_lines = trace_module._read_lines
+
+    def grow(*args):
+        if path.stat().st_size < 1000:
+            with open(path, "a") as fh:
+                fh.write("".join(f"{t},2.5\n" for t in range(10, 5000)))
+        return read_lines(*args)
+
+    monkeypatch.setattr(trace_module, "_read_lines", grow)
+    got = load_csv(path, "other", "dimensionless")
+    assert got.times.tolist() == list(range(5000))
+    assert got.values.tolist() == [1.5] * 10 + [2.5] * 4990
 
 
 @pytest.mark.parametrize("t", [2**63, 2**64, -2**63 - 1])
@@ -818,7 +877,8 @@ def grammar_line(t, n, shape):
     return f"{str(t).zfill(t_width)},{sign}{text[:point]}.{text[point:]}{eol}"
 
 
-# Rows just outside the grammar, each of which sends the whole file to numpy.
+# Rows just outside the grammar, each of which sends its block, and every
+# block after it, to numpy.
 NEAR_GRAMMAR = ["\n", "+{t},1.5\n", "{t},+1.5\n", "{t}, 1.5\r\n", " {t},1.5\n", "{t},1e5\n",
                 "{t},9007199254740992.\n", "{t},900719925474099.3\n", "{t:019d},2.5\n",
                 "{t},1.5\r", "{t},1.\r5\n", "{t},1.5,7\n", "{t},15\n", '"{t}",1.5\n']
