@@ -77,16 +77,32 @@ def laplace_cdf(x: float, mu: float, b: float) -> float:
 
 def laplace_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
     """`size` inverse-CDF Laplace(0, b) draws: for each uniform u in
-    (-1/2, 1/2), -b*sign(u)*ln(1-2|u|), and 0 where u == 0."""
+    (-1/2, 1/2), -b*sign(u)*ln(1-2|u|), and 0 where u == 0.
+
+    A uniform with 1-2|u| <= 0 is dropped and the missing ones drawn again
+    after the kept ones, so the stream is used as by one scalar draw at a
+    time. Each log is the C library's `log`, the function `math.log` calls,
+    taken through numpy's per-element loop (see the comment below); the
+    route test in `tests/test_oracles.py` pins it to `math.log` bit for bit.
+    """
     if b <= 0:
         raise ValueError("scale b must be > 0")
-    u = np.empty(0)
-    while len(u) < size:  # draw again for the uniforms ln(1-2|u|) cannot take
-        more = rng.random(size - len(u)) - 0.5
-        u = np.concatenate([u, more[1.0 - 2.0 * np.abs(more) > 0.0]])
-    # math.log, not np.log: SIMD np.log differs from it in the last bit for some inputs.
-    logs = np.fromiter(map(math.log, (1.0 - 2.0 * np.abs(u)).tolist()), np.float64, size)
-    noise = 0.0 - (b * np.copysign(1.0, u)) * logs
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
+    u = rng.random(size) - 0.5
+    y = 1.0 - 2.0 * np.abs(u)
+    while not (y > 0.0).all():  # draw again for the uniforms ln(1-2|u|) cannot take
+        u = u[y > 0.0]
+        u = np.concatenate([u, rng.random(size - len(u)) - 0.5])
+        y = 1.0 - 2.0 * np.abs(u)
+    # Reversed strides send np.log to numpy's per-element loop, which calls
+    # libm's log as math.log does; its SIMD loop, taken for contiguous input,
+    # differs from math.log in the last bit on about 0.35% of these inputs.
+    # That is numpy behaviour, not numpy API: the route test in
+    # tests/test_oracles.py is its guard.
+    logs = np.log(y[::-1])[::-1]
+    # copysign(b, u) is b * sign(u) exactly: multiplying by +-1 is exact
+    noise = 0.0 - np.copysign(b, u) * logs
     noise[u == 0.0] = 0.0
     return noise
 

@@ -194,11 +194,36 @@ def load_csv(path: str | Path, kind: str, unit: str) -> Trace:
         fh = raw if raw.seekable() else io.BytesIO(raw.read())
         # decoded as open(path) decodes, with universal newlines
         with io.TextIOWrapper(fh) as text:
-            reader = csv.reader(text)
-            if next(reader, None) is None:
-                raise TraceError(f"{path}: empty file, expected a header line")
-            columns = _read_blocks(path, fh, text, reader.line_num)
+            try:
+                reader = csv.reader(text)
+                if next(reader, None) is None:
+                    raise TraceError(f"{path}: empty file, expected a header line")
+                columns = _read_blocks(path, fh, text, reader.line_num)
+            except UnicodeDecodeError as exc:
+                raise _decode_error(path, fh, exc) from exc
     return Trace._owned(kind, unit, *columns)
+
+
+def _decode_error(path: str | Path, fh, exc: UnicodeDecodeError) -> TraceError:
+    """A TraceError naming the row and the value of the first byte of the
+    binary handle `fh` that `exc`'s codec cannot decode. Rows are lines, as
+    `load_csv` numbers them (the header is row 1); a block of
+    `_READ_BLOCK_BYTES` is decoded at a time."""
+    fh.seek(0)
+    decode = codecs.getincrementaldecoder(exc.encoding)().decode
+    lines = io.IncrementalNewlineDecoder(None, translate=True).decode
+    row = 1
+    while True:
+        data = fh.read(_READ_BLOCK_BYTES)
+        try:
+            row += lines(decode(data, final=not data)).count("\n")
+        except UnicodeDecodeError as bad:
+            # the bytes before the bad one are whole characters
+            row += lines(bad.object[:bad.start].decode(bad.encoding), final=True).count("\n")
+            return TraceError(f"{path}: parse failure at row {row}: cannot decode byte "
+                              f"0x{bad.object[bad.start]:02x} as {bad.encoding} ({bad.reason})")
+        if not data:  # the file decodes now: it changed since it was read
+            return TraceError(f"{path}: {exc}")
 
 
 def _read_blocks(path: str | Path, fh, text, skiprows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -251,6 +276,7 @@ def _read_blocks(path: str | Path, fh, text, skiprows: int) -> tuple[np.ndarray,
                 continue
             in_grammar, data = False, block[:held]  # as read: `_read_run` parses a copy
         elif not (data := read(_READ_BLOCK_BYTES)):
+            decoder.decode(b"", final=True)  # raises for a character the file cuts short
             break
         chunk = decode(data + readline())
         if '"' in chunk:
@@ -577,8 +603,13 @@ def load_population_csv(path: str | Path) -> tuple[PersonRecord, ...]:
     number grammar. If it refuses them, or finds other rows than csv.reader,
     each field is read by `parse_float`, which names the bad row.
     """
-    with open(path, newline="") as fh:
-        text = fh.read()
+    with open(path, "rb") as raw:
+        fh = io.BytesIO(raw.read())
+    with io.TextIOWrapper(fh, newline="") as wrapper:  # decoded as open(path, newline="")
+        try:
+            text = wrapper.read()
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, fh, exc) from exc
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, [])
     skiprows = reader.line_num

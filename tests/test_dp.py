@@ -12,13 +12,14 @@ from ioht_pipeline.dp import (
     evaluate_query,
     l1_sensitivity,
     laplace_cdf,
+    laplace_noise,
     laplace_pdf,
     noisy_query,
     perturb_series,
     verify_dp_ratio,
 )
 from ioht_pipeline.trace import PersonRecord, generate_population
-from test_oracles import sample_laplace
+from test_oracles import StreamRng, sample_laplace
 
 
 def person(hr, bt=36.8, pid="p"):
@@ -85,6 +86,22 @@ class TestSampler:
         ecdf_lo = np.arange(0, n) / n
         ks = max(np.abs(ecdf_hi - cdf).max(), np.abs(ecdf_lo - cdf).max())
         assert ks < 0.01
+
+    @pytest.mark.parametrize("size", [-1, -1000])
+    def test_batched_rejects_a_negative_size(self, size):
+        rng = StreamRng([0.25] * 3)
+        with pytest.raises(ValueError, match=f"size must be >= 0, got {size}"):
+            laplace_noise(rng, 1.0, size)
+        assert rng.used == 0
+
+    def test_batched_size_zero_draws_nothing(self):
+        rng = StreamRng([])
+        noise = laplace_noise(rng, 1.0, 0)
+        assert noise.dtype == np.float64 and noise.shape == (0,)
+        assert rng.used == 0
+        rng = np.random.default_rng(5)
+        assert laplace_noise(rng, 1.0, 0).shape == (0,)
+        assert rng.random() == np.random.default_rng(5).random()
 
 
 class TestSensitivity:

@@ -594,6 +594,43 @@ def test_laplace_noise_matches_loop_on_any_stream(k, body):
     check_against_stream(body + [0.25] * k, k, 2.0)
 
 
+# Uniforms u + 1/2 from a seeded draw (default_rng(2024), the first 32 of
+# 200 000) for which contiguous np.log(1 - 2|u|) on numpy 2.4.6's AVX512 loop
+# differs from math.log in the last bit. laplace_noise must still give
+# math.log's logs for them; written as float.hex, they are the same inputs on
+# any CPU.
+LIBM_ROUTE_UNIFORMS = [float.fromhex(h) for h in (
+    "0x1.de6bfcbf21944p-2", "0x1.02a449d3fe245p-1", "0x1.f171a255c5e6cp-2",
+    "0x1.085b9ced40b4cp-1", "0x1.f2d4cd30c507ap-2", "0x1.f2e346bf82ce8p-2",
+    "0x1.a7e9a6055ec8ap-2", "0x1.066af63dd4d11p-1", "0x1.f6b0f976d3adap-2",
+    "0x1.c1e74f0b4a8cap-2", "0x1.966ef54f8395cp-3", "0x1.d9260ae44ef8cp-2",
+    "0x1.5fec624980c9fp-1", "0x1.99b643dd86918p-1", "0x1.a57226c652c22p-2",
+    "0x1.080aed9d067e0p-1", "0x1.f394e167b3354p-2", "0x1.f15cb8dbbf44ap-2",
+    "0x1.f8577397fedbap-2", "0x1.195d6f9fdc664p-1", "0x1.15eddc96f2f91p-1",
+    "0x1.038a5e73b5913p-1", "0x1.ff3e75173d816p-2", "0x1.57eee3c40fa09p-1",
+    "0x1.23df1430556bcp-3", "0x1.e58d8dbc78cc8p-2", "0x1.07fda82503c6dp-1",
+    "0x1.f4ffa496ca790p-2", "0x1.91012cb536688p-2", "0x1.d955fd9c3217ap-2",
+    "0x1.067282c79e95ap-1", "0x1.058aafafd1ab7p-1",
+)]
+
+
+# 1 is noisy_query's size; the stream is served in consecutive draws of k.
+@pytest.mark.parametrize("b", [1.0, 7.5])
+@pytest.mark.parametrize("k", [1, 7, 32])
+def test_laplace_noise_takes_the_libm_log(k, b):
+    batched, scalar = StreamRng(LIBM_ROUTE_UNIFORMS), StreamRng(LIBM_ROUTE_UNIFORMS)
+    for _ in range(len(LIBM_ROUTE_UNIFORMS) // k):
+        assert laplace_noise(batched, b, k).tobytes() == scalar_draws(scalar, b, k).tobytes()
+        assert batched.used == scalar.used
+
+
+def test_laplace_noise_matches_scalar_draws_at_200_000():
+    batched, scalar = np.random.default_rng(983), np.random.default_rng(983)
+    k = 200_000
+    assert laplace_noise(batched, 0.25, k).tobytes() == scalar_draws(scalar, 0.25, k).tobytes()
+    assert batched.random() == scalar.random()
+
+
 # noisy_query takes one batched draw: the scalar sampler's value and stream use.
 @pytest.mark.parametrize("stream", [[0.1], [0.5], [0.0, 0.75], [0.0, 0.0, 0.5]])
 def test_noisy_query_draws_as_the_scalar_sampler(stream):

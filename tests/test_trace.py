@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import ioht_pipeline
 from ioht_pipeline import trace as trace_module
+from ioht_pipeline.cli import main
 from ioht_pipeline.trace import (
     PersonRecord,
     SyntheticSpec,
@@ -100,6 +101,57 @@ def test_load_csv_bad_value(tmp_path):
     p.write_text("t,value\n0,abc\n")
     with pytest.raises(TraceError, match="row 2"):
         load_csv(p, "heart-rate", "bpm")
+
+
+@pytest.mark.parametrize("data,row,byte", [
+    (b"t,va\xfflue\n0,1.0\n", 1, "0xff"),  # the header
+    (b"t,value\r\n0,1.0\r\n1,\xff2.0\r\n", 3, "0xff"),  # a first block the byte reader declines
+    (b"t,value\n0,1.0\n1,2.0\n\xe2\x82", 4, "0xe2"),  # a character the file cuts short
+])
+def test_load_csv_names_the_row_and_byte_it_cannot_decode(tmp_path, data, row, byte):
+    p = tmp_path / "t.csv"
+    p.write_bytes(data)
+    with pytest.raises(TraceError, match=f"^{p}: parse failure at row {row}: cannot decode "
+                                         f"byte {byte} as utf-8"):
+        load_csv(p, "heart-rate", "bpm")
+
+
+# Blocks of 64 bytes split CR LF pairs; a lone CR in the header sends the rows
+# to the text handle.
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("bad", [0, 1, 57, 299])
+def test_load_csv_names_an_undecodable_row_in_a_later_block(tmp_path, monkeypatch, newline, bad):
+    monkeypatch.setattr(trace_module, "_READ_BLOCK_BYTES", 64)
+    rows = [f"{i},{i % 7}.5{newline}".encode() for i in range(300)]
+    rows[bad] = rows[bad].replace(b".", b".\xc3\xa9\xff")
+    p = tmp_path / "t.csv"
+    p.write_bytes(f"t,value{newline}".encode() + b"".join(rows))
+    with pytest.raises(TraceError, match=f"at row {bad + 2}: cannot decode byte 0xff"):
+        load_csv(p, "heart-rate", "bpm")
+
+
+def test_population_csv_names_the_row_and_byte_it_cannot_decode(tmp_path):
+    p = tmp_path / "pop.csv"
+    save_population_csv(generate_population(5, seed=3), p)
+    lines = p.read_bytes().split(b"\r\n")
+    lines[4] = lines[4].replace(b",3", b",3\xff", 1)
+    p.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(TraceError, match=f"^{p}: parse failure at row 5: cannot decode "
+                                         "byte 0xff as utf-8"):
+        load_population_csv(p)
+
+
+def test_cli_exits_2_naming_the_row_it_cannot_decode(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    trace.write_bytes(b"t,value\n0,1.0\n1,\xff2.0\n")
+    population = tmp_path / "pop.csv"
+    population.write_bytes(b"id,gender,body_temperature,heart_rate\n"
+                           b"p0,female,36.5,70.0\np1,male,3\xff6.5,71.0\n")
+    for argv, name in ((["infer", "--input", str(trace)], trace),
+                       (["dp", "--epsilon", "0.5", "--population", str(population)], population)):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {name}: parse failure at row 3: cannot decode byte 0xff")
 
 
 # A pipe (here /dev/fd/N, as /dev/stdin would be) is read into memory and
