@@ -9,7 +9,6 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -18,7 +17,9 @@ import numpy as np
 from . import chart
 from .crypto import MAX_MESSAGE_RECORDS, SUITES
 from .dp import (
+    AGGREGATES,
     EPSILON_PRESETS,
+    QUERY_FIELDS,
     DpParams,
     DpQuery,
     derive_streams,
@@ -33,6 +34,7 @@ from .experiments import (
     run_vr_sweep,
 )
 from .inference import (
+    RECON_MODES,
     InferenceConfig,
     compute_metrics,
     metrics_report,
@@ -41,13 +43,15 @@ from .inference import (
 )
 from .pipeline import EnergyModel, PipelineConfig, run_pipeline
 from .trace import (
+    KIND_UNITS,
+    KINDS,
     SyntheticSpec,
     TraceError,
     generate_population,
     generate_trace,
     load_csv,
     load_population_csv,
-    parse_float,
+    load_xy_csv,
     save_csv,
     save_population_csv,
 )
@@ -64,9 +68,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_trace_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="trace CSV (t,value); omit to use synthetic data")
-    p.add_argument("--kind", default="heart-rate",
-                   choices=["heart-rate", "body-temperature", "other"])
-    p.add_argument("--unit", default="bpm", choices=["bpm", "celsius", "dimensionless"])
+    p.add_argument("--kind", default="heart-rate", choices=KINDS, help="sensor kind; sets the unit")
     p.add_argument("--n", type=int, default=1420)
     p.add_argument("--period", type=int, default=60)
     p.add_argument("--baseline", type=float, default=70.0)
@@ -77,7 +79,7 @@ def _add_trace_source(p: argparse.ArgumentParser) -> None:
 
 def _resolve_trace(args):
     if args.input:
-        return load_csv(args.input, args.kind, args.unit)
+        return load_csv(args.input, args.kind, KIND_UNITS[args.kind])
     spec = SyntheticSpec(
         kind=args.kind, n=args.n, period=args.period, seed=args.seed,
         baseline=args.baseline, drift_amplitude=args.drift, noise_scale=args.noise,
@@ -106,7 +108,7 @@ def build_parser() -> _Parser:
     _add_trace_source(p)
     p.add_argument("--vr", type=float, default=0.025)
     p.add_argument("--beacon", type=int, default=None)
-    p.add_argument("--mode", default="linear", choices=["linear", "step-hold"])
+    p.add_argument("--mode", default="linear", choices=RECON_MODES)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("vr-sweep", help="savings table over a variance-rate grid")
@@ -122,9 +124,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dp", help="noisy statistical query over a population")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--sensitivity", type=float, default=1.0)
-    p.add_argument("--query", default="mean", choices=["mean", "sum", "count"])
-    p.add_argument("--field", default="heart_rate",
-                   choices=["heart_rate", "body_temperature"])
+    p.add_argument("--query", default="mean", choices=AGGREGATES)
+    p.add_argument("--field", default="heart_rate", choices=QUERY_FIELDS)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--population", help="population CSV; omit for a synthetic one")
@@ -144,7 +145,7 @@ def build_parser() -> _Parser:
     _add_trace_source(p)
     p.add_argument("--vr", type=float, default=0.025)
     p.add_argument("--beacon", type=int, default=60)
-    p.add_argument("--mode", default="linear", choices=["linear", "step-hold"])
+    p.add_argument("--mode", default="linear", choices=RECON_MODES)
     p.add_argument("--suite", default="aes-128-ecb", choices=sorted(SUITES))
     p.add_argument("--key", default="00112233445566778899aabbccddeeff",
                    help="cipher key as hex")
@@ -341,24 +342,11 @@ def _cmd_pipeline(args) -> None:
 
 
 def _cmd_chart(args) -> None:
-    points = []
-    with open(args.input, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                x, y = map(parse_float, row[:2])
-            except ValueError as exc:
-                raise TraceError(f"{args.input}: parse failure at row {rownum}: {exc}") from exc
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise TraceError(f"{args.input}: non-finite value at row {rownum}")
-            points.append((x, y))
+    points = tuple(zip(*(column.tolist() for column in load_xy_csv(args.input))))
     if not points:
         raise TraceError(f"{args.input}: no data rows")
     try:
-        chart.write_chart([chart.Series(Path(args.input).stem, tuple(points))],
+        chart.write_chart([chart.Series(Path(args.input).stem, points)],
                           args.out, style=args.style, title=args.title)
     except ValueError as exc:
         raise TraceError(f"{args.input}: {exc}") from exc

@@ -62,14 +62,14 @@ class NoisedResult:
 
 
 def laplace_pdf(x: float, mu: float, b: float) -> float:
-    if b <= 0:
-        raise ValueError("scale b must be > 0")
+    if not 0 < b < math.inf:
+        raise ValueError(f"scale b must be finite and > 0, got {b}")
     return math.exp(-abs(x - mu) / b) / (2.0 * b)
 
 
 def laplace_cdf(x: float, mu: float, b: float) -> float:
-    if b <= 0:
-        raise ValueError("scale b must be > 0")
+    if not 0 < b < math.inf:
+        raise ValueError(f"scale b must be finite and > 0, got {b}")
     if x < mu:
         return 0.5 * math.exp((x - mu) / b)
     return 1.0 - 0.5 * math.exp(-(x - mu) / b)
@@ -85,8 +85,8 @@ def laplace_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
     taken through numpy's per-element loop (see the comment below); the
     route test in `tests/test_oracles.py` pins it to `math.log` bit for bit.
     """
-    if b <= 0:
-        raise ValueError("scale b must be > 0")
+    if not 0 < b < math.inf:
+        raise ValueError(f"scale b must be finite and > 0, got {b}")
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     u = rng.random(size) - 0.5
@@ -113,9 +113,9 @@ def evaluate_query(dataset: Sequence[PersonRecord], query: DpQuery) -> float:
         return float(len(dataset))
     if not dataset:
         raise ValueError(f"{query.aggregate} query on an empty dataset")
-    values = [getattr(r, query.field) for r in dataset]
-    total = float(sum(values))
-    return total / len(values) if query.aggregate == "mean" else total
+    # summed left to right on every Python: sum() of floats compensates from 3.12 on
+    total = float(np.cumsum([getattr(r, query.field) for r in dataset], dtype=np.float64)[-1])
+    return total / len(dataset) if query.aggregate == "mean" else total
 
 
 def l1_sensitivity(

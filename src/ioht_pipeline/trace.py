@@ -10,12 +10,14 @@ import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 KINDS = ("heart-rate", "body-temperature", "other")
 UNITS = ("bpm", "celsius", "dimensionless")
+# The unit each kind of trace is measured in.
+KIND_UNITS = {"heart-rate": "bpm", "body-temperature": "celsius", "other": "dimensionless"}
 
 # Numeric codes used by the wire format.
 KIND_CODES = {k: i for i, k in enumerate(KINDS)}
@@ -140,39 +142,84 @@ class SyntheticSpec:
             raise TraceError("noise_scale must be >= 0")
 
 
-def _unit_for_kind(kind: str) -> str:
-    if kind == "heart-rate":
-        return "bpm"
-    if kind == "body-temperature":
-        return "celsius"
-    return "dimensionless"
-
-
 # One data row of a trace CSV; columns past the second are ignored.
 _CSV_ROW = np.dtype([("t", np.int64), ("value", np.float64)])
+# One data row of a population CSV, its fields in PersonRecord's order.
+_PERSON_ROW = np.dtype([("id", object), ("gender", object),
+                        ("body_temperature", np.float64), ("heart_rate", np.float64)])
+# Rows per block of `_parse_csv`'s search for a bad row.
 _LOCATOR_BLOCK_ROWS = 4096
 
 
-def _parse_rows(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The t and value columns of `t,value` lines; blank lines are skipped."""
-    with warnings.catch_warnings():
-        # a header-only file is an empty trace, not a warning
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        rows = np.loadtxt(lines, dtype=_CSV_ROW, delimiter=",", usecols=(0, 1), ndmin=1,
-                          comments=None, quotechar='"')
-    return rows["t"], rows["value"]
+def _parse_csv(path: str | Path, text: str, first_row: int, dtype: np.dtype,
+               usecols: tuple[int, ...],
+               check: Callable[[np.ndarray, np.void | None], tuple[int, str] | None]
+               ) -> np.ndarray:
+    """The `usecols` columns of the CSV rows of `text` as `dtype` rows, read
+    by numpy; blank rows are skipped. The only caller of np.loadtxt.
 
-
-def parse_float(text: str) -> float:
-    """A CSV field as a float by `load_csv`'s number grammar (numpy's), which
-    refuses the underscores and non-ASCII digits that float() takes."""
-    try:
+    `check(rows, before)` is given parsed rows and the row before them (None
+    before the first row of `text`), and returns the index of the first bad
+    row and the reason, or None; a reason `problem: detail` reads `problem at
+    row N: detail`. Raises a TraceError naming the first row, in file order,
+    that numpy refuses or `check` rejects. Rows are numbered from `first_row`
+    as csv.reader numbers them: blank rows count, which numpy's own row index
+    does not do. Only text that fails is searched: a block of
+    `_LOCATOR_BLOCK_ROWS` rows at a time, and the rows of a block that fails
+    to parse one at a time. If csv.reader refuses a field over its size
+    limit, which numpy reads, the error names no row.
+    """
+    def parse(lines: str) -> np.ndarray:
         with warnings.catch_warnings():
+            # a header-only file has no rows, not a warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            (value,) = np.loadtxt([text], np.float64, delimiter=",", comments=None, ndmin=1)
-    except ValueError:
-        raise ValueError(f"could not convert string to float: {text!r}") from None
-    return float(value)
+            return np.loadtxt(io.StringIO(lines, newline=""), dtype, delimiter=",",
+                              usecols=usecols, ndmin=1, comments=None, quotechar='"')
+
+    def fail(rownum: int | None, reason: str) -> TraceError:
+        problem, colon, detail = reason.partition(": ")
+        at = "" if rownum is None else f" at row {rownum}"
+        return TraceError(f"{path}: {problem}{at}{colon}{detail}")
+
+    def search(block: list[tuple[int, str]], before: np.void | None) -> np.void | None:
+        """Check the (row number, text) rows of `block`; return the last row."""
+        try:
+            rows = parse("".join(line for _, line in block))
+            if len(rows) != len(block):
+                raise ValueError(f"{len(rows)} rows where csv.reader reads {len(block)}")
+        except ValueError as exc:
+            if len(block) == 1:  # numpy's own row index would only confuse the message
+                raise fail(block[0][0], "parse failure: " + re.sub(r" at row \d+", "", str(exc)))
+            for row in block:
+                before = search([row], before)
+            return before
+        if (fault := check(rows, before)) is not None:
+            raise fail(block[fault[0]][0], fault[1])
+        return rows[-1] if len(rows) else before
+
+    try:
+        rows = parse(text)
+    except ValueError as exc:
+        reason = f"parse failure: {exc}"
+    else:
+        if (fault := check(rows, None)) is None:
+            return rows
+        reason = fault[1]
+    kept: list[str] = []  # the lines of the row csv.reader is reading
+    block: list[tuple[int, str]] = []
+    before = None
+    with contextlib.suppress(csv.Error):
+        # csv.reader reads the lines through `kept`, which so holds each row's text
+        lines = (kept.append(line) or line for line in io.StringIO(text, newline=""))
+        for rownum, row in enumerate(csv.reader(lines), start=first_row):
+            if row:
+                block.append((rownum, "".join(kept)))
+            kept.clear()
+            if len(block) == _LOCATOR_BLOCK_ROWS:
+                before = search(block, before)
+                block.clear()
+        search(block, before)
+    raise fail(None, reason)
 
 
 # Bytes per block of `load_csv`; each block ends at a line end.
@@ -234,7 +281,7 @@ def _read_blocks(path: str | Path, fh, text, skiprows: int) -> tuple[np.ndarray,
     them, and t increases, a block is read from bytes by `_read_lines`. The
     first block that is not, and every block after it, is decoded as `text`
     decodes and parsed by numpy; one that numpy refuses, or whose rows are
-    not finite and increasing, is searched for its bad row. A decoded block
+    not finite and increasing, is named by `_parse_csv`. A decoded block
     holding a quote takes in the rest of the file, since a quoted field may
     span lines; elsewhere each line is a row of csv.reader's.
     """
@@ -281,17 +328,11 @@ def _read_blocks(path: str | Path, fh, text, skiprows: int) -> tuple[np.ndarray,
         chunk = decode(data + readline())
         if '"' in chunk:
             chunk += decode(read())
-        try:
-            t, v = _parse_rows(io.StringIO(chunk))
-        except ValueError as exc:
-            _raise_at_bad_row(path, chunk, rownum, last_t)
-            raise TraceError(f"{path}: parse failure: {exc}") from exc
-        if not np.isfinite(v).all() or not _increasing(t, last_t):
-            # a row it cannot name fails the Trace's own checks
-            _raise_at_bad_row(path, chunk, rownum, last_t)
-        parsed.append((t, v))
+        found = _parse_csv(path, chunk, rownum, _CSV_ROW, (0, 1), lambda checked, before:
+                           _trace_fault(checked, last_t if before is None else int(before["t"])))
+        parsed.append((found["t"], found["value"]))
         rownum += chunk.count("\n")
-        last_t = int(t[-1]) if len(t) else last_t
+        last_t = int(found["t"][-1]) if len(found) else last_t
     if parsed:
         t, v = zip(*parsed)
         return np.concatenate([times[:rows], *t]), np.concatenate([values[:rows], *v])
@@ -300,6 +341,21 @@ def _read_blocks(path: str | Path, fh, text, skiprows: int) -> tuple[np.ndarray,
     times.resize(rows, refcheck=False)
     values.resize(rows, refcheck=False)
     return times, values
+
+
+def _trace_fault(rows: np.ndarray, last_t: int | None) -> tuple[int, str] | None:
+    """The first of the `_CSV_ROW` rows whose value is not finite, or whose t
+    does not increase (from `last_t`, if set), and what is wrong; or None."""
+    t = rows["t"]
+    back = np.zeros(len(t), bool)
+    back[1:] = t[1:] <= t[:-1]
+    if len(t) and last_t is not None:
+        back[0] = t[0] <= last_t
+    bad = ~np.isfinite(rows["value"])
+    first = np.flatnonzero(bad | back)
+    if not first.size:
+        return None
+    return first[0], "non-finite value" if bad[first[0]] else "non-increasing timestamps"
 
 
 def _increasing(t: np.ndarray, last_t: int | None) -> bool:
@@ -392,63 +448,6 @@ def _horner(digits: np.ndarray) -> np.ndarray:
         out *= 100
         out += pair
     return out
-
-
-def _raise_at_bad_row(path: str | Path, text: str, first_row: int, last_t: int | None) -> None:
-    """The error path of `load_csv`: raise a TraceError for the first row of
-    `text`, numbered from `first_row`, that fails to parse, holds a non-finite
-    value or does not increase t (from `last_t`, the t before them).
-
-    Rows are numbered as csv.reader numbers them: blank rows count, which
-    numpy's own row index does not do. Blocks of rows go through the same
-    parser as `load_csv`, and only the rows of a block that fails are parsed
-    one at a time. Returns if no row is bad, or if csv.reader refuses a field
-    over its size limit, which numpy reads.
-    """
-    kept: list[str] = []
-    reader = csv.reader(_kept_lines(io.StringIO(text), kept))
-    block: list[tuple[int, str]] = []
-    with contextlib.suppress(csv.Error):
-        for rownum, row in enumerate(reader, start=first_row):
-            if row:
-                block.append((rownum, "".join(kept)))
-            kept.clear()
-            if len(block) == _LOCATOR_BLOCK_ROWS:
-                last_t = _check_rows(path, block, last_t)
-                block.clear()
-        _check_rows(path, block, last_t)
-
-
-def _kept_lines(lines: Iterable[str], kept: list[str]):
-    for line in lines:
-        kept.append(line)
-        yield line
-
-
-def _check_rows(path, block: list[tuple[int, str]], last_t: int | None) -> int | None:
-    """Check (row number, text) rows in order after a row at `last_t`; return
-    the last t."""
-    try:
-        times, values = _parse_rows(io.StringIO("".join(text for _, text in block)))
-        parsed = list(zip(times.tolist(), values.tolist()))
-    except ValueError:
-        parsed = []
-    for i, (rownum, text) in enumerate(block):
-        if len(parsed) == len(block):
-            t, value = parsed[i]
-        else:
-            try:
-                (t,), (value,) = (column.tolist() for column in _parse_rows(io.StringIO(text)))
-            except ValueError as exc:
-                # numpy's own row index (0 here) would only confuse the message
-                reason = re.sub(r" at row \d+", "", str(exc))
-                raise TraceError(f"{path}: parse failure at row {rownum}: {reason}") from exc
-        if not math.isfinite(value):
-            raise TraceError(f"{path}: non-finite value at row {rownum}")
-        if last_t is not None and t <= last_t:
-            raise TraceError(f"{path}: non-increasing timestamps at row {rownum}")
-        last_t = t
-    return last_t
 
 
 # Rows per chunk of `save_csv`: the chunk's byte matrix stays a few MB.
@@ -562,7 +561,7 @@ def generate_trace(spec: SyntheticSpec) -> Trace:
     else:
         ar = 0.0
     values = spec.baseline + drift + ar
-    return Trace._owned(spec.kind, _unit_for_kind(spec.kind), times, values)
+    return Trace._owned(spec.kind, KIND_UNITS.get(spec.kind), times, values)
 
 
 def _ar1(shocks: Iterable[float]) -> Iterator[float]:
@@ -595,47 +594,56 @@ def generate_population(n: int, seed: int) -> tuple[PersonRecord, ...]:
     return tuple(records)
 
 
-def load_population_csv(path: str | Path) -> tuple[PersonRecord, ...]:
-    """Load `id,gender,body_temperature,heart_rate` rows; rows are numbered as
-    `load_csv` numbers them (the header is row 1 and blank rows count).
-
-    The two numeric columns are read by one np.loadtxt, in `load_csv`'s
-    number grammar. If it refuses them, or finds other rows than csv.reader,
-    each field is read by `parse_float`, which names the bad row.
-    """
+def _read_csv_text(path: str | Path) -> tuple[list[str], str]:
+    """The header row of the CSV at `path` and the text after it, decoded as
+    open(path, newline="") decodes it; a byte it cannot decode is named by
+    row. A pipe is read as a file is."""
     with open(path, "rb") as raw:
         fh = io.BytesIO(raw.read())
-    with io.TextIOWrapper(fh, newline="") as wrapper:  # decoded as open(path, newline="")
+    with io.TextIOWrapper(fh, newline="") as wrapper:
         try:
-            text = wrapper.read()
+            lines = io.StringIO(wrapper.read(), newline="")
         except UnicodeDecodeError as exc:
             raise _decode_error(path, fh, exc) from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, [])
-    skiprows = reader.line_num
-    rows = [(rownum, dict(zip(header, row))) for rownum, row in enumerate(reader, start=2) if row]
-    column = {name: i for i, name in enumerate(header)}  # as dict(zip()), the last of a name
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            numbers = np.loadtxt(io.StringIO(text, newline=""), np.float64, delimiter=",",
-                                 usecols=(column["body_temperature"], column["heart_rate"]),
-                                 skiprows=skiprows, comments=None, quotechar='"',
-                                 ndmin=2).tolist()
-    except (KeyError, ValueError):
-        numbers = []
-    if len(numbers) != len(rows):
-        numbers = [None] * len(rows)
-    records = []
-    for (rownum, fields), pair in zip(rows, numbers):
+    header = next(csv.reader(lines), [])  # csv.reader reads no line past the header
+    return header, lines.read()
+
+
+def load_population_csv(path: str | Path) -> tuple[PersonRecord, ...]:
+    """Load `id,gender,body_temperature,heart_rate` rows, the columns found by
+    their header names (the last of a name); rows are numbered as `load_csv`
+    numbers them (the header is row 1 and blank rows count)."""
+    header, body = _read_csv_text(path)
+    column = {name: i for i, name in enumerate(header)}
+    if missing := [name for name in _PERSON_ROW.names if name not in column]:
+        raise TraceError(f"{path}: no {missing[0]} column in the header")
+    rows = _parse_csv(path, body, 2, _PERSON_ROW, tuple(column[n] for n in _PERSON_ROW.names),
+                      _person_fault)
+    return tuple(PersonRecord(*row) for row in rows.tolist())
+
+
+def _person_fault(rows: np.ndarray, before: np.void | None) -> tuple[int, str] | None:
+    """The first of the `_PERSON_ROW` rows that PersonRecord refuses, and why."""
+    for i, row in enumerate(rows.tolist()):
         try:
-            records.append(PersonRecord(
-                fields["id"], fields["gender"],
-                *(pair or (parse_float(fields["body_temperature"]),
-                           parse_float(fields["heart_rate"])))))
-        except (KeyError, ValueError) as exc:
-            raise TraceError(f"{path}: parse failure at row {rownum}: {exc}") from exc
-    return tuple(records)
+            PersonRecord(*row)
+        except TraceError as exc:
+            return i, f"parse failure: {exc}"
+    return None
+
+
+def load_xy_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y columns of a CSV with one header row and finite numbers in
+    its first two columns; later columns are ignored. Rows are numbered as
+    `load_csv` numbers them (the header is row 1 and blank rows count)."""
+    _, body = _read_csv_text(path)
+    rows = _parse_csv(path, body, 2, np.dtype([("x", float), ("y", float)]), (0, 1), _xy_fault)
+    return rows["x"], rows["y"]
+
+
+def _xy_fault(rows: np.ndarray, before: np.void | None) -> tuple[int, str] | None:
+    bad = np.flatnonzero(~(np.isfinite(rows["x"]) & np.isfinite(rows["y"])))
+    return (bad[0], "non-finite value") if bad.size else None
 
 
 def save_population_csv(records: Iterable[PersonRecord], path: str | Path) -> None:

@@ -141,11 +141,12 @@ class TestCli:
         assert "HR & BT <1>" in texts and "a&b" in texts
 
     @pytest.mark.parametrize("rows,error", [
-        ("x,y\n1\n", "parse failure at row 2: not enough values to unpack"),
+        ("x,y\n1\n", "parse failure at row 2: invalid column index 1 with 1 columns"),
         ("x,y\n0,1\n\n1,inf\n", "non-finite value at row 4"),
-        ("x,y\n0,1\n1,abc\n", "parse failure at row 3: could not convert string to float"),
+        ("x,y\n0,1\n1,abc\n", "parse failure at row 3: could not convert string 'abc' to float64"),
         # load_csv's number grammar: no underscores, unlike float()
-        ("x,y\n1_0,1\n2_0,2\n", "parse failure at row 2: could not convert string to float"),
+        ("x,y\n1_0,1\n2_0,2\n",
+         "parse failure at row 2: could not convert string '1_0' to float64"),
         # finite values whose axis span is 0 or overflows would put nan in the SVG
         ("x,y\n-1e308,1\n1e308,2\n", "x values from -1e+308 to 1e+308 cannot be scaled"),
         ("x,y\n0,-1e308\n1,1e308\n", "y values from -1e+308 to 1e+308 cannot be scaled"),
@@ -232,9 +233,9 @@ class TestCli:
     @pytest.mark.parametrize("rows,error", [
         # blank rows count, as load_csv counts them
         ("p0,f,36.8,70\n\n\np1,m,36.8,abc\n", "parse failure at row 5: could not convert"),
-        ("p0,f,36.8\n", "parse failure at row 2: 'heart_rate'"),
+        ("p0,f,36.8\n", "parse failure at row 2: invalid column index 3 with 3 columns"),
         # numbers are read by load_csv's grammar, which float() is not
-        ("p0,f,36.8,7_0\n", "parse failure at row 2: could not convert string to float: '7_0'"),
+        ("p0,f,36.8,7_0\n", "parse failure at row 2: could not convert string '7_0' to float64"),
         ("p0,f,36.8,70\np1,m,3_6.5,80\n", "parse failure at row 3: could not convert"),
     ])
     def test_population_errors_name_the_file_row(self, tmp_path, rows, error):

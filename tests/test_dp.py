@@ -172,12 +172,29 @@ def test_params_reject_non_finite_and_non_positive(epsilon, sensitivity):
         DpParams(epsilon=epsilon, sensitivity=sensitivity)
 
 
+@pytest.mark.parametrize("b", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda b: laplace_noise(StreamRng([0.25] * 3), b, 3),
+    lambda b: laplace_pdf(0.0, 0.0, b),
+    lambda b: laplace_cdf(0.0, 0.0, b),
+], ids=["laplace_noise", "laplace_pdf", "laplace_cdf"])
+def test_laplace_functions_reject_a_non_finite_or_non_positive_scale(call, b):
+    with pytest.raises(ValueError, match=f"scale b must be finite and > 0, got {b}"):
+        call(b)
+
+
 class TestQueries:
     def test_evaluate_aggregates(self):
         pop = (person(60.0, pid="a"), person(80.0, pid="b"))
         assert evaluate_query(pop, DpQuery("mean", "heart_rate")) == 70.0
         assert evaluate_query(pop, DpQuery("sum", "heart_rate")) == 140.0
         assert evaluate_query(pop, DpQuery("count")) == 2.0
+
+    def test_sum_is_taken_left_to_right(self):
+        # compensated summation, which sum() does from Python 3.12, gives 2**53 + 2
+        pop = (person(2.0**53, pid="a"), person(1.0, pid="b"), person(1.0, pid="c"))
+        assert evaluate_query(pop, DpQuery("sum", "heart_rate")) == 2.0**53
+        assert evaluate_query(pop, DpQuery("mean", "heart_rate")) == 2.0**53 / 3
 
     def test_mean_on_empty_errors(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """The loop forms of select_samples, gap_areas, generate_trace,
-l1_sensitivity, the Laplace draws, the wire codec, the CSV loader and
-writer and the per-message transmission, and the whole-array forms of
+l1_sensitivity, the Laplace draws, the wire codec, the CSV loaders (trace,
+population and x,y) and writer and the per-message transmission, and the
+whole-array forms of
 select_samples, reconstruct and gap_areas, kept as reference oracles: the
 columnar and blocked versions must give the same output."""
 import csv
@@ -79,6 +80,8 @@ from ioht_pipeline.trace import (
     TraceError,
     generate_trace,
     load_csv,
+    load_population_csv,
+    load_xy_csv,
     save_csv,
 )
 
@@ -265,6 +268,57 @@ def load_csv_loop(path, kind, unit):
             times.append(t)
             values.append(value)
     return Trace(kind=kind, unit=unit, times=times, values=values)
+
+
+def parse_float(text):
+    """A CSV field as a float by `load_csv`'s number grammar (numpy's), which
+    refuses the underscores and non-ASCII digits that float() takes."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            (value,) = np.loadtxt([text], np.float64, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        raise ValueError(f"could not convert string to float: {text!r}") from None
+    return float(value)
+
+
+def load_population_csv_loop(path):
+    """Population records parsed one csv.reader row, and one field, at a time."""
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for rownum, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            fields = dict(zip(header, row))
+            try:
+                records.append(PersonRecord(fields["id"], fields["gender"],
+                                            parse_float(fields["body_temperature"]),
+                                            parse_float(fields["heart_rate"])))
+            except (KeyError, ValueError) as exc:
+                raise TraceError(f"{path}: parse failure at row {rownum}: {exc}") from exc
+    return tuple(records)
+
+
+def load_xy_csv_loop(path):
+    """The (x, y) points of an x,y CSV, parsed one csv.reader row, and one
+    field, at a time."""
+    points = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for rownum, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                x, y = map(parse_float, row[:2])
+            except ValueError as exc:
+                raise TraceError(f"{path}: parse failure at row {rownum}: {exc}") from exc
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise TraceError(f"{path}: non-finite value at row {rownum}")
+            points.append((x, y))
+    return points
 
 
 def save_csv_loop(trace, path):
@@ -573,14 +627,13 @@ def check_against_stream(stream, k, b):
 
 
 # 0.0 is the uniform sample_laplace rejects; 0.5 gives u == 0 and a zero draw.
-@pytest.mark.parametrize("b", [1.0, 7.5, math.inf])
+@pytest.mark.parametrize("b", [1.0, 7.5])
 @pytest.mark.parametrize("stream,k", [
     ([0.3, 0.0, 0.0, 0.9, 0.5, 0.0, 0.0, 0.1, 0.0, 0.25, 0.6], 6),  # two in a row, block end
     ([0.0, 0.0, 0.0, 0.7], 1),
     ([0.5, 0.0, 0.999, 0.0, 0.0, 0.4], 3),
     ([0.2, 0.4], 0),
 ])
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_laplace_noise_rejects_zero_uniforms_like_the_loop(stream, k, b):
     check_against_stream(stream, k, b)
 
@@ -787,15 +840,19 @@ def test_load_csv_names_rows_across_locator_blocks(tmp_path_factory, bad):
 
 
 def checked_rows(monkeypatch):
-    """The list of row numbers `_check_rows` is handed from now on."""
+    """The list of row numbers of the text of every `_parse_csv` call that
+    raises from now on: the rows searched for the bad one."""
     checked = []
-    check_rows = trace_module._check_rows
+    parse_csv = trace_module._parse_csv
 
-    def count(path, block, last_t):
-        checked.extend(rownum for rownum, _ in block)
-        return check_rows(path, block, last_t)
+    def count(path, text, first_row, *args):
+        try:
+            return parse_csv(path, text, first_row, *args)
+        except TraceError:
+            checked.extend(range(first_row, first_row + text.count("\n")))
+            raise
 
-    monkeypatch.setattr(trace_module, "_check_rows", count)
+    monkeypatch.setattr(trace_module, "_parse_csv", count)
     return checked
 
 
@@ -828,13 +885,13 @@ def test_load_csv_parses_by_numpy_only_the_blocks_from_the_first_off_grammar_one
     path.write_bytes(path.read_bytes()[:-2] + b"e0\r\n")  # the same last value, in exponent form
     parsed = []
 
-    def count(lines):
-        columns = parse_rows(lines)
-        parsed.append(len(columns[0]))
-        return columns
+    def count(*args):
+        rows = parse_csv(*args)
+        parsed.append(len(rows))
+        return rows
 
-    parse_rows = trace_module._parse_rows
-    monkeypatch.setattr(trace_module, "_parse_rows", count)
+    parse_csv = trace_module._parse_csv
+    monkeypatch.setattr(trace_module, "_parse_csv", count)
     monkeypatch.setattr(trace_module, "_READ_BLOCK_BYTES", 4096)
     got = load_csv(path, "other", "dimensionless")
     times, values = loadtxt_columns(path)
@@ -872,6 +929,122 @@ def test_load_csv_names_the_row_of_a_time_outside_int64(tmp_path, t, after):
     # in Trace with no row at all
     with pytest.raises(TraceError):
         load_csv_loop(path, "other", "dimensionless")
+
+
+# Population and x,y files are read by the same numpy path as load_csv's
+# numpy route. Their rows are spelled in ways both readers read alike
+# (numbers in three forms, blanks inside a field, quoted fields, blank rows,
+# all three line ends); some rows carry a fault instead: a non-number, an
+# underscore, a non-finite value, a short row or, in a population, a value
+# PersonRecord refuses.
+FIELD_FAULTS = ["abc", "7_0", "inf", "-inf", "nan", ""]
+POPULATION_FAULTS = FIELD_FAULTS + ["29.5", "45.5", "0", "-70"]
+
+
+@st.composite
+def number_field(draw, value):
+    spelling = draw(st.sampled_from([repr, "{:.17e}".format, "{:+.6f}".format]))
+    return draw(csv_field(spelling(value)))
+
+
+@st.composite
+def faulty_lines(draw, good_row, faults, max_rows=12):
+    """Lines of rows from `good_row`, some with one field swapped for a fault
+    or cut short, blank rows and line ends of every kind between them."""
+    lines = []
+    for i in range(draw(st.integers(0, max_rows))):
+        fields = draw(good_row(i))
+        fault = draw(st.integers(0, 6))
+        if fault < len(fields):  # swap the field at that position for a fault
+            fields[fault] = draw(st.sampled_from(faults))
+        elif fault == 6 and draw(st.booleans()):
+            fields = fields[:-1]
+        blank = "".join(draw(st.lists(EOL, max_size=2)))
+        lines.append(blank + ",".join(fields) + draw(EOL))
+    return lines
+
+
+@st.composite
+def person_row(draw, i):
+    name = draw(csv_field(draw(st.sampled_from([f"p{i:04d}", f"p,{i}", f"p {i}"]))))
+    if "," in name and not name.startswith('"'):
+        name = f'"{name}"'
+    gender = draw(csv_field(draw(st.sampled_from(["female", "male", ""]))))
+    bt = draw(st.floats(30.0, 45.0))
+    hr = draw(st.one_of(st.floats(40.0, 140.0), st.sampled_from([5e-324, 1e300])))
+    return [name, gender, draw(number_field(bt)), draw(number_field(hr))]
+
+
+@st.composite
+def xy_row(draw, i):
+    fields = [draw(number_field(draw(FINITE))), draw(number_field(draw(FINITE)))]
+    return fields + draw(st.lists(st.sampled_from(["", "x", "7", '"a,b"']), max_size=2))
+
+
+def write_lines(tmp_path_factory, header, lines):
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    path.write_bytes((header + "".join(lines)).encode())
+    return path
+
+
+def named_row(read, path):
+    """The (problem, row) that the TraceError of `read(path)` names, or None
+    if it reads the file."""
+    try:
+        read(path)
+    except TraceError as exc:
+        return ROW_ERROR.search(str(exc)).groups()
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=faulty_lines(person_row, POPULATION_FAULTS))
+@example(lines=[])
+@example(lines=['"p,0",female,"36.8",70\r', "\n", "p1,male,36.8,7_0\r\n"])
+def test_load_population_csv_matches_loop(tmp_path_factory, lines):
+    path = write_lines(tmp_path_factory, "id,gender,body_temperature,heart_rate\r\n", lines)
+    assert named_row(load_population_csv, path) == named_row(load_population_csv_loop, path)
+    if named_row(load_population_csv_loop, path) is None:
+        got, want = load_population_csv(path), load_population_csv_loop(path)
+        assert [(r.id, r.gender) for r in got] == [(r.id, r.gender) for r in want]
+        numbers = [[(r.body_temperature, r.heart_rate) for r in records] for records in (got, want)]
+        assert np.array(numbers[0]).tobytes() == np.array(numbers[1]).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=faulty_lines(xy_row, FIELD_FAULTS))
+@example(lines=[])
+@example(lines=['"1.5",2\r', "\n", "\n", "3,4,x\n", "5\n"])
+def test_load_xy_csv_matches_loop(tmp_path_factory, lines):
+    path = write_lines(tmp_path_factory, "x,y\n", lines)
+    assert named_row(load_xy_csv, path) == named_row(load_xy_csv_loop, path)
+    if named_row(load_xy_csv_loop, path) is None:
+        want = np.array(load_xy_csv_loop(path), np.float64).reshape(-1, 2)
+        assert np.column_stack(load_xy_csv(path)).tobytes() == want.tobytes()
+
+
+# A fault numpy parses but the reader's check refuses, put before a fault
+# numpy cannot parse: each reader names the earlier row, also when the two
+# are in different blocks of its search (`_LOCATOR_BLOCK_ROWS` of 1 and 2).
+ORDERED_FAULTS = [
+    (lambda path: load_csv(path, "other", "dimensionless"), "t,value\n",
+     ["0,1.0\n", "1,nan\n", "2,abc\n"], ("non-finite value", "3")),
+    (lambda path: load_csv(path, "other", "dimensionless"), "t,value\n",
+     ["5,1.0\n", "\n", "5,2.0\n", "x,1.0\n"], ("non-increasing timestamps", "4")),
+    (load_population_csv, "id,gender,body_temperature,heart_rate\n",
+     ["p0,f,36.8,70\n", "p1,m,50.0,70\n", "p2,f,36.8,abc\n"], ("parse failure", "3")),
+    (load_xy_csv, "x,y\n", ["0,1\n", "\n", "1,inf\n", "2,abc\n"], ("non-finite value", "4")),
+]
+
+
+@pytest.mark.parametrize("block", [1, 2, _LOCATOR_BLOCK_ROWS])
+@pytest.mark.parametrize("read,header,lines,named", ORDERED_FAULTS,
+                         ids=["trace-finite", "trace-increasing", "population", "xy"])
+def test_readers_name_a_check_fault_before_a_later_parse_fault(
+        tmp_path_factory, monkeypatch, read, header, lines, named, block):
+    monkeypatch.setattr(trace_module, "_LOCATOR_BLOCK_ROWS", block)
+    path = write_lines(tmp_path_factory, header, lines)
+    assert named_row(read, path) == named
 
 
 def loadtxt_columns(path):

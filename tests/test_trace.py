@@ -23,11 +23,11 @@ from ioht_pipeline.trace import (
     generate_trace,
     load_csv,
     load_population_csv,
-    parse_float,
+    load_xy_csv,
     save_csv,
     save_population_csv,
 )
-from test_oracles import no_loadtxt
+from test_oracles import no_loadtxt, parse_float
 
 
 def test_load_csv_basic(tmp_path):
@@ -141,14 +141,26 @@ def test_population_csv_names_the_row_and_byte_it_cannot_decode(tmp_path):
         load_population_csv(p)
 
 
+def test_xy_csv_names_the_row_and_byte_it_cannot_decode(tmp_path):
+    p = tmp_path / "xy.csv"
+    p.write_bytes(b"x,y\r\n0,1\r\n\r\n1,2\r3,\xff4\r\n")
+    with pytest.raises(TraceError, match=f"^{p}: parse failure at row 5: cannot decode "
+                                         "byte 0xff as utf-8"):
+        load_xy_csv(p)
+
+
 def test_cli_exits_2_naming_the_row_it_cannot_decode(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     trace.write_bytes(b"t,value\n0,1.0\n1,\xff2.0\n")
     population = tmp_path / "pop.csv"
     population.write_bytes(b"id,gender,body_temperature,heart_rate\n"
                            b"p0,female,36.5,70.0\np1,male,3\xff6.5,71.0\n")
+    points = tmp_path / "xy.csv"
+    points.write_bytes(b"x,y\n0,1\n1,\xff2\n")
     for argv, name in ((["infer", "--input", str(trace)], trace),
-                       (["dp", "--epsilon", "0.5", "--population", str(population)], population)):
+                       (["dp", "--epsilon", "0.5", "--population", str(population)], population),
+                       (["chart", "--input", str(points), "--out", str(tmp_path / "c.svg")],
+                        points)):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(
             f"error: {name}: parse failure at row 3: cannot decode byte 0xff")
@@ -414,12 +426,16 @@ def test_population_numbers_are_read_at_once_as_each_field_parses(tmp_path, monk
     with open(p, newline="") as fh:
         rows = list(csv.DictReader(fh))
     want = [(parse_float(r["body_temperature"]), parse_float(r["heart_rate"])) for r in rows]
+    calls = []
+    loadtxt = np.loadtxt
 
-    def refuse(text):
-        raise AssertionError("a field parsed alone")
+    def count(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
 
-    monkeypatch.setattr(trace_module, "parse_float", refuse)
+    monkeypatch.setattr(np, "loadtxt", count)
     loaded = load_population_csv(p)
+    assert len(calls) == 1  # no field is parsed alone
     got = [(r.body_temperature, r.heart_rate) for r in loaded]
     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert [(r.id, r.gender) for r in loaded] == [(r["id"], r["gender"]) for r in rows]
