@@ -43,6 +43,7 @@ from .inference import (
 )
 from .pipeline import EnergyModel, PipelineConfig, run_pipeline
 from .trace import (
+    BT_MEAN,
     KIND_UNITS,
     KINDS,
     SyntheticSpec,
@@ -66,23 +67,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# The synthetic trace's --baseline, --drift and --noise defaults per --kind.
+_SYNTHETIC_DEFAULTS = {
+    "heart-rate": (70.0, 8.0, 1.5),
+    "body-temperature": (BT_MEAN, 0.5, 0.1),
+    "other": (70.0, 8.0, 1.5),
+}
+
+
 def _add_trace_source(p: argparse.ArgumentParser) -> None:
+    def by_kind(i: int) -> str:
+        return "default by --kind: " + ", ".join(
+            f"{kind} {values[i]:g}" for kind, values in _SYNTHETIC_DEFAULTS.items())
+
     p.add_argument("--input", help="trace CSV (t,value); omit to use synthetic data")
     p.add_argument("--kind", default="heart-rate", choices=KINDS, help="sensor kind; sets the unit")
     p.add_argument("--n", type=int, default=1420)
     p.add_argument("--period", type=int, default=60)
-    p.add_argument("--baseline", type=float, default=70.0)
-    p.add_argument("--drift", type=float, default=8.0)
-    p.add_argument("--noise", type=float, default=1.5)
+    p.add_argument("--baseline", type=float, help=by_kind(0))
+    p.add_argument("--drift", type=float, help=by_kind(1))
+    p.add_argument("--noise", type=float, help=by_kind(2))
     p.add_argument("--seed", type=int, default=0)
 
 
 def _resolve_trace(args):
     if args.input:
         return load_csv(args.input, args.kind, KIND_UNITS[args.kind])
+    baseline, drift, noise = _SYNTHETIC_DEFAULTS[args.kind]
     spec = SyntheticSpec(
         kind=args.kind, n=args.n, period=args.period, seed=args.seed,
-        baseline=args.baseline, drift_amplitude=args.drift, noise_scale=args.noise,
+        baseline=baseline if args.baseline is None else args.baseline,
+        drift_amplitude=drift if args.drift is None else args.drift,
+        noise_scale=noise if args.noise is None else args.noise,
     )
     return generate_trace(spec)
 

@@ -98,6 +98,8 @@ def laplace_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
     # Reversed strides send np.log to numpy's per-element loop, which calls
     # libm's log as math.log does; its SIMD loop, taken for contiguous input,
     # differs from math.log in the last bit on about 0.35% of these inputs.
+    # An out= array does not keep the route: np.log(y[::-1], out=z[::-1]),
+    # both reversed, runs the SIMD loop as contiguous input does.
     # That is numpy behaviour, not numpy API: the route test in
     # tests/test_oracles.py is its guard.
     logs = np.log(y[::-1])[::-1]

@@ -253,24 +253,23 @@ def load_csv(path: str | Path, kind: str, unit: str) -> Trace:
 
 def _decode_error(path: str | Path, fh, exc: UnicodeDecodeError) -> TraceError:
     """A TraceError naming the row and the value of the first byte of the
-    binary handle `fh` that `exc`'s codec cannot decode. Rows are lines, as
-    `load_csv` numbers them (the header is row 1); a block of
-    `_READ_BLOCK_BYTES` is decoded at a time."""
+    binary handle `fh` that `exc`'s codec cannot decode. Rows are csv.reader
+    records, as `_parse_csv` numbers them: the header is row 1, and a quoted
+    field that spans lines leaves its record one row."""
     fh.seek(0)
-    decode = codecs.getincrementaldecoder(exc.encoding)().decode
-    lines = io.IncrementalNewlineDecoder(None, translate=True).decode
-    row = 1
-    while True:
-        data = fh.read(_READ_BLOCK_BYTES)
+    data = fh.read()
+    try:
+        data.decode(exc.encoding)
+    except UnicodeDecodeError as bad:
+        # the bytes before the bad one are whole characters; the x stands in for it
+        text = io.StringIO(data[:bad.start].decode(bad.encoding) + "x", newline="")
         try:
-            row += lines(decode(data, final=not data)).count("\n")
-        except UnicodeDecodeError as bad:
-            # the bytes before the bad one are whole characters
-            row += lines(bad.object[:bad.start].decode(bad.encoding), final=True).count("\n")
-            return TraceError(f"{path}: parse failure at row {row}: cannot decode byte "
-                              f"0x{bad.object[bad.start]:02x} as {bad.encoding} ({bad.reason})")
-        if not data:  # the file decodes now: it changed since it was read
-            return TraceError(f"{path}: {exc}")
+            at = f" at row {sum(1 for _ in csv.reader(text))}"
+        except csv.Error:  # a field over csv.reader's size limit: no row to name
+            at = ""
+        return TraceError(f"{path}: parse failure{at}: cannot decode byte "
+                          f"0x{bad.object[bad.start]:02x} as {bad.encoding} ({bad.reason})")
+    return TraceError(f"{path}: {exc}")  # the file decodes now: it changed since it was read
 
 
 def _read_blocks(path: str | Path, fh, text, skiprows: int) -> tuple[np.ndarray, np.ndarray]:

@@ -65,6 +65,21 @@ class TestCli:
         assert doc["n"] == 200
         assert 0 <= doc["sr"] <= 100
 
+    def test_gen_body_temperature_writes_body_temperatures(self, tmp_path):
+        """A day of samples with the body-temperature defaults stays in
+        PersonRecord's [30, 45] celsius; an explicit flag still wins."""
+        out = tmp_path / "bt.csv"
+        for seed in ("0", "7"):
+            assert main(["gen", "--kind", "body-temperature", "--n", "1440", "--seed", seed,
+                         "--out", str(out)]) == 0
+            with open(out) as fh:
+                values = [float(row["value"]) for row in csv.DictReader(fh)]
+            assert len(values) == 1440 and all(30.0 <= v <= 45.0 for v in values)
+        assert main(["gen", "--kind", "body-temperature", "--n", "3", "--baseline", "38.5",
+                     "--drift", "0", "--noise", "0", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == ["0,38.500000", "60,38.500000",
+                                                    "120,38.500000"]
+
     def test_gen_population(self, tmp_path):
         out = tmp_path / "pop.csv"
         assert main(["gen", "--population", "--n", "25", "--seed", "1",

@@ -1,7 +1,7 @@
 """The loop forms of select_samples, gap_areas, generate_trace,
-l1_sensitivity, the Laplace draws, the wire codec, the CSV loaders (trace,
-population and x,y) and writer and the per-message transmission, and the
-whole-array forms of
+l1_sensitivity, the Laplace draws, the epsilon sweep's trials, the wire
+codec, the CSV loaders (trace, population and x,y) and writer and the
+per-message transmission, and the whole-array forms of
 select_samples, reconstruct and gap_areas, kept as reference oracles: the
 columnar and blocked versions must give the same output."""
 import csv
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ioht_pipeline import inference, pipeline
+from ioht_pipeline import experiments, inference, pipeline
 from ioht_pipeline import trace as trace_module
 from ioht_pipeline.crypto import (
     FORMAT_VERSION,
@@ -43,7 +43,9 @@ from ioht_pipeline.dp import (
     l1_sensitivity,
     laplace_noise,
     noisy_query,
+    perturb_series,
 )
+from ioht_pipeline.experiments import SWEEP_BLOCK_DRAWS, EpsilonSweepRow, run_epsilon_sweep
 from ioht_pipeline.inference import (
     BLOCK_SAMPLES,
     REASON_ANCHOR,
@@ -215,6 +217,23 @@ def l1_sensitivity_loop(query, dataset, bounds=None, neighbor="deletion"):
                 swapped[i] = replace(records[i], **{query.field: endpoint})
                 worst = max(worst, abs(base - evaluate_query(swapped, query)))
     return worst
+
+
+def run_epsilon_sweep_loop(population, epsilons, sensitivity, trials, seed):
+    """run_epsilon_sweep with one laplace_noise call per trial."""
+    values = [r.heart_rate for r in population]
+    real_mean = float(np.mean(values))
+    rows = []
+    for eps, rng in zip(epsilons, experiments.derive_streams(seed, len(epsilons))):
+        params = DpParams(epsilon=eps, sensitivity=sensitivity)
+        noised = perturb_series(values, params, rng)
+        mean_devs = [abs(float(np.mean(laplace_noise(rng, params.scale, len(values)))))
+                     for _ in range(trials)]
+        rows.append(EpsilonSweepRow(epsilon=eps, real_mean=real_mean,
+                                    noised_mean=float(np.mean(noised)),
+                                    mean_abs_dev=float(np.mean(mean_devs)),
+                                    noised_series=tuple(noised)))
+    return rows
 
 
 def serialize_records_loop(kind, unit, records):
@@ -667,11 +686,46 @@ LIBM_ROUTE_UNIFORMS = [float.fromhex(h) for h in (
 )]
 
 
+def sweep_bits(rows):
+    """Every field of every EpsilonSweepRow, floats as their bytes."""
+    return [(struct.pack(">4d", r.epsilon, r.real_mean, r.noised_mean, r.mean_abs_dev),
+             np.array(r.noised_series, np.float64).tobytes()) for r in rows]
+
+
+def population_of(heart_rates):
+    return [PersonRecord(f"p{i}", "f", 36.8, hr) for i, hr in enumerate(heart_rates)]
+
+
+def sweep_trial_draws(monkeypatch, stream, b, people, trials):
+    """The arrays laplace_noise returns to run_epsilon_sweep for the trials
+    of one epsilon over `people` people, its stream `stream` after the
+    charted series' `people` uniforms of 0.25."""
+    rng = StreamRng([0.25] * people + stream)
+    calls = []
+
+    def spy(*args):
+        calls.append(laplace_noise(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(experiments, "derive_streams", lambda seed, count: iter([rng]))
+    monkeypatch.setattr(experiments, "laplace_noise", spy)
+    run_epsilon_sweep(population_of([70.0] * people), epsilons=(1.0,), sensitivity=b,
+                      trials=trials)
+    return calls
+
+
 # 1 is noisy_query's size; the stream is served in consecutive draws of k.
+# "sweep" draws all 32 as run_epsilon_sweep draws 8 trials of 4 people: in
+# one call, whose 32 logs must take the same route.
 @pytest.mark.parametrize("b", [1.0, 7.5])
-@pytest.mark.parametrize("k", [1, 7, 32])
-def test_laplace_noise_takes_the_libm_log(k, b):
+@pytest.mark.parametrize("k", [1, 7, 32, "sweep"])
+def test_laplace_noise_takes_the_libm_log(k, b, monkeypatch):
     batched, scalar = StreamRng(LIBM_ROUTE_UNIFORMS), StreamRng(LIBM_ROUTE_UNIFORMS)
+    if k == "sweep":
+        calls = sweep_trial_draws(monkeypatch, LIBM_ROUTE_UNIFORMS, b, people=4, trials=8)
+        assert [len(c) for c in calls] == [32]
+        assert calls[0].tobytes() == scalar_draws(scalar, b, 32).tobytes()
+        return
     for _ in range(len(LIBM_ROUTE_UNIFORMS) // k):
         assert laplace_noise(batched, b, k).tobytes() == scalar_draws(scalar, b, k).tobytes()
         assert batched.used == scalar.used
@@ -693,6 +747,52 @@ def test_noisy_query_draws_as_the_scalar_sampler(stream):
     want = sample_laplace(scalar, 0.0, params.scale)
     assert struct.pack(">d", got) == struct.pack(">d", want)
     assert batched.used == scalar.used == len(stream)
+
+
+# Trials per call: SWEEP_BLOCK_DRAWS // n, so n = 8192 and n > 8192 take one
+# trial a call, and 3, 1000 and 4097 leave part of SWEEP_BLOCK_DRAWS unused.
+@settings(max_examples=60, deadline=None)
+@given(n=st.one_of(st.integers(min_value=1, max_value=300),
+                   st.sampled_from([1000, 2731, 4097, 8191, 8192, 8193, 10_000])),
+       trials=st.integers(min_value=1, max_value=250),
+       grid=st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=1, max_size=3),
+       sensitivity=st.floats(min_value=1e-3, max_value=100.0),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(n=3, trials=2731, grid=[0.5], sensitivity=1.0, seed=0).via("not a multiple of k")
+@example(n=8192, trials=3, grid=[0.1], sensitivity=1.0, seed=1).via("one trial a call")
+@example(n=1000, trials=200, grid=[0.01, 1.0], sensitivity=1.0, seed=2).via("dp-release")
+def test_epsilon_sweep_matches_loop(n, trials, grid, sensitivity, seed):
+    population = population_of(np.random.default_rng(seed).uniform(40.0, 140.0, n).tolist())
+    args = (population, grid, sensitivity, trials, seed)
+    assert (sweep_bits(run_epsilon_sweep(*args))
+            == sweep_bits(run_epsilon_sweep_loop(*args)))
+
+
+def test_epsilon_sweep_redraws_zero_uniforms_as_the_loop(monkeypatch):
+    """Zero uniforms in the first trial of a batch (8), a middle trial (11)
+    and the last trial (19): 20 trials of 1 000 people are batches of 8, 8
+    and 4 trials, drawn after the charted series' 1 000 uniforms."""
+    n, trials = 1000, 20
+    assert SWEEP_BLOCK_DRAWS // n == 8
+    stream = np.random.default_rng(5).random(n * (trials + 1) + 8).tolist()
+    for trial, at in ((8, 0), (11, 500), (19, n - 1)):
+        stream[n * (trial + 1) + at] = 0.0
+    stream[n * 17 - 2:n * 17] = [0.0, 0.0]  # two in a row where batch 2 ends
+    made = []
+
+    def streams(seed, count):
+        for _ in range(count):
+            made.append(StreamRng(stream))
+            yield made[-1]
+
+    monkeypatch.setattr(experiments, "derive_streams", streams)
+    population = population_of([70.0 + i % 7 for i in range(n)])
+    args = (population, (0.5, 2.0), 1.5, trials, 0)
+    got = run_epsilon_sweep(*args)
+    want = run_epsilon_sweep_loop(*args)
+    assert sweep_bits(got) == sweep_bits(want)
+    assert [rng.used for rng in made[:2]] == [rng.used for rng in made[2:]]
+    assert made[0].used == n * (trials + 1) + 5
 
 
 def bit_exact(records):

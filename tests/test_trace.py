@@ -149,6 +149,29 @@ def test_xy_csv_names_the_row_and_byte_it_cannot_decode(tmp_path):
         load_xy_csv(p)
 
 
+# A quoted field spanning two lines leaves its record one row, so a byte that
+# cannot be decoded is named by the row a non-number in its place is named by.
+@pytest.mark.parametrize("read,data", [
+    (load_population_csv,
+     b'id,gender,body_temperature,heart_rate\n"p\n0",f,36.8,70\np1,m,36.{},71\n'),
+    (load_xy_csv, b'x,"y\nlabel"\r\n0,1\r\n1,2.{}\r\n'),
+    (lambda p: load_csv(p, "heart-rate", "bpm"), b't,"va\nlue"\n0,1.0\n1,2.{}\n'),
+], ids=["population", "xy", "trace"])
+def test_readers_number_an_undecodable_row_as_csv_reader_does(tmp_path, read, data):
+    p = tmp_path / "in.csv"
+    for bad, message in ((b"abc", "could not convert"), (b"\xff", "cannot decode byte 0xff")):
+        p.write_bytes(data.replace(b"{}", bad))
+        with pytest.raises(TraceError, match=f"^{p}: parse failure at row 3: {message}"):
+            read(p)
+
+
+def test_an_undecodable_byte_after_a_field_csv_reader_refuses_names_no_row(tmp_path):
+    p = tmp_path / "xy.csv"
+    p.write_bytes(b'x,y,note\n0,1,"' + b"a" * (csv.field_size_limit() + 1) + b'"\n1,\xff2\n')
+    with pytest.raises(TraceError, match=f"^{p}: parse failure: cannot decode byte 0xff"):
+        load_xy_csv(p)
+
+
 def test_cli_exits_2_naming_the_row_it_cannot_decode(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     trace.write_bytes(b"t,value\n0,1.0\n1,\xff2.0\n")
