@@ -2,9 +2,10 @@
 size accounting, and Laplace-mechanism differential privacy."""
 
 from .trace import (
-    PersonRecord,
+    POPULATION_DTYPE,
     SyntheticSpec,
     Trace,
+    as_population,
     generate_population,
     generate_trace,
     load_csv,
@@ -35,12 +36,9 @@ from .dp import (
     DpQuery,
     NoisedResult,
     l1_sensitivity,
-    laplace_cdf,
     laplace_noise,
-    laplace_pdf,
     noisy_query,
     perturb_series,
-    verify_dp_ratio,
 )
 from .pipeline import (
     EnergyModel,

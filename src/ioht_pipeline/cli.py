@@ -258,6 +258,7 @@ def _resolve_population(args):
     return generate_population(args.population_size, args.seed)
 
 
+@np.errstate(over="ignore")  # a mean that overflows is refused, not warned of
 def _cmd_dp(args) -> None:
     if args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
@@ -273,6 +274,9 @@ def _cmd_dp(args) -> None:
         real = result.real_result
         outs.append(result.out_result)
     mean_abs_dev = float(np.mean([abs(o - real) for o in outs]))
+    if not np.isfinite(mean_abs_dev):
+        raise ValueError(f"the mean absolute deviation overflows float64: "
+                         f"sensitivity {params.sensitivity} is too large")
     print(json.dumps({
         "epsilon": params.epsilon,
         "sensitivity": params.sensitivity,
@@ -283,7 +287,7 @@ def _cmd_dp(args) -> None:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        values = [getattr(r, args.field) for r in population]
+        values = population[args.field].tolist()
         noised = perturb_series(values, params, next(streams))
         _write_csv(out / "dp_points.csv", ["index", "original", "noised"],
                    [[i, repr(v), repr(nv)] for i, (v, nv) in enumerate(zip(values, noised))])
@@ -309,7 +313,7 @@ def _cmd_epsilon_sweep(args) -> None:
         [[r.epsilon, repr(r.real_mean), repr(r.noised_mean), repr(r.mean_abs_dev)]
          for r in rows],
     )
-    values = [r.heart_rate for r in population]
+    values = population["heart_rate"].tolist()
     for tag, row in zip(tags, rows):
         _write_csv(out / f"noised_points_eps_{tag}.csv",
                    ["index", "original", "noised"],

@@ -1,7 +1,7 @@
-"""Tier-2 differential privacy: Laplace distribution, noise calibration
-b = sensitivity / epsilon, closed-form L1 sensitivity, batched inverse-CDF
-Laplace draws, noisy aggregate queries, per-point series perturbation, and
-an analytic privacy-ratio check.
+"""Tier-2 differential privacy over a population (`trace.POPULATION_DTYPE`
+rows): noise calibration b = sensitivity / epsilon, closed-form L1
+sensitivity, batched inverse-CDF Laplace draws, noisy aggregate queries and
+per-point series perturbation.
 """
 from __future__ import annotations
 
@@ -11,12 +11,13 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .trace import PersonRecord
-
 EPSILON_PRESETS = (0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
 
 AGGREGATES = ("mean", "sum", "count")
 QUERY_FIELDS = ("heart_rate", "body_temperature")
+# The largest |ln(1 - 2|u|)| that `laplace_noise` multiplies b by: 1 - 2|u| >=
+# 2**-52 for u = random() - 1/2, as random() is a multiple of 2**-53 in [0, 1).
+LARGEST_DRAW_LOG = -math.log(2.0**-52)
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,9 @@ class DpParams:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not 0 < self.sensitivity < math.inf:
             raise ValueError(f"sensitivity must be finite and > 0, got {self.sensitivity}")
-        if not 0 < self.scale < math.inf:
-            raise ValueError(f"sensitivity / epsilon must be finite and > 0, got {self.scale}")
+        if not 0 < self.scale * LARGEST_DRAW_LOG < math.inf:
+            raise ValueError(f"sensitivity / epsilon must be finite and > 0, and a Laplace draw "
+                             f"of up to {LARGEST_DRAW_LOG:.2f} times it finite, got {self.scale}")
 
     @property
     def scale(self) -> float:
@@ -59,20 +61,6 @@ class NoisedResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "out_result", self.real_result + self.noise)
-
-
-def laplace_pdf(x: float, mu: float, b: float) -> float:
-    if not 0 < b < math.inf:
-        raise ValueError(f"scale b must be finite and > 0, got {b}")
-    return math.exp(-abs(x - mu) / b) / (2.0 * b)
-
-
-def laplace_cdf(x: float, mu: float, b: float) -> float:
-    if not 0 < b < math.inf:
-        raise ValueError(f"scale b must be finite and > 0, got {b}")
-    if x < mu:
-        return 0.5 * math.exp((x - mu) / b)
-    return 1.0 - 0.5 * math.exp(-(x - mu) / b)
 
 
 def laplace_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
@@ -109,20 +97,20 @@ def laplace_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
     return noise
 
 
-def evaluate_query(dataset: Sequence[PersonRecord], query: DpQuery) -> float:
+def evaluate_query(dataset: np.ndarray, query: DpQuery) -> float:
     """The true (un-noised) aggregate."""
     if query.aggregate == "count":
         return float(len(dataset))
-    if not dataset:
+    if not len(dataset):
         raise ValueError(f"{query.aggregate} query on an empty dataset")
-    # summed left to right on every Python: sum() of floats compensates from 3.12 on
-    total = float(np.cumsum([getattr(r, query.field) for r in dataset], dtype=np.float64)[-1])
+    # summed left to right: np.sum sums pairwise, and sum() compensates from Python 3.12 on
+    total = float(np.cumsum(dataset[query.field], dtype=np.float64)[-1])
     return total / len(dataset) if query.aggregate == "mean" else total
 
 
 def l1_sensitivity(
     query: DpQuery,
-    dataset: Sequence[PersonRecord],
+    dataset: np.ndarray,
     bounds: Optional[tuple[float, float]] = None,
     neighbor: str = "deletion",
 ) -> float:
@@ -142,7 +130,7 @@ def l1_sensitivity(
     n = len(dataset)
     if query.aggregate == "count":
         return 1.0 if n else 0.0
-    x = np.fromiter((getattr(r, query.field) for r in dataset), np.float64, n)
+    x = dataset[query.field]
     mean = query.aggregate == "mean"
     worst = 0.0
     if n > 1 or not mean:
@@ -156,7 +144,7 @@ def l1_sensitivity(
 
 
 def noisy_query(
-    dataset: Sequence[PersonRecord],
+    dataset: np.ndarray,
     query: DpQuery,
     params: DpParams,
     rng: np.random.Generator,
@@ -175,27 +163,6 @@ def perturb_series(
     """Independent Laplace(0, b) noise added to every element."""
     noise = laplace_noise(rng, params.scale, len(values))
     return (np.asarray(values, np.float64) + noise).tolist()
-
-
-def verify_dp_ratio(
-    params: DpParams,
-    shift: float,
-    grid: Sequence[float],
-    mu: float = 0.0,
-) -> float:
-    """Max over the grid of pdf(x | mu, b) / pdf(x | mu + shift, b).
-
-    For |shift| <= sensitivity the result never exceeds exp(epsilon); at
-    |shift| = sensitivity the bound is attained for grid points outside the
-    interval between the two means.
-    """
-    if not grid:
-        raise ValueError("grid must be non-empty")
-    if abs(shift) > params.sensitivity:
-        raise ValueError("|shift| must be <= sensitivity")
-    b = params.scale
-    # ratio = exp((|x - mu - shift| - |x - mu|) / b), computed in log space
-    return max(math.exp((abs(x - mu - shift) - abs(x - mu)) / b) for x in grid)
 
 
 def derive_streams(master_seed: int, count: int) -> Iterator[np.random.Generator]:

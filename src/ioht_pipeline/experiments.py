@@ -21,7 +21,7 @@ from .inference import (
     reconstruct,
     select_samples,
 )
-from .trace import PersonRecord, Trace
+from .trace import Trace
 
 DEFAULT_VR_GRID = (0.0, 0.025, 0.05, 0.10, 0.20)
 DEFAULT_SAVINGS_GRID = (0.0, 51.3, 78.5, 89.7, 98.8)
@@ -91,20 +91,22 @@ class EpsilonSweepRow:
     noised_series: tuple[float, ...] = field(repr=False, default=())
 
 
+@np.errstate(over="ignore")  # a mean that overflows is refused, not warned of
 def run_epsilon_sweep(
-    population: Sequence[PersonRecord],
+    population: np.ndarray,
     epsilons: Sequence[float] = EPSILON_PRESETS,
     sensitivity: float = 1.0,
     trials: int = 200,
     seed: int = 0,
 ) -> list[EpsilonSweepRow]:
-    """Per epsilon: perturb the whole series once for charting, and measure
-    the average deviation of the noised mean over many trials."""
-    if not population:
+    """Per epsilon: perturb the heart rates once for charting, and measure the
+    average deviation of the noised mean over many trials. Raises a ValueError
+    if either mean overflows."""
+    if not len(population):
         raise ValueError("population must be non-empty")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    values = [r.heart_rate for r in population]
+    values = population["heart_rate"]
     n = len(values)
     per_call = max(1, SWEEP_BLOCK_DRAWS // n)
     real_mean = float(np.mean(values))
@@ -121,12 +123,16 @@ def run_epsilon_sweep(
             k = min(per_call, trials - start)
             draws = laplace_noise(rng, params.scale, k * n).reshape(k, n)
             mean_devs[start:start + k] = np.abs(draws.mean(axis=1))
+        mean_abs_dev = float(np.mean(mean_devs))
+        if not np.isfinite([first_mean, mean_abs_dev]).all():
+            raise ValueError(f"the noised means at epsilon {eps} overflow float64: "
+                             f"sensitivity {sensitivity} is too large")
         rows.append(
             EpsilonSweepRow(
                 epsilon=eps,
                 real_mean=real_mean,
                 noised_mean=first_mean,
-                mean_abs_dev=float(np.mean(mean_devs)),
+                mean_abs_dev=mean_abs_dev,
                 noised_series=tuple(noised),
             )
         )

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Sequence
+
+import numpy as np
 
 from .crypto import (
     MAX_MESSAGE_RECORDS,
@@ -29,7 +30,7 @@ from .inference import (
     reconstruct,
     select_samples,
 )
-from .trace import PersonRecord, Trace
+from .trace import Trace
 
 HOP_SENSOR_GATEWAY = "sensor->gateway"
 HOP_GATEWAY_EDGE = "gateway->edge"
@@ -197,7 +198,7 @@ def _transmit(
 def run_pipeline(
     trace: Trace,
     config: PipelineConfig,
-    dataset: Sequence[PersonRecord],
+    dataset: np.ndarray,
 ) -> PipelineReport:
     """Execute both tiers deterministically and assemble the report."""
     if len(trace) < 1:

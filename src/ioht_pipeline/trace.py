@@ -99,27 +99,6 @@ class Trace:
 
 
 @dataclass(frozen=True)
-class PersonRecord:
-    """One row of the population dataset used by the statistical queries."""
-
-    id: str
-    gender: str
-    body_temperature: float
-    heart_rate: float
-
-    def __post_init__(self) -> None:
-        for name in ("heart_rate", "body_temperature"):
-            if not math.isfinite(getattr(self, name)):
-                raise TraceError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.heart_rate <= 0:
-            raise TraceError(f"heart_rate must be positive, got {self.heart_rate}")
-        if not 30.0 <= self.body_temperature <= 45.0:
-            raise TraceError(
-                f"body_temperature {self.body_temperature} outside [30.0, 45.0] celsius"
-            )
-
-
-@dataclass(frozen=True)
 class SyntheticSpec:
     """Parameters for the deterministic synthetic trace generator."""
 
@@ -144,9 +123,11 @@ class SyntheticSpec:
 
 # One data row of a trace CSV; columns past the second are ignored.
 _CSV_ROW = np.dtype([("t", np.int64), ("value", np.float64)])
-# One data row of a population CSV, its fields in PersonRecord's order.
-_PERSON_ROW = np.dtype([("id", object), ("gender", object),
-                        ("body_temperature", np.float64), ("heart_rate", np.float64)])
+# One person of a population, and one data row of a population CSV. A
+# population is a read-only np.recarray of these rows, so a row also reads by
+# attribute; `as_population` makes one.
+POPULATION_DTYPE = np.dtype([("id", object), ("gender", object),
+                             ("body_temperature", np.float64), ("heart_rate", np.float64)])
 # Rows per block of `_parse_csv`'s search for a bad row.
 _LOCATOR_BLOCK_ROWS = 4096
 
@@ -577,20 +558,31 @@ BT_MEAN = 36.8  # celsius
 BT_STD = 0.4
 
 
-def generate_population(n: int, seed: int) -> tuple[PersonRecord, ...]:
+def generate_population(n: int, seed: int) -> np.recarray:
     """Deterministic population of n people with plausible HR and BT values."""
     if n < 0:
         raise TraceError("n must be >= 0")
     rng = np.random.default_rng(seed)
-    records = []
-    for i in range(n):
+    rows = []
+    for i in range(n):  # each person's draws in turn: HR, BT, then gender
         hr = min(max(rng.normal(HR_MEAN, HR_STD), 40.0), 140.0)
         bt = min(max(rng.normal(BT_MEAN, BT_STD), 30.0), 45.0)
-        gender = "female" if rng.random() < 0.5 else "male"
-        records.append(
-            PersonRecord(id=f"p{i:04d}", gender=gender, body_temperature=bt, heart_rate=hr)
-        )
-    return tuple(records)
+        rows.append((f"p{i:04d}", "female" if rng.random() < 0.5 else "male", bt, hr))
+    return as_population(rows)
+
+
+def as_population(rows: Iterable[tuple] | np.ndarray) -> np.recarray:
+    """A population of `rows`, (id, gender, body_temperature, heart_rate)
+    tuples or POPULATION_DTYPE rows, copied into a read-only np.recarray.
+    Raises a TraceError naming the index of the first person out of range
+    (see `_person_fault`)."""
+    pop = np.array(rows if isinstance(rows, np.ndarray) else list(rows), POPULATION_DTYPE)
+    if pop.ndim != 1:
+        raise TraceError(f"a population is 1-D, got {pop.ndim}-D rows")
+    if (fault := _person_fault(pop)) is not None:
+        raise TraceError(f"person {fault[0]}: {fault[1].partition(': ')[2]}")
+    pop.flags.writeable = False
+    return pop.view(np.recarray)
 
 
 def _read_csv_text(path: str | Path) -> tuple[list[str], str]:
@@ -608,27 +600,36 @@ def _read_csv_text(path: str | Path) -> tuple[list[str], str]:
     return header, lines.read()
 
 
-def load_population_csv(path: str | Path) -> tuple[PersonRecord, ...]:
+def load_population_csv(path: str | Path) -> np.recarray:
     """Load `id,gender,body_temperature,heart_rate` rows, the columns found by
-    their header names (the last of a name); rows are numbered as `load_csv`
-    numbers them (the header is row 1 and blank rows count)."""
+    their header names (the last of a name), as a population (see
+    `as_population`); rows are numbered as `load_csv` numbers them (the header
+    is row 1 and blank rows count)."""
     header, body = _read_csv_text(path)
     column = {name: i for i, name in enumerate(header)}
-    if missing := [name for name in _PERSON_ROW.names if name not in column]:
+    if missing := [name for name in POPULATION_DTYPE.names if name not in column]:
         raise TraceError(f"{path}: no {missing[0]} column in the header")
-    rows = _parse_csv(path, body, 2, _PERSON_ROW, tuple(column[n] for n in _PERSON_ROW.names),
-                      _person_fault)
-    return tuple(PersonRecord(*row) for row in rows.tolist())
+    rows = _parse_csv(path, body, 2, POPULATION_DTYPE,
+                      tuple(column[n] for n in POPULATION_DTYPE.names), _person_fault)
+    rows.flags.writeable = False
+    return rows.view(np.recarray)
 
 
-def _person_fault(rows: np.ndarray, before: np.void | None) -> tuple[int, str] | None:
-    """The first of the `_PERSON_ROW` rows that PersonRecord refuses, and why."""
-    for i, row in enumerate(rows.tolist()):
-        try:
-            PersonRecord(*row)
-        except TraceError as exc:
-            return i, f"parse failure: {exc}"
-    return None
+def _person_fault(rows: np.ndarray, before: np.void | None = None) -> tuple[int, str] | None:
+    """The first of the POPULATION_DTYPE `rows` out of range, and why. The
+    checks are made in this order: heart_rate finite, body_temperature
+    finite, heart_rate > 0, body_temperature in [30, 45] celsius."""
+    hr, bt = rows["heart_rate"], rows["body_temperature"]
+    bad = np.flatnonzero(~((0.0 < hr) & (hr < math.inf) & (30.0 <= bt) & (bt <= 45.0)))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    h, b = hr[i].item(), bt[i].item()
+    faults = ((not math.isfinite(h), f"heart_rate must be finite, got {h}"),
+              (not math.isfinite(b), f"body_temperature must be finite, got {b}"),
+              (h <= 0, f"heart_rate must be positive, got {h}"),
+              (True, f"body_temperature {b} outside [30.0, 45.0] celsius"))
+    return i, "parse failure: " + next(reason for failed, reason in faults if failed)
 
 
 def load_xy_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -645,9 +646,9 @@ def _xy_fault(rows: np.ndarray, before: np.void | None) -> tuple[int, str] | Non
     return (bad[0], "non-finite value") if bad.size else None
 
 
-def save_population_csv(records: Iterable[PersonRecord], path: str | Path) -> None:
+def save_population_csv(population: np.ndarray, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "gender", "body_temperature", "heart_rate"])
-        for r in records:
-            writer.writerow([r.id, r.gender, f"{r.body_temperature:.6f}", f"{r.heart_rate:.6f}"])
+        writer.writerow(POPULATION_DTYPE.names)
+        writer.writerows([pid, gender, f"{bt:.6f}", f"{hr:.6f}"]
+                         for pid, gender, bt, hr in population.tolist())

@@ -18,8 +18,6 @@ from ioht_pipeline.dp import (
     DpParams,
     DpQuery,
     l1_sensitivity,
-    laplace_cdf,
-    verify_dp_ratio,
 )
 from ioht_pipeline.inference import (
     InferenceConfig,
@@ -30,13 +28,13 @@ from ioht_pipeline.inference import (
 )
 from ioht_pipeline.pipeline import run_pipeline
 from ioht_pipeline.trace import (
-    PersonRecord,
     SyntheticSpec,
     Trace,
+    as_population,
     generate_population,
     generate_trace,
 )
-from test_oracles import sample_laplace
+from test_oracles import laplace_cdf, sample_laplace, verify_dp_ratio
 from test_pipeline import make_config
 
 
@@ -155,11 +153,7 @@ def test_criterion_7_sensitivity_oracle():
     for _ in range(50):
         n = int(rng.integers(2, 9))
         values = rng.uniform(40, 140, n)
-        pop = tuple(
-            PersonRecord(id=str(i), gender="female", body_temperature=36.8,
-                         heart_rate=float(v))
-            for i, v in enumerate(values)
-        )
+        pop = as_population((str(i), "female", 36.8, float(v)) for i, v in enumerate(values))
         got = l1_sensitivity(DpQuery("mean", "heart_rate"), pop)
         base = values.mean()
         oracle = max(abs(base - (values.sum() - v) / (n - 1)) for v in values)

@@ -67,7 +67,7 @@ class TestCli:
 
     def test_gen_body_temperature_writes_body_temperatures(self, tmp_path):
         """A day of samples with the body-temperature defaults stays in
-        PersonRecord's [30, 45] celsius; an explicit flag still wins."""
+        the population range check's [30, 45] celsius; an explicit flag still wins."""
         out = tmp_path / "bt.csv"
         for seed in ("0", "7"):
             assert main(["gen", "--kind", "body-temperature", "--n", "1440", "--seed", seed,
@@ -217,6 +217,16 @@ class TestCli:
         # sensitivity / epsilon overflows the Laplace scale to inf
         ["dp", "--epsilon", "1e-320", "--sensitivity", "1e10", "--out", "{out}"],
         ["epsilon-sweep", "--grid", "1e-320", "--out", "{out}"],
+        # a Laplace draw reaches 36.04 b, which overflows at b = 1e308
+        ["dp", "--epsilon", "1", "--sensitivity", "1e308", "--trials", "4", "--out", "{out}"],
+        ["pipeline", "--epsilon", "1", "--sensitivity", "1e308", "--out", "{out}"],
+        ["epsilon-sweep", "--grid", "1", "--sensitivity", "1e308", "--trials", "2",
+         "--population-size", "5", "--out", "{out}"],
+        # at b = 4e306 every draw is finite, but the mean of 100 deviations of
+        # about b each overflows
+        ["dp", "--epsilon", "1", "--sensitivity", "4e306", "--trials", "100", "--out", "{out}"],
+        ["epsilon-sweep", "--grid", "1", "--sensitivity", "4e306", "--trials", "100",
+         "--population-size", "1", "--out", "{out}"],
     ])
     def test_bad_values_exit_2_without_output(self, argv, tmp_path, capsys):
         out = tmp_path / "out"

@@ -6,24 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ioht_pipeline.dp import (
+    LARGEST_DRAW_LOG,
     DpParams,
     DpQuery,
     derive_streams,
     evaluate_query,
     l1_sensitivity,
-    laplace_cdf,
     laplace_noise,
-    laplace_pdf,
     noisy_query,
     perturb_series,
-    verify_dp_ratio,
 )
-from ioht_pipeline.trace import PersonRecord, generate_population
-from test_oracles import StreamRng, sample_laplace
+from ioht_pipeline.trace import as_population, generate_population
+from test_oracles import StreamRng, laplace_cdf, laplace_pdf, sample_laplace, verify_dp_ratio
 
 
 def person(hr, bt=36.8, pid="p"):
-    return PersonRecord(id=pid, gender="female", body_temperature=bt, heart_rate=hr)
+    return (pid, "female", bt, hr)
 
 
 class TestLaplacePdf:
@@ -112,15 +110,15 @@ class TestSensitivity:
             assert l1_sensitivity(DpQuery("count"), pop) == 1.0
 
     def test_mean_deletion_two_records(self):
-        pop = (person(10.0, pid="a"), person(20.0, pid="b"))
+        pop = as_population([person(10.0, pid="a"), person(20.0, pid="b")])
         assert l1_sensitivity(DpQuery("mean", "heart_rate"), pop) == 5.0
 
     def test_mean_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(77)
         for _ in range(20):
             n = int(rng.integers(2, 9))
-            pop = tuple(person(float(v), pid=str(i))
-                        for i, v in enumerate(rng.uniform(40, 140, n)))
+            pop = as_population(person(float(v), pid=str(i))
+                                for i, v in enumerate(rng.uniform(40, 140, n)))
             got = l1_sensitivity(DpQuery("mean", "heart_rate"), pop)
             # independent oracle: direct enumeration over deletion neighbors
             values = [r.heart_rate for r in pop]
@@ -131,12 +129,12 @@ class TestSensitivity:
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_replacement_needs_bounds(self):
-        pop = (person(60.0), )
+        pop = as_population([person(60.0)])
         with pytest.raises(ValueError):
             l1_sensitivity(DpQuery("mean", "heart_rate"), pop, neighbor="replacement")
 
     def test_replacement_widens(self):
-        pop = tuple(person(float(v), pid=str(i)) for i, v in enumerate([60, 70, 80]))
+        pop = as_population(person(float(v), pid=str(i)) for i, v in enumerate([60, 70, 80]))
         q = DpQuery("mean", "heart_rate")
         deletion = l1_sensitivity(q, pop)
         replacement = l1_sensitivity(q, pop, bounds=(40.0, 140.0), neighbor="replacement")
@@ -146,7 +144,7 @@ class TestSensitivity:
 
     def test_replacement_of_a_single_record(self):
         # deleting the only record is undefined, but replacing it is not
-        pop = (person(60.0),)
+        pop = as_population([person(60.0)])
         for aggregate in ("mean", "sum"):
             s = l1_sensitivity(DpQuery(aggregate, "heart_rate"), pop,
                                bounds=(40.0, 140.0), neighbor="replacement")
@@ -155,7 +153,7 @@ class TestSensitivity:
 
     def test_deletion_of_a_single_record(self):
         # the empty neighbor's sum is 0, while its mean is undefined
-        pop = (person(60.0),)
+        pop = as_population([person(60.0)])
         assert l1_sensitivity(DpQuery("sum", "heart_rate"), pop) == 60.0
         assert l1_sensitivity(DpQuery("mean", "heart_rate"), pop) == 0.0
         assert l1_sensitivity(DpQuery("count"), pop) == 1.0
@@ -172,6 +170,23 @@ def test_params_reject_non_finite_and_non_positive(epsilon, sensitivity):
         DpParams(epsilon=epsilon, sensitivity=sensitivity)
 
 
+def test_params_accept_a_scale_only_if_its_largest_draw_is_finite():
+    """The uniforms 2**-53 and 1 - 2**-53 give the two largest draws, -+36.04 b."""
+    b = float(np.finfo(np.float64).max) / LARGEST_DRAW_LOG
+    outcomes = set()
+    for scale in (b * (1 - 1e-15), *np.nextafter(b, [0.0, b, math.inf]).tolist(), b * (1 + 1e-15)):
+        with np.errstate(over="ignore"):
+            largest = laplace_noise(StreamRng([2.0**-53, 1.0 - 2.0**-53]), scale, 2)
+        finite = bool(np.isfinite(largest).all())
+        outcomes.add(finite)
+        if finite:
+            assert DpParams(epsilon=1.0, sensitivity=scale).scale == scale
+        else:
+            with pytest.raises(ValueError, match="a Laplace draw of up to 36.04 times it finite"):
+                DpParams(epsilon=1.0, sensitivity=scale)
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize("b", [math.nan, math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("call", [
     lambda b: laplace_noise(StreamRng([0.25] * 3), b, 3),
@@ -185,20 +200,21 @@ def test_laplace_functions_reject_a_non_finite_or_non_positive_scale(call, b):
 
 class TestQueries:
     def test_evaluate_aggregates(self):
-        pop = (person(60.0, pid="a"), person(80.0, pid="b"))
+        pop = as_population([person(60.0, pid="a"), person(80.0, pid="b")])
         assert evaluate_query(pop, DpQuery("mean", "heart_rate")) == 70.0
         assert evaluate_query(pop, DpQuery("sum", "heart_rate")) == 140.0
         assert evaluate_query(pop, DpQuery("count")) == 2.0
 
     def test_sum_is_taken_left_to_right(self):
         # compensated summation, which sum() does from Python 3.12, gives 2**53 + 2
-        pop = (person(2.0**53, pid="a"), person(1.0, pid="b"), person(1.0, pid="c"))
+        pop = as_population([person(2.0**53, pid="a"), person(1.0, pid="b"),
+                             person(1.0, pid="c")])
         assert evaluate_query(pop, DpQuery("sum", "heart_rate")) == 2.0**53
         assert evaluate_query(pop, DpQuery("mean", "heart_rate")) == 2.0**53 / 3
 
     def test_mean_on_empty_errors(self):
         with pytest.raises(ValueError):
-            evaluate_query((), DpQuery("mean", "heart_rate"))
+            evaluate_query(as_population([]), DpQuery("mean", "heart_rate"))
 
     def test_noise_vanishes_for_huge_epsilon(self):
         pop = generate_population(50, 3)

@@ -1,15 +1,17 @@
 """The loop forms of select_samples, gap_areas, generate_trace,
-l1_sensitivity, the Laplace draws, the epsilon sweep's trials, the wire
-codec, the CSV loaders (trace, population and x,y) and writer and the
-per-message transmission, and the whole-array forms of
-select_samples, reconstruct and gap_areas, kept as reference oracles: the
-columnar and blocked versions must give the same output."""
+generate_population and its range check, l1_sensitivity, the Laplace draws,
+the epsilon sweep's trials, the wire codec, the CSV loaders (trace,
+population and x,y) and writer and the per-message transmission, and the
+whole-array forms of select_samples, reconstruct and gap_areas, kept as
+reference oracles: the columnar and blocked versions must give the same
+output. Also the Laplace density, distribution function and privacy-ratio
+check, which the tests use and the package does not."""
 import csv
 import math
 import re
 import struct
 import warnings
-from dataclasses import replace
+from typing import Sequence
 from unittest import mock
 
 import numpy as np
@@ -72,14 +74,20 @@ from ioht_pipeline.trace import (
     _LOCATOR_BLOCK_ROWS,
     _READ_BLOCK_BYTES,
     _WRITE_CHUNK_ROWS,
+    BT_MEAN,
+    BT_STD,
+    HR_MEAN,
+    HR_STD,
     KIND_CODES,
     KINDS,
+    POPULATION_DTYPE,
     UNIT_CODES,
     UNITS,
-    PersonRecord,
     SyntheticSpec,
     Trace,
     TraceError,
+    as_population,
+    generate_population,
     generate_trace,
     load_csv,
     load_population_csv,
@@ -199,23 +207,52 @@ def generate_trace_loop(spec):
     return times, values
 
 
+def generate_population_loop(n, seed):
+    """(id, gender, body_temperature, heart_rate) rows drawn one person at a
+    time, each checked by `person_check_loop`."""
+    if n < 0:
+        raise TraceError("n must be >= 0")
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(n):
+        hr = min(max(rng.normal(HR_MEAN, HR_STD), 40.0), 140.0)
+        bt = min(max(rng.normal(BT_MEAN, BT_STD), 30.0), 45.0)
+        gender = "female" if rng.random() < 0.5 else "male"
+        records.append(person_check_loop(f"p{i:04d}", gender, bt, hr))
+    return records
+
+
+def person_check_loop(pid, gender, body_temperature, heart_rate):
+    """The (id, gender, body_temperature, heart_rate) row of one person, or a
+    TraceError for the first of its range checks that fails."""
+    for name, value in (("heart_rate", heart_rate), ("body_temperature", body_temperature)):
+        if not math.isfinite(value):
+            raise TraceError(f"{name} must be finite, got {value}")
+    if heart_rate <= 0:
+        raise TraceError(f"heart_rate must be positive, got {heart_rate}")
+    if not 30.0 <= body_temperature <= 45.0:
+        raise TraceError(f"body_temperature {body_temperature} outside [30.0, 45.0] celsius")
+    return pid, gender, body_temperature, heart_rate
+
+
 def l1_sensitivity_loop(query, dataset, bounds=None, neighbor="deletion"):
     """Worst |change| of the query over every enumerated neighboring dataset."""
     base = evaluate_query(dataset, query)
     worst = 0.0
-    records = list(dataset)
+    records = dataset.tolist()
     for i in range(len(records)):
         neighbor_ds = records[:i] + records[i + 1:]
         # the empty deletion neighbor has count and sum 0 but no mean
         if neighbor_ds:
-            worst = max(worst, abs(base - evaluate_query(neighbor_ds, query)))
+            worst = max(worst, abs(base - evaluate_query(as_population(neighbor_ds), query)))
         elif query.aggregate != "mean":
             worst = max(worst, abs(base))
         if neighbor == "replacement" and query.aggregate != "count":
+            at = POPULATION_DTYPE.names.index(query.field)
             for endpoint in bounds:
                 swapped = list(records)
-                swapped[i] = replace(records[i], **{query.field: endpoint})
-                worst = max(worst, abs(base - evaluate_query(swapped, query)))
+                swapped[i] = records[i][:at] + (endpoint,) + records[i][at + 1:]
+                worst = max(worst, abs(base - evaluate_query(as_population(swapped), query)))
     return worst
 
 
@@ -312,9 +349,9 @@ def load_population_csv_loop(path):
                 continue
             fields = dict(zip(header, row))
             try:
-                records.append(PersonRecord(fields["id"], fields["gender"],
-                                            parse_float(fields["body_temperature"]),
-                                            parse_float(fields["heart_rate"])))
+                records.append(person_check_loop(fields["id"], fields["gender"],
+                                                 parse_float(fields["body_temperature"]),
+                                                 parse_float(fields["heart_rate"])))
             except (KeyError, ValueError) as exc:
                 raise TraceError(f"{path}: parse failure at row {rownum}: {exc}") from exc
     return tuple(records)
@@ -551,6 +588,68 @@ def test_long_trace_matches_loops():
         assert gap_areas(trace, recon) == gap_areas_loop(trace, recon)
 
 
+def population_bits(rows):
+    """(id, gender, bytes of body_temperature and heart_rate) of each row."""
+    return [(pid, gender, struct.pack(">2d", bt, hr)) for pid, gender, bt, hr in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.one_of(st.integers(min_value=0, max_value=300), st.just(1000)),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(n=0, seed=0)
+@example(n=1000, seed=7)
+def test_generate_population_matches_loop(n, seed):
+    pop = generate_population(n, seed)
+    assert pop.dtype == POPULATION_DTYPE and pop.shape == (n,)
+    assert population_bits(pop.tolist()) == population_bits(generate_population_loop(n, seed))
+
+
+# Values on and just past each bound of the range check, in either field: its
+# faults in every order of precedence, several bad rows to an array.
+PERSON_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -70.0, 5e-324,
+                29.999999999999996, 45.00000000000001]
+
+
+def first_person_fault_loop(rows):
+    """(index, message) of the first row `person_check_loop` refuses, or None."""
+    for i, row in enumerate(rows):
+        try:
+            person_check_loop(*row)
+        except TraceError as exc:
+            return i, str(exc)
+    return None
+
+
+def assert_person_fault_matches_loop(rows):
+    want = first_person_fault_loop(rows)
+    got = trace_module._person_fault(np.array(rows, POPULATION_DTYPE))
+    assert got == (None if want is None else (want[0], f"parse failure: {want[1]}"))
+    if want is None:
+        assert population_bits(as_population(rows).tolist()) == population_bits(rows)
+    else:
+        with pytest.raises(TraceError) as caught:
+            as_population(rows)
+        assert str(caught.value) == f"person {want[0]}: {want[1]}"
+
+
+def test_person_fault_matches_loop_on_every_edge_pair():
+    pairs = [(bt, hr) for bt in PERSON_EDGES + [36.8] for hr in PERSON_EDGES + [70.0]]
+    rows = [(f"p{i}", "f", bt, hr) for i, (bt, hr) in enumerate(pairs)]
+    for start in range(len(rows) + 1):  # each row first in turn, and no rows
+        assert_person_fault_matches_loop(rows[start:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.tuples(
+    st.one_of(st.sampled_from(PERSON_EDGES), st.floats(30.0, 45.0)),
+    st.one_of(st.sampled_from(PERSON_EDGES), st.floats(1e-3, 1e4))), max_size=12))
+@example(values=[(36.8, 70.0), (45.00000000000001, -0.0), (math.nan, 0.0), (30.0, math.inf)])
+@example(values=[(29.999999999999996, 5e-324), (-math.inf, 70.0), (36.8, -70.0)])
+def test_person_fault_matches_loop(values):
+    assert_person_fault_matches_loop(
+        [(f"p{i}", "f", bt, hr) for i, (bt, hr) in enumerate(values)])
+
+
 # Small integers make tied records common, and bounds are drawn like the
 # records, so records fall inside, on and outside them. The brute force builds
 # records from the bounds, so both must be valid: heart rate > 0, body
@@ -564,8 +663,8 @@ FIELD_VALUES = {
 
 
 def person(fieldname, value, i):
-    record = PersonRecord(id=str(i), gender="female", body_temperature=36.8, heart_rate=70.0)
-    return replace(record, **{fieldname: value})
+    record = {"id": str(i), "gender": "female", "body_temperature": 36.8, "heart_rate": 70.0}
+    return tuple({**record, fieldname: value}.values())
 
 
 @settings(max_examples=400, deadline=None)
@@ -577,7 +676,7 @@ def test_l1_sensitivity_matches_brute_force(data, aggregate, fieldname, neighbor
     values = data.draw(st.lists(FIELD_VALUES[fieldname], min_size=n, max_size=n))
     bounds = data.draw(st.tuples(FIELD_VALUES[fieldname], FIELD_VALUES[fieldname]))
     query = DpQuery(aggregate, None if aggregate == "count" else fieldname)
-    pop = tuple(person(fieldname, v, i) for i, v in enumerate(values))
+    pop = as_population(person(fieldname, v, i) for i, v in enumerate(values))
     if n == 0 and aggregate != "count":
         for sensitivity in (l1_sensitivity, l1_sensitivity_loop):
             with pytest.raises(ValueError):
@@ -603,6 +702,41 @@ def sample_laplace(rng, mu, b):
     if u == 0.0:
         return mu
     return mu - b * math.copysign(1.0, u) * math.log(1.0 - 2.0 * abs(u))
+
+
+def laplace_pdf(x: float, mu: float, b: float) -> float:
+    if not 0 < b < math.inf:
+        raise ValueError(f"scale b must be finite and > 0, got {b}")
+    return math.exp(-abs(x - mu) / b) / (2.0 * b)
+
+
+def laplace_cdf(x: float, mu: float, b: float) -> float:
+    if not 0 < b < math.inf:
+        raise ValueError(f"scale b must be finite and > 0, got {b}")
+    if x < mu:
+        return 0.5 * math.exp((x - mu) / b)
+    return 1.0 - 0.5 * math.exp(-(x - mu) / b)
+
+
+def verify_dp_ratio(
+    params: DpParams,
+    shift: float,
+    grid: Sequence[float],
+    mu: float = 0.0,
+) -> float:
+    """Max over the grid of pdf(x | mu, b) / pdf(x | mu + shift, b).
+
+    For |shift| <= sensitivity the result never exceeds exp(epsilon); at
+    |shift| = sensitivity the bound is attained for grid points outside the
+    interval between the two means.
+    """
+    if not grid:
+        raise ValueError("grid must be non-empty")
+    if abs(shift) > params.sensitivity:
+        raise ValueError("|shift| must be <= sensitivity")
+    b = params.scale
+    # ratio = exp((|x - mu - shift| - |x - mu|) / b), computed in log space
+    return max(math.exp((abs(x - mu - shift) - abs(x - mu)) / b) for x in grid)
 
 
 def scalar_draws(rng, b, k):
@@ -693,7 +827,7 @@ def sweep_bits(rows):
 
 
 def population_of(heart_rates):
-    return [PersonRecord(f"p{i}", "f", 36.8, hr) for i, hr in enumerate(heart_rates)]
+    return as_population((f"p{i}", "f", 36.8, hr) for i, hr in enumerate(heart_rates))
 
 
 def sweep_trial_draws(monkeypatch, stream, b, people, trials):
@@ -1036,7 +1170,7 @@ def test_load_csv_names_the_row_of_a_time_outside_int64(tmp_path, t, after):
 # (numbers in three forms, blanks inside a field, quoted fields, blank rows,
 # all three line ends); some rows carry a fault instead: a non-number, an
 # underscore, a non-finite value, a short row or, in a population, a value
-# PersonRecord refuses.
+# the range check refuses.
 FIELD_FAULTS = ["abc", "7_0", "inf", "-inf", "nan", ""]
 POPULATION_FAULTS = FIELD_FAULTS + ["29.5", "45.5", "0", "-70"]
 
@@ -1087,14 +1221,24 @@ def write_lines(tmp_path_factory, header, lines):
     return path
 
 
-def named_row(read, path):
-    """The (problem, row) that the TraceError of `read(path)` names, or None
-    if it reads the file."""
+def error_text(read, path):
+    """The text of the TraceError of `read(path)`, or None if it reads the file."""
     try:
         read(path)
     except TraceError as exc:
-        return ROW_ERROR.search(str(exc)).groups()
+        return str(exc)
     return None
+
+
+def named_row(read, path):
+    """The (problem, row) that the TraceError of `read(path)` names, or None
+    if it reads the file."""
+    text = error_text(read, path)
+    return None if text is None else ROW_ERROR.search(text).groups()
+
+
+# The reasons of the population range check, whose text both readers give in full.
+RANGE_FAULT = re.compile(r"must be (finite|positive), got|outside \[30\.0, 45\.0\] celsius")
 
 
 @settings(max_examples=300, deadline=None)
@@ -1104,11 +1248,13 @@ def named_row(read, path):
 def test_load_population_csv_matches_loop(tmp_path_factory, lines):
     path = write_lines(tmp_path_factory, "id,gender,body_temperature,heart_rate\r\n", lines)
     assert named_row(load_population_csv, path) == named_row(load_population_csv_loop, path)
+    got_text, want_text = (error_text(read, path)
+                           for read in (load_population_csv, load_population_csv_loop))
+    if want_text is not None and RANGE_FAULT.search(want_text):
+        assert got_text == want_text
     if named_row(load_population_csv_loop, path) is None:
         got, want = load_population_csv(path), load_population_csv_loop(path)
-        assert [(r.id, r.gender) for r in got] == [(r.id, r.gender) for r in want]
-        numbers = [[(r.body_temperature, r.heart_rate) for r in records] for records in (got, want)]
-        assert np.array(numbers[0]).tobytes() == np.array(numbers[1]).tobytes()
+        assert population_bits(got.tolist()) == population_bits(want)
 
 
 @settings(max_examples=300, deadline=None)

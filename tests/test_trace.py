@@ -15,10 +15,11 @@ import ioht_pipeline
 from ioht_pipeline import trace as trace_module
 from ioht_pipeline.cli import main
 from ioht_pipeline.trace import (
-    PersonRecord,
+    POPULATION_DTYPE,
     SyntheticSpec,
     Trace,
     TraceError,
+    as_population,
     generate_population,
     generate_trace,
     load_csv,
@@ -396,23 +397,25 @@ def test_generate_population_stats():
 
 
 def test_generate_population_deterministic_and_empty():
-    assert generate_population(0, 1) == ()
-    assert generate_population(20, 9) == generate_population(20, 9)
+    empty = generate_population(0, 1)
+    assert empty.dtype == POPULATION_DTYPE and len(empty) == 0
+    assert generate_population(20, 9).tolist() == generate_population(20, 9).tolist()
 
 
 def test_person_record_range_check():
     with pytest.raises(TraceError):
-        PersonRecord(id="x", gender="female", body_temperature=80.0, heart_rate=70.0)
+        as_population([("x", "female", 80.0, 70.0)])
     with pytest.raises(TraceError):
-        PersonRecord(id="x", gender="male", body_temperature=36.8, heart_rate=0.0)
+        as_population([("x", "male", 36.8, 0.0)])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["heart_rate", "body_temperature"])
 def test_person_record_rejects_non_finite(field, value):
-    fields = {"body_temperature": 36.8, "heart_rate": 70.0, field: value}
+    fields = {"id": "x", "gender": "female", "body_temperature": 36.8, "heart_rate": 70.0,
+              field: value}
     with pytest.raises(TraceError, match=f"{field} must be finite"):
-        PersonRecord(id="x", gender="female", **fields)
+        as_population([tuple(fields.values())])
 
 
 @settings(max_examples=30, deadline=None)
