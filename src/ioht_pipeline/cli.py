@@ -23,7 +23,8 @@ from .dp import (
     DpParams,
     DpQuery,
     derive_streams,
-    noisy_query,
+    evaluate_query,
+    laplace_noise,
     perturb_series,
 )
 from .experiments import (
@@ -267,12 +268,10 @@ def _cmd_dp(args) -> None:
                     field=None if args.query == "count" else args.field)
     params = DpParams(epsilon=args.epsilon, sensitivity=args.sensitivity)
     streams = derive_streams(args.seed, args.trials + 1)  # the last is --out's
-    outs = []
-    real = None
-    for rng in itertools.islice(streams, args.trials):
-        result = noisy_query(population, query, params, rng)
-        real = result.real_result
-        outs.append(result.out_result)
+    real = evaluate_query(population, query)  # every trial queries the same rows
+    # one draw per trial stream, added as noisy_query adds it
+    outs = [real + float(laplace_noise(rng, params.scale, 1)[0])
+            for rng in itertools.islice(streams, args.trials)]
     mean_abs_dev = float(np.mean([abs(o - real) for o in outs]))
     if not np.isfinite(mean_abs_dev):
         raise ValueError(f"the mean absolute deviation overflows float64: "

@@ -166,9 +166,8 @@ def transmitted_records(trace: Trace, tx: TransmissionSet, start: int = 0,
     return records
 
 
-def _cipher(suite: CipherSuite, key: bytes, mode: modes.Mode) -> Cipher:
-    if not isinstance(mode, modes.ECB):
-        raise ValueError(f"{mode.name} is not supported: an EcbContext is only sound for ECB")
+def _cipher(suite: CipherSuite, key: bytes) -> Cipher:
+    """The ECB cipher of `suite` under `key`."""
     if len(key) != suite.key_bits // 8:
         raise ValueError(
             f"{suite.name} needs a {suite.key_bits // 8}-byte key, got {len(key)}"
@@ -182,7 +181,7 @@ def _cipher(suite: CipherSuite, key: bytes, mode: modes.Mode) -> Cipher:
         algo = Blowfish(key)
     else:
         raise ValueError(f"unknown suite {suite.name!r}")
-    return Cipher(algo, mode)
+    return Cipher(algo, modes.ECB())
 
 
 class EcbContext:
@@ -196,11 +195,11 @@ class EcbContext:
     through a fresh context per message. Every message is whole blocks
     after padding (`frame_records` pads all but the last, `encrypt` pads
     the last), and the context pads itself (OpenSSL's padding is off), so
-    `update` keeps no block back. `_cipher` refuses any other mode.
+    `update` keeps no block back. `_cipher` builds only ECB ciphers.
     """
 
     def __init__(self, suite: CipherSuite, key: bytes) -> None:
-        cipher = _cipher(suite, key, modes.ECB())
+        cipher = _cipher(suite, key)
         self.suite = suite
         self._pkcs7 = padding.PKCS7(suite.block_bytes * 8)
         self._encryptor = cipher.encryptor()

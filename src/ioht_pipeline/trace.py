@@ -77,18 +77,12 @@ class Trace:
             raise TraceError("times and values must be 1-D")
         if len(times) != len(values):
             raise TraceError(f"length mismatch: {len(times)} times, {len(values)} values")
-        negative = np.flatnonzero(times < 0)
-        if negative.size:
-            raise TraceError(f"negative time offset {times[negative[0]]}")
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise TraceError(f"non-finite value at t={times[bad[0]]}")
-        back = np.flatnonzero(times[1:] <= times[:-1])
-        if back.size:
-            i = back[0]
-            raise TraceError(
-                f"non-increasing timestamps: t={times[i + 1]} after t={times[i]}"
-            )
+        if (fault := _trace_fault(times, values)) is not None:
+            i, reason = fault
+            detail = (f" {times[i]}" if reason == "negative time offset" else
+                      f" at t={times[i]}" if reason == "non-finite value" else
+                      f": t={times[i]} after t={times[i - 1]}")
+            raise TraceError(reason + detail)
         times.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "times", times)
@@ -111,6 +105,8 @@ class SyntheticSpec:
     noise_scale: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise TraceError(f"unknown sensor kind {self.kind!r}")
         if self.n < 0:
             raise TraceError("n must be >= 0")
         if self.period < 1:
@@ -258,12 +254,12 @@ def _read_blocks(path: str | Path, fh, text, skiprows: int) -> tuple[np.ndarray,
     seekable binary handle `fh`, read a block of whole lines at a time.
 
     While its rows are `digits,[-]digits.digits` lines, as `save_csv` writes
-    them, and t increases, a block is read from bytes by `_read_lines`. The
-    first block that is not, and every block after it, is decoded as `text`
-    decodes and parsed by numpy; one that numpy refuses, or whose rows are
-    not finite and increasing, is named by `_parse_csv`. A decoded block
-    holding a quote takes in the rest of the file, since a quoted field may
-    span lines; elsewhere each line is a row of csv.reader's.
+    them, and `_trace_fault` finds none bad, a block is read from bytes by
+    `_read_lines`. The first block that is not, and every block after it, is
+    decoded as `text` decodes and parsed by numpy; a bad row of one, which
+    numpy refuses or `_trace_fault` rejects, is named by `_parse_csv`. A
+    decoded block holding a quote takes in the rest of the file, since a
+    quoted field may span lines; elsewhere each line is a row of csv.reader's.
     """
     capacity = fh.seek(0, io.SEEK_END) // 4 + 1  # the shortest row is `0,0\n`
     fh.seek(0)
@@ -294,7 +290,8 @@ def _read_blocks(path: str | Path, fh, text, skiprows: int) -> tuple[np.ndarray,
             # numpy reads a line longer than any row, and a last line with no line end
             count = (_read_lines(block, end, times[rows:], values[rows:])
                      if got and held - end <= _MAX_ROW_BYTES else None)
-            if count is not None and _increasing(times[rows:rows + count], last_t):
+            if count is not None and _trace_fault(times[rows:rows + count],
+                                                  values[rows:rows + count], last_t) is None:
                 rows += count
                 rownum += count
                 last_t = int(times[rows - 1]) if rows else None
@@ -309,7 +306,8 @@ def _read_blocks(path: str | Path, fh, text, skiprows: int) -> tuple[np.ndarray,
         if '"' in chunk:
             chunk += decode(read())
         found = _parse_csv(path, chunk, rownum, _CSV_ROW, (0, 1), lambda checked, before:
-                           _trace_fault(checked, last_t if before is None else int(before["t"])))
+                           _trace_fault(checked["t"], checked["value"],
+                                        last_t if before is None else int(before["t"])))
         parsed.append((found["t"], found["value"]))
         rownum += chunk.count("\n")
         last_t = int(found["t"][-1]) if len(found) else last_t
@@ -323,25 +321,23 @@ def _read_blocks(path: str | Path, fh, text, skiprows: int) -> tuple[np.ndarray,
     return times, values
 
 
-def _trace_fault(rows: np.ndarray, last_t: int | None) -> tuple[int, str] | None:
-    """The first of the `_CSV_ROW` rows whose value is not finite, or whose t
-    does not increase (from `last_t`, if set), and what is wrong; or None."""
-    t = rows["t"]
-    back = np.zeros(len(t), bool)
-    back[1:] = t[1:] <= t[:-1]
-    if len(t) and last_t is not None:
-        back[0] = t[0] <= last_t
-    bad = ~np.isfinite(rows["value"])
-    first = np.flatnonzero(bad | back)
-    if not first.size:
+def _trace_fault(times: np.ndarray, values: np.ndarray,
+                 last_t: int | None = None) -> tuple[int, str] | None:
+    """The one statement of a trace's invariants: the index of the first
+    sample of the equal-length columns whose t is negative, whose value is
+    not finite, or whose t does not increase (from `last_t`, if set), and the
+    first of those three reasons that holds there; or None. Only the first t
+    is tested for its sign: the first negative t after it is also a t that
+    does not increase."""
+    ok = np.isfinite(values)
+    ok[1:] &= times[1:] > times[:-1]
+    if len(ok):
+        ok[0] &= times[0] >= 0 and (last_t is None or times[0] > last_t)
+    if ok.all():
         return None
-    return first[0], "non-finite value" if bad[first[0]] else "non-increasing timestamps"
-
-
-def _increasing(t: np.ndarray, last_t: int | None) -> bool:
-    """Whether the times `t` increase, starting above `last_t` if it is set."""
-    above = not len(t) or last_t is None or t[0] > last_t
-    return above and not np.any(t[1:] <= t[:-1])
+    i = int(np.argmin(ok))
+    return i, ("negative time offset" if times[i] < 0 else
+               "non-finite value" if not np.isfinite(values[i]) else "non-increasing timestamps")
 
 
 def _read_lines(block: bytearray, end: int, times: np.ndarray, values: np.ndarray) -> int | None:
@@ -541,7 +537,7 @@ def generate_trace(spec: SyntheticSpec) -> Trace:
     else:
         ar = 0.0
     values = spec.baseline + drift + ar
-    return Trace._owned(spec.kind, KIND_UNITS.get(spec.kind), times, values)
+    return Trace._owned(spec.kind, KIND_UNITS[spec.kind], times, values)
 
 
 def _ar1(shocks: Iterable[float]) -> Iterator[float]:

@@ -316,6 +316,8 @@ def load_csv_loop(path, kind, unit):
                 value = float(row[1])
             except (ValueError, IndexError) as exc:
                 raise TraceError(f"{path}: parse failure at row {rownum}: {exc}") from exc
+            if t < 0:
+                raise TraceError(f"{path}: negative time offset at row {rownum}")
             if not math.isfinite(value):
                 raise TraceError(f"{path}: non-finite value at row {rownum}")
             if last_t is not None and t <= last_t:
@@ -1016,7 +1018,8 @@ def test_load_csv_matches_loop(tmp_path_factory, rows, block):
     assert got.values.tobytes() == want.values.tobytes()
 
 
-ROW_ERROR = re.compile(r"(parse failure|non-finite value|non-increasing timestamps) at row (\d+)")
+ROW_ERROR = re.compile(r"(parse failure|negative time offset|non-finite value"
+                       r"|non-increasing timestamps) at row (\d+)")
 
 
 def row_error(loader, path):
@@ -1027,7 +1030,8 @@ def row_error(loader, path):
 
 # Bad rows, spelled from the t of the row before them.
 BAD_ROWS = ["x,1.0", "{next},abc", "{next},", "   ", "{next}", "{next}.5,1",
-            "{next},nan", "{next},-inf", "{next},1e400", "{last},1.0", "{prev},1.0"]
+            "{next},nan", "{next},-inf", "{next},1e400", "{last},1.0", "{prev},1.0",
+            "-{next},1.0"]
 
 
 def with_bad_rows(rows, bad):
@@ -1065,7 +1069,7 @@ EDGE = _LOCATOR_BLOCK_ROWS
     [(0, 0)], [(EDGE - 2, 6)], [(EDGE - 1, 9)], [(EDGE - 1, 10)], [(EDGE, 3)],
     [(2 * EDGE - 1, 4)], [(2 * EDGE + 7, 6), (2 * EDGE + 7, 0)],
     [(2 * EDGE + 7, 0), (2 * EDGE + 7, 6)], [(3 * EDGE - 2, 9), (3 * EDGE - 2, 1)],
-    [(10_000, 5)],
+    [(10_000, 5)], [(EDGE - 1, 11)],
 ])
 def test_load_csv_names_rows_across_locator_blocks(tmp_path_factory, bad):
     rows = [(t, f"{t},{t % 97}.5\n" + "\n" * (t % 1000 == 0)) for t in range(1, 10_001)]

@@ -48,6 +48,13 @@ def test_load_csv_non_increasing(tmp_path):
         load_csv(p, "heart-rate", "bpm")
 
 
+def test_infer_names_the_row_of_a_negative_time_offset(tmp_path, capsys):
+    p = tmp_path / "t.csv"
+    p.write_text("t,value\n0,1.0\n-5,2.0\n")
+    assert main(["infer", "--input", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {p}: negative time offset at row 3\n"
+
+
 def test_load_csv_header_only(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("t,value\n")
@@ -356,6 +363,9 @@ def test_loaded_and_generated_traces_hold_read_only_columns(tmp_path):
     ("other", "dimensionless", [[0, 5]], [[1.0, 2.0]], "1-D"),
     ("other", "dimensionless", [0, 5], [1.0, math.inf], "non-finite value at t=5"),
     ("other", "dimensionless", [10, 5], [1.0, 2.0], "non-increasing timestamps: t=5 after t=10"),
+    # several faults: the first bad sample in column order is named
+    ("other", "dimensionless", [0, 1, -1], [1.0, math.inf, 1.0], "non-finite value at t=1"),
+    ("other", "dimensionless", [-5, 0], [1.0, 2.0], "negative time offset -5"),
 ])
 def test_owned_trace_checks_as_the_constructor_checks(kind, unit, times, values, message):
     for make in (Trace, Trace._owned):
@@ -386,6 +396,11 @@ def test_generate_trace_empty():
 def test_synthetic_spec_rejects_times_beyond_int64():
     with pytest.raises(TraceError, match="int64"):
         SyntheticSpec(n=3, period=2**62)
+
+
+def test_synthetic_spec_rejects_an_unknown_kind():
+    with pytest.raises(TraceError, match="unknown sensor kind 'pulse'"):
+        SyntheticSpec(kind="pulse")
 
 
 def test_generate_population_stats():
