@@ -44,7 +44,6 @@ from .pipeline import (
     EnergyModel,
     PipelineConfig,
     PipelineReport,
-    TransmissionLog,
     energy_estimate,
     run_pipeline,
 )

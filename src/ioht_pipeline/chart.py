@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 from xml.sax.saxutils import escape
 
@@ -28,7 +27,8 @@ class Series:
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.2f}".rstrip("0").rstrip(".")
+    text = f"{x:.2f}".rstrip("0").rstrip(".")
+    return "0" if text == "-0" else text  # a tick that rounds to 0 from below
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -148,14 +148,3 @@ def render_chart(
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
-
-def write_chart(
-    series: Sequence[Series],
-    out_path: str | Path,
-    style: str = "line",
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-) -> None:
-    svg = render_chart(series, style=style, title=title, x_label=x_label, y_label=y_label)
-    Path(out_path).write_text(svg)

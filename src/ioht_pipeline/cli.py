@@ -216,11 +216,10 @@ def _cmd_vr_sweep(args) -> None:
         [[r.vr, r.t, repr(r.sr), repr(r.er),
           "" if r.ar is None else repr(r.ar), repr(r.s_diff)] for r in rows],
     )
-    chart.write_chart(
+    (out / "vr_sweep.svg").write_text(chart.render_chart(
         [chart.Series("SR (%)", tuple((r.vr, r.sr) for r in rows))],
-        out / "vr_sweep.svg",
         title="Savings vs variance rate", x_label="variance rate", y_label="SR (%)",
-    )
+    ))
     print(f"{'vr':>6} {'t':>6} {'sr%':>7} {'er':>8} {'ar%':>7}")
     for r in rows:
         ar = "n/a" if r.ar is None else f"{r.ar:7.1f}"
@@ -243,9 +242,9 @@ def _cmd_size_sweep(args) -> None:
         chart.Series(name, tuple((r.plaintext_bytes, r.ciphertext_bytes[name]) for r in rows))
         for name in suite_names
     ]
-    chart.write_chart(series, out / "size_sweep.svg",
-                      title="Ciphertext vs plaintext size",
-                      x_label="plaintext bytes", y_label="ciphertext bytes")
+    (out / "size_sweep.svg").write_text(chart.render_chart(
+        series, title="Ciphertext vs plaintext size",
+        x_label="plaintext bytes", y_label="ciphertext bytes"))
     print(f"{'savings%':>9} {'plain':>6} " + " ".join(f"{s:>13}" for s in suite_names))
     for r in rows:
         cells = " ".join(f"{r.ciphertext_bytes[s]:13d}" for s in suite_names)
@@ -259,7 +258,6 @@ def _resolve_population(args):
     return generate_population(args.population_size, args.seed)
 
 
-@np.errstate(over="ignore")  # a mean that overflows is refused, not warned of
 def _cmd_dp(args) -> None:
     if args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
@@ -318,12 +316,11 @@ def _cmd_epsilon_sweep(args) -> None:
                    ["index", "original", "noised"],
                    [[i, repr(v), repr(nv)]
                     for i, (v, nv) in enumerate(zip(values, row.noised_series))])
-        chart.write_chart(
+        (out / f"noised_points_eps_{tag}.svg").write_text(chart.render_chart(
             [chart.Series("original", tuple(enumerate(values))),
              chart.Series("noised", tuple(enumerate(row.noised_series)))],
-            out / f"noised_points_eps_{tag}.svg",
             title=f"epsilon = {row.epsilon:g}", x_label="index", y_label="heart rate",
-        )
+        ))
     print(f"{'epsilon':>8} {'real_mean':>10} {'noised_mean':>12} {'mean_abs_dev':>13}")
     for r in rows:
         print(f"{r.epsilon:8.2f} {r.real_mean:10.2f} {r.noised_mean:12.2f} {r.mean_abs_dev:13.4f}")
@@ -365,8 +362,8 @@ def _cmd_chart(args) -> None:
     if not points:
         raise TraceError(f"{args.input}: no data rows")
     try:
-        chart.write_chart([chart.Series(Path(args.input).stem, points)],
-                          args.out, style=args.style, title=args.title)
+        Path(args.out).write_text(chart.render_chart(
+            [chart.Series(Path(args.input).stem, points)], style=args.style, title=args.title))
     except ValueError as exc:
         raise TraceError(f"{args.input}: {exc}") from exc
     print(f"wrote {args.out}")
@@ -392,7 +389,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        _COMMANDS[args.command](args)
+        with np.errstate(over="ignore"):  # a result an overflow spoils is refused, not warned of
+            _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -63,8 +63,8 @@ def _check_records(records: np.ndarray) -> None:
 
 
 def _header(kind: str, unit: str, count: int) -> bytes:
-    code = bytes((FORMAT_VERSION, KIND_CODES[kind], UNIT_CODES[unit]))
-    return MAGIC + code + count.to_bytes(4, "big")
+    fields = (MAGIC, FORMAT_VERSION, KIND_CODES[kind], UNIT_CODES[unit], count)
+    return np.array(fields, HEADER_DTYPE).tobytes()
 
 
 def serialize_records(kind: str, unit: str, records: np.ndarray) -> bytes:

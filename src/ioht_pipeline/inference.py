@@ -227,16 +227,23 @@ def gap_areas(trace: Trace, recon: np.ndarray) -> tuple[float, float]:
 
 
 def compute_metrics(trace: Trace, tx: TransmissionSet, recon: np.ndarray) -> InferenceMetrics:
-    """Savings ratio, efficiency ratio, accuracy ratio and gap areas."""
+    """Savings ratio, efficiency ratio, accuracy ratio and gap areas. Raises a
+    ValueError naming the first of AR's two sums, the gap areas and AR that
+    overflows float64 (an infinite sum gives AR NaN, or a wrong 0.0)."""
     n = len(trace)
     t = len(tx)
     if t == 0:
         raise ValueError("efficiency ratio undefined for zero transmitted samples")
     sr = savings_ratio(n, t)
     er = (n - t) / t
-    orig_sum = float(np.sum(trace.values))
-    ar = 100.0 * float(np.sum(recon)) / orig_sum if orig_sum != 0 else None
+    orig_sum, recon_sum = float(np.sum(trace.values)), float(np.sum(recon))
+    ar = 100.0 * recon_sum / orig_sum if orig_sum != 0 else None
     s_upper, s_lower = gap_areas(trace, recon) if n >= 2 else (0.0, 0.0)
+    for name, total in (("sum of the values", orig_sum), ("sum of the reconstruction", recon_sum),
+                        ("upper gap area", s_upper), ("lower gap area", s_lower),
+                        ("accuracy ratio", ar or 0.0)):
+        if not math.isfinite(total):
+            raise ValueError(f"the {name} overflows float64")
     return InferenceMetrics(
         n=n, t=t, sr=sr, er=er, ar=ar,
         s_upper=s_upper, s_lower=s_lower, s_diff=abs(s_upper - s_lower),

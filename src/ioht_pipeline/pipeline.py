@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -45,11 +46,6 @@ class HopLog:
 
 
 @dataclass(frozen=True)
-class TransmissionLog:
-    hops: tuple[HopLog, ...] = ()
-
-
-@dataclass(frozen=True)
 class EnergyModel:
     """Illustrative constants, not measured values; reports always echo them."""
 
@@ -83,7 +79,7 @@ class PipelineConfig:
 @dataclass
 class PipelineReport:
     inference_metrics: InferenceMetrics
-    log: TransmissionLog
+    log: tuple[HopLog, HopLog]  # (sensor->gateway, gateway->edge)
     energy_baseline: float
     energy_actual: float
     energy_saving_percent: float
@@ -93,7 +89,7 @@ class PipelineReport:
     def to_dict(self) -> dict:
         return {
             "inference_metrics": asdict(self.inference_metrics),
-            "log": [asdict(h) for h in self.log.hops],
+            "log": [asdict(h) for h in self.log],
             "energy_model": asdict(self.energy_model),
             "energy_baseline_joules": self.energy_baseline,
             "energy_actual_joules": self.energy_actual,
@@ -115,41 +111,40 @@ class PipelineReport:
 
     def log_csv(self) -> str:
         lines = ["hop,messages,payload_bytes,ciphertext_bytes"]
-        for h in self.log.hops:
+        for h in self.log:
             lines.append(f"{h.hop},{h.messages},{h.payload_bytes},{h.ciphertext_bytes}")
         return "\n".join(lines) + "\n"
 
 
-def energy_estimate(log: TransmissionLog, model: EnergyModel) -> float:
+def energy_estimate(hops: Iterable[HopLog], model: EnergyModel) -> float:
     """Linear model: bytes on the wire plus a per-message overhead.
 
     Encrypted hops are charged for ciphertext bytes, plain hops for payload
     bytes.
     """
     total = 0.0
-    for hop in log.hops:
+    for hop in hops:
         wire_bytes = hop.ciphertext_bytes if hop.ciphertext_bytes > 0 else hop.payload_bytes
         total += wire_bytes * model.joules_per_byte_tx
         total += hop.messages * model.joules_per_message_overhead
     return total
 
 
-def hop_log(record_count: int, batch: int, suite: CipherSuite) -> TransmissionLog:
-    """The log of sending `record_count` records, `batch` to a message, from
-    `frame_sizes` alone. `_transmit` checks the bytes it really sends against
-    it, and the unfiltered baseline is `hop_log(n, ...)`."""
+def hop_log(record_count: int, batch: int, suite: CipherSuite) -> tuple[HopLog, HopLog]:
+    """The (sensor->gateway, gateway->edge) hops of sending `record_count`
+    records, `batch` to a message, from `frame_sizes` alone. `_transmit`
+    checks the bytes it really sends against them, and the unfiltered
+    baseline is `hop_log(n, ...)`."""
     messages, payload_bytes, ciphertext_bytes = frame_sizes(record_count, batch, suite)
-    return TransmissionLog(hops=(
-        HopLog(HOP_SENSOR_GATEWAY, messages, payload_bytes),
-        HopLog(HOP_GATEWAY_EDGE, messages, payload_bytes, ciphertext_bytes),
-    ))
+    return (HopLog(HOP_SENSOR_GATEWAY, messages, payload_bytes),
+            HopLog(HOP_GATEWAY_EDGE, messages, payload_bytes, ciphertext_bytes))
 
 
 def _transmit(
     trace: Trace,
     tx: TransmissionSet,
     config: PipelineConfig,
-) -> TransmissionLog:
+) -> tuple[HopLog, HopLog]:
     """Run the selected records through both hops and check at the edge that
     every message comes back bit-exactly; return `hop_log` of the records.
 
@@ -187,7 +182,7 @@ def _transmit(
         messages += count
         payload_bytes += size
         ciphertext_bytes += len(encrypted.ciphertext)
-    uplink = log.hops[1]
+    uplink = log[1]
     read = (messages, payload_bytes, ciphertext_bytes)
     if read != (uplink.messages, uplink.payload_bytes, uplink.ciphertext_bytes):
         raise RuntimeError(f"read (messages, payload, ciphertext bytes) {read} "

@@ -550,8 +550,10 @@ def _ar1(shocks: Iterable[float]) -> Iterator[float]:
 
 HR_MEAN = 73.76  # population heart-rate model, bpm
 HR_STD = 7.0
+HR_RANGE = (40.0, 140.0)  # the generator's clip
 BT_MEAN = 36.8  # celsius
 BT_STD = 0.4
+BT_RANGE = (30.0, 45.0)  # the generator's clip, and the range a population must keep
 
 
 def generate_population(n: int, seed: int) -> np.recarray:
@@ -561,8 +563,8 @@ def generate_population(n: int, seed: int) -> np.recarray:
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(n):  # each person's draws in turn: HR, BT, then gender
-        hr = min(max(rng.normal(HR_MEAN, HR_STD), 40.0), 140.0)
-        bt = min(max(rng.normal(BT_MEAN, BT_STD), 30.0), 45.0)
+        hr = min(max(rng.normal(HR_MEAN, HR_STD), HR_RANGE[0]), HR_RANGE[1])
+        bt = min(max(rng.normal(BT_MEAN, BT_STD), BT_RANGE[0]), BT_RANGE[1])
         rows.append((f"p{i:04d}", "female" if rng.random() < 0.5 else "male", bt, hr))
     return as_population(rows)
 
@@ -614,9 +616,10 @@ def load_population_csv(path: str | Path) -> np.recarray:
 def _person_fault(rows: np.ndarray, before: np.void | None = None) -> tuple[int, str] | None:
     """The first of the POPULATION_DTYPE `rows` out of range, and why. The
     checks are made in this order: heart_rate finite, body_temperature
-    finite, heart_rate > 0, body_temperature in [30, 45] celsius."""
+    finite, heart_rate > 0, body_temperature in `BT_RANGE` celsius."""
     hr, bt = rows["heart_rate"], rows["body_temperature"]
-    bad = np.flatnonzero(~((0.0 < hr) & (hr < math.inf) & (30.0 <= bt) & (bt <= 45.0)))
+    lo, hi = BT_RANGE
+    bad = np.flatnonzero(~((0.0 < hr) & (hr < math.inf) & (lo <= bt) & (bt <= hi)))
     if not bad.size:
         return None
     i = int(bad[0])
@@ -624,7 +627,7 @@ def _person_fault(rows: np.ndarray, before: np.void | None = None) -> tuple[int,
     faults = ((not math.isfinite(h), f"heart_rate must be finite, got {h}"),
               (not math.isfinite(b), f"body_temperature must be finite, got {b}"),
               (h <= 0, f"heart_rate must be positive, got {h}"),
-              (True, f"body_temperature {b} outside [30.0, 45.0] celsius"))
+              (True, f"body_temperature {b} outside [{lo}, {hi}] celsius"))
     return i, "parse failure: " + next(reason for failed, reason in faults if failed)
 
 

@@ -10,7 +10,7 @@ from xml.dom import minidom
 import pytest
 
 import ioht_pipeline
-from ioht_pipeline.chart import Series, render_chart, write_chart
+from ioht_pipeline.chart import Series, render_chart
 from ioht_pipeline.cli import main
 
 
@@ -48,9 +48,16 @@ class TestChart:
         with pytest.raises(ValueError):
             Series("empty", ())
 
+    def test_no_tick_label_reads_minus_zero(self):
+        # the lowest y tick, -0.004, rounds to 0 from below
+        svg = render_chart([Series("s", ((0, -0.004), (1, 0.996)))])
+        labels = minidom.parseString(svg).getElementsByTagName("text")
+        assert "-0" not in [node.firstChild.data for node in labels]
+        assert ">0<" in svg
+
     def test_write(self, tmp_path):
         out = tmp_path / "chart.svg"
-        write_chart([Series("s", ((0, 0), (1, 1)))], out)
+        out.write_text(render_chart([Series("s", ((0, 0), (1, 1)))]))
         assert out.read_text().startswith("<svg")
 
 
@@ -290,6 +297,42 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: trials must be >= 1")
         assert not out.exists()
+
+    # The sum of these values overflows float64, so AR would print as NaN.
+    @pytest.mark.parametrize("argv", [
+        ["infer", "--input", "big.csv", "--json", "--vr", "0.5"],
+        ["pipeline", "--input", "big.csv", "--vr", "0.5", "--out", "out"],
+        ["vr-sweep", "--input", "big.csv", "--out", "out"],
+    ], ids=["infer", "pipeline", "vr-sweep"])
+    def test_metrics_that_overflow_exit_2_without_output(self, argv, tmp_path):
+        (tmp_path / "big.csv").write_text(
+            "t,value\n0,1e308\n60,1.7e308\n120,1.7e308\n180,1.7e308\n")
+        got = ioht(*argv, cwd=tmp_path)
+        assert got.returncode == 2
+        assert got.stdout == ""
+        assert "RuntimeWarning" not in got.stderr
+        assert got.stderr == "error: the sum of the values overflows float64\n"
+        assert not (tmp_path / "out").exists()
+
+    # Every step of this trace overflows, but every sample is kept and its
+    # metrics are finite: the command prints what it always printed, and no
+    # warning.
+    @pytest.mark.parametrize("argv,stdout_sha256", [
+        (["infer", "--input", "alt.csv", "--json", "--vr", "0.5"],
+         "d0151f2e291b6c9514ff7cd4c3409c227b151c3aa14024a38e9bf5b4a6ef8c44"),
+        (["pipeline", "--input", "alt.csv", "--vr", "0.5", "--out", "out"],
+         "0ef67183910eb7afae0f12950c081b6071b21b1e549cf05b9e878fd226186d36"),
+        (["vr-sweep", "--input", "alt.csv", "--out", "out"],
+         "8cc46e70a75bfa2c5015ff28a4b6b1a302dc6295c5392f1863184e314c10aa26"),
+    ], ids=["infer", "pipeline", "vr-sweep"])
+    def test_steps_that_overflow_with_finite_metrics_exit_0(self, argv, stdout_sha256,
+                                                           tmp_path):
+        (tmp_path / "alt.csv").write_text("t,value\n0,1e308\n60,-1e308\n120,1e308\n180,-1e308\n")
+        got = ioht(*argv, cwd=tmp_path)
+        assert got.returncode == 0
+        assert hashlib.sha256(got.stdout.encode()).hexdigest() == stdout_sha256
+        assert got.stderr == ("" if argv[0] != "pipeline" else
+                              "wrote out/pipeline_report.json and out/hops.csv\n")
 
 
 # Every CLI command at tier-1 size, pinned byte for byte: each entry of the

@@ -18,6 +18,7 @@ from ioht_pipeline.crypto import (
     EcbContext,
     PayloadError,
     _cipher,
+    _header,
     ciphertext_size,
     decrypt,
     encrypt,
@@ -33,7 +34,15 @@ from ioht_pipeline.inference import (
     TransmissionSet,
     select_samples,
 )
-from ioht_pipeline.trace import KIND_CODES, KINDS, UNITS, SyntheticSpec, Trace, generate_trace
+from ioht_pipeline.trace import (
+    KIND_CODES,
+    KINDS,
+    UNIT_CODES,
+    UNITS,
+    SyntheticSpec,
+    Trace,
+    generate_trace,
+)
 
 KEYS = {
     "aes-128-ecb": bytes(range(16)),
@@ -72,6 +81,14 @@ class TestWireFormat:
         data = serialize_records("heart-rate", "bpm", wire_records())
         assert len(data) == HEADER_LEN == 11
         assert data[:4] == b"IOHT"
+
+    # a header packed by hand: magic, version 1, kind and unit codes, then a
+    # big-endian u32 count
+    @pytest.mark.parametrize("count", [0, 60, 2**32 - 1])
+    def test_header_is_the_hand_packed_layout(self, count):
+        for kind, unit in zip(KINDS, UNITS):
+            codes = bytes((1, KIND_CODES[kind], UNIT_CODES[unit]))
+            assert _header(kind, unit, count) == b"IOHT" + codes + struct.pack(">I", count)
 
     def test_one_record_size(self):
         data = serialize_records("heart-rate", "bpm", wire_records((60, 72.5, "variance")))

@@ -240,6 +240,27 @@ class TestMetrics:
         m = compute_metrics(trace, tx, rec)
         assert m.ar is None
 
+    # (values, reconstruction or None for the linear one, what overflows),
+    # with samples 10^10 s apart
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("values,recon,name", [
+        ([1e308, 1.7e308, 1.7e308, 1.7e308], None, "sum of the values"),
+        # an infinite original sum over a finite reconstructed one: AR 0.0
+        ([1.7e308, 1.7e308], [0.0, 0.0], "sum of the values"),
+        ([1e308, -1e308, 1e308, -1e308], [1e308, 1e308, 1e308, -1e308],
+         "sum of the reconstruction"),
+        ([1e300, 1e300], [0.0, 0.0], "upper gap area"),
+        ([-1e300, -1e300], [0.0, 0.0], "lower gap area"),
+        # both sums are finite, but 100 times the reconstructed one is not
+        ([1.7e308], None, "accuracy ratio"),
+    ])
+    def test_metrics_that_overflow_are_refused(self, values, recon, name):
+        trace = make_trace(values, period=10**10)
+        tx = make_tx(len(values), [(i, "anchor") for i in range(len(values))])
+        recon = reconstruct(trace, tx) if recon is None else np.array(recon)
+        with pytest.raises(ValueError, match=f"^the {name} overflows float64$"):
+            compute_metrics(trace, tx, recon)
+
     def test_sr_er_algebra(self):
         trace = generate_trace(SyntheticSpec(n=300, seed=2, noise_scale=1.0))
         for vr in (0.0, 0.01, 0.05):

@@ -67,7 +67,6 @@ from ioht_pipeline.pipeline import (
     HOP_SENSOR_GATEWAY,
     HopLog,
     PipelineConfig,
-    TransmissionLog,
     _transmit,
 )
 from ioht_pipeline.trace import (
@@ -411,10 +410,8 @@ def transmit_loop(trace, tx, config):
         sent = [(t, value, REASON_NAMES[code]) for t, value, code in batch.tolist()]
         if (kind, unit) != (trace.kind, trace.unit) or bit_exact(parsed) != bit_exact(sent):
             raise RuntimeError("edge-side records differ from transmitted records")
-    log = TransmissionLog(hops=(
-        HopLog(HOP_SENSOR_GATEWAY, messages, payload_bytes),
-        HopLog(HOP_GATEWAY_EDGE, messages, payload_bytes, ciphertext_bytes),
-    ))
+    log = (HopLog(HOP_SENSOR_GATEWAY, messages, payload_bytes),
+           HopLog(HOP_GATEWAY_EDGE, messages, payload_bytes, ciphertext_bytes))
     return b"".join(ciphertext), log
 
 

@@ -31,7 +31,6 @@ from ioht_pipeline.pipeline import (
     EnergyModel,
     HopLog,
     PipelineConfig,
-    TransmissionLog,
     _transmit,
     energy_estimate,
     hop_log,
@@ -70,23 +69,21 @@ def make_config(**overrides):
 
 class TestEnergyEstimate:
     def test_empty_log(self):
-        assert energy_estimate(TransmissionLog(), EnergyModel()) == 0.0
+        assert energy_estimate((), EnergyModel()) == 0.0
 
     def test_linear_arithmetic(self):
-        log = TransmissionLog(hops=[HopLog("sensor->gateway", messages=1, payload_bytes=100)])
+        log = [HopLog("sensor->gateway", messages=1, payload_bytes=100)]
         model = EnergyModel(joules_per_byte_tx=1e-6, joules_per_message_overhead=1e-4)
         assert energy_estimate(log, model) == pytest.approx(2.0e-4)
 
     def test_doubling_bytes_doubles_byte_term(self):
         model = EnergyModel(joules_per_byte_tx=1e-6, joules_per_message_overhead=0.0)
-        one = TransmissionLog(hops=[HopLog("h", messages=1, payload_bytes=100)])
-        two = TransmissionLog(hops=[HopLog("h", messages=1, payload_bytes=200)])
+        one = [HopLog("h", messages=1, payload_bytes=100)]
+        two = [HopLog("h", messages=1, payload_bytes=200)]
         assert energy_estimate(two, model) == pytest.approx(2 * energy_estimate(one, model))
 
     def test_encrypted_hop_charged_for_ciphertext(self):
-        log = TransmissionLog(hops=[
-            HopLog("gateway->edge", messages=1, payload_bytes=100, ciphertext_bytes=112),
-        ])
+        log = [HopLog("gateway->edge", messages=1, payload_bytes=100, ciphertext_bytes=112)]
         model = EnergyModel(joules_per_byte_tx=1.0, joules_per_message_overhead=0.0)
         assert energy_estimate(log, model) == 112.0
 
@@ -210,9 +207,8 @@ def test_transmit_rejects_an_unknown_reason_code_even_if_sent(monkeypatch):
 @pytest.mark.parametrize("field", ["messages", "payload_bytes", "ciphertext_bytes"])
 def test_transmit_checks_its_byte_counts_against_hop_log(field, monkeypatch):
     def off_by_one(*args):
-        local, uplink = hop_log(*args).hops
-        uplink = replace(uplink, **{field: getattr(uplink, field) + 1})
-        return TransmissionLog(hops=(local, uplink))
+        local, uplink = hop_log(*args)
+        return local, replace(uplink, **{field: getattr(uplink, field) + 1})
 
     monkeypatch.setattr(pipeline, "hop_log", off_by_one)
     trace = generate_trace(SyntheticSpec(n=130, seed=3, noise_scale=1.0))
@@ -241,7 +237,7 @@ class TestRunPipeline:
         assert 0 < report.inference_metrics.t < 1420
         assert report.energy_saving_percent > 0
         assert len(report.query_results) == 2
-        hops = {h.hop: h for h in report.log.hops}
+        hops = {h.hop: h for h in report.log}
         assert hops["gateway->edge"].ciphertext_bytes >= hops["gateway->edge"].payload_bytes
 
     def test_deterministic_machine_output(self):
