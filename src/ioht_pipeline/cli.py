@@ -116,12 +116,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic trace or population CSV")
+    p.set_defaults(run=_cmd_gen)
     _add_trace_source(p)
     p.add_argument("--population", action="store_true",
                    help="generate a population CSV instead of a trace")
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("infer", help="run the variance-rate filter on one trace")
+    p.set_defaults(run=_cmd_infer)
     _add_trace_source(p)
     p.add_argument("--vr", type=float, default=0.025)
     p.add_argument("--beacon", type=int, default=None)
@@ -129,16 +131,19 @@ def build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("vr-sweep", help="savings table over a variance-rate grid")
+    p.set_defaults(run=_cmd_vr_sweep)
     _add_trace_source(p)
     p.add_argument("--grid", type=float, nargs="+", default=list(DEFAULT_VR_GRID))
     p.add_argument("--beacon", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("size-sweep", help="plaintext/ciphertext sizes per savings level")
+    p.set_defaults(run=_cmd_size_sweep)
     p.add_argument("--grid", type=float, nargs="+", default=list(DEFAULT_SAVINGS_GRID))
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("dp", help="noisy statistical query over a population")
+    p.set_defaults(run=_cmd_dp)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--sensitivity", type=float, default=1.0)
     p.add_argument("--query", default="mean", choices=AGGREGATES)
@@ -150,6 +155,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="directory for the per-point CSV (optional)")
 
     p = sub.add_parser("epsilon-sweep", help="noise vs epsilon over the preset grid")
+    p.set_defaults(run=_cmd_epsilon_sweep)
     p.add_argument("--grid", type=float, nargs="+", default=list(EPSILON_PRESETS))
     p.add_argument("--sensitivity", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=200)
@@ -159,6 +165,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("pipeline", help="run the full two-tier pipeline")
+    p.set_defaults(run=_cmd_pipeline)
     _add_trace_source(p)
     p.add_argument("--vr", type=float, default=0.025)
     p.add_argument("--beacon", type=int, default=60)
@@ -174,6 +181,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="directory for report JSON and hop CSV (optional)")
 
     p = sub.add_parser("chart", help="render an x,y CSV as an SVG line chart")
+    p.set_defaults(run=_cmd_chart)
     p.add_argument("--input", required=True, help="CSV with header and x,y columns")
     p.add_argument("--style", default="line", choices=["line", "points"])
     p.add_argument("--title", default="")
@@ -369,28 +377,11 @@ def _cmd_chart(args) -> None:
     print(f"wrote {args.out}")
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "infer": _cmd_infer,
-    "vr-sweep": _cmd_vr_sweep,
-    "size-sweep": _cmd_size_sweep,
-    "dp": _cmd_dp,
-    "epsilon-sweep": _cmd_epsilon_sweep,
-    "pipeline": _cmd_pipeline,
-    "chart": _cmd_chart,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         with np.errstate(over="ignore"):  # a result an overflow spoils is refused, not warned of
-            _COMMANDS[args.command](args)
+            args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from cryptography.hazmat.decrepit.ciphers.algorithms import Blowfish, TripleDES
 from cryptography.hazmat.primitives import padding
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers import Cipher, CipherAlgorithm, algorithms, modes
 
 from .inference import REASON_NAMES, TransmissionSet
 from .trace import KIND_CODES, KINDS, UNIT_CODES, UNITS, Trace
@@ -36,13 +37,15 @@ class CipherSuite:
     name: str
     block_bytes: int
     key_bits: int
+    algorithm: Callable[[bytes], CipherAlgorithm]  # the block cipher under a key
 
 
-SUITES = {
-    "aes-128-ecb": CipherSuite("aes-128-ecb", block_bytes=16, key_bits=128),
-    "des-ecb": CipherSuite("des-ecb", block_bytes=8, key_bits=64),
-    "blowfish-ecb": CipherSuite("blowfish-ecb", block_bytes=8, key_bits=128),
-}
+SUITES = {suite.name: suite for suite in (
+    CipherSuite("aes-128-ecb", block_bytes=16, key_bits=128, algorithm=algorithms.AES),
+    # TripleDES with K1 = K2 = K3 is single DES.
+    CipherSuite("des-ecb", block_bytes=8, key_bits=64, algorithm=lambda key: TripleDES(key * 3)),
+    CipherSuite("blowfish-ecb", block_bytes=8, key_bits=128, algorithm=Blowfish),
+)}
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,8 @@ def read_frames(data: bytes, batch: int,
     every message's records in order (read-only), the message count and the
     unpadded bytes read). One message of `count` records is read as
     `read_frames(data, max(count, 1), suite)`. Raises PayloadError naming the
-    first fault the checks below find, or the first unknown reason code."""
+    first fault the checks below find, the first unknown reason code, or the
+    first message in which t does not increase."""
     size, width = _message_sizes(batch, suite)
     full = len(data) // width
     rows = np.frombuffer(data, np.uint8, full * width).reshape(full, width)
@@ -144,6 +148,10 @@ def read_frames(data: bytes, batch: int,
     unknown = records["reason"][records["reason"] >= len(REASON_NAMES)]
     if len(unknown):
         raise PayloadError(f"unknown reason code {unknown[0]}")
+    t = records["t"]
+    increases = t[1:] > t[:-1]  # a run of ECB messages can be reordered undetected
+    if not np.all(increases):
+        raise PayloadError(f"message {(np.argmin(increases) + 1) // batch}: t does not increase")
     return KINDS[kind[0]], UNITS[unit[0]], records, full + 1, len(data) - full * (width - size)
 
 
@@ -169,19 +177,8 @@ def transmitted_records(trace: Trace, tx: TransmissionSet, start: int = 0,
 def _cipher(suite: CipherSuite, key: bytes) -> Cipher:
     """The ECB cipher of `suite` under `key`."""
     if len(key) != suite.key_bits // 8:
-        raise ValueError(
-            f"{suite.name} needs a {suite.key_bits // 8}-byte key, got {len(key)}"
-        )
-    if suite.name == "aes-128-ecb":
-        algo = algorithms.AES(key)
-    elif suite.name == "des-ecb":
-        # TripleDES with K1 = K2 = K3 is single DES.
-        algo = TripleDES(key * 3)
-    elif suite.name == "blowfish-ecb":
-        algo = Blowfish(key)
-    else:
-        raise ValueError(f"unknown suite {suite.name!r}")
-    return Cipher(algo, modes.ECB())
+        raise ValueError(f"{suite.name} needs a {suite.key_bits // 8}-byte key, got {len(key)}")
+    return Cipher(suite.algorithm(key), modes.ECB())
 
 
 class EcbContext:

@@ -209,7 +209,15 @@ def gap_areas(trace: Trace, recon: np.ndarray) -> tuple[float, float]:
             # segments not of one sign; a NaN product (from an inf d) counts too
             cross = np.flatnonzero(~(d0 * d1 >= 0))
             c0, c1, s0, s1 = d0[cross], d1[cross], t0[cross], t1[cross]
-            tz = s0 + (s1 - s0) * c0 / (c0 - c1)
+            span, gap = (s1 - s0) * c0, c0 - c1
+            tz = s0 + span / gap
+            # Where span or gap overflows, take the crossing from the halves
+            # of c0 and c1, exact above the subnormals. One test a block: a
+            # difference is finite only when both its terms are.
+            if not np.isfinite(span - gap).all():
+                redo = ~(np.isfinite(span) & np.isfinite(gap))
+                h0, h1 = 0.5 * c0[redo], 0.5 * c1[redo]
+                tz[redo] = s0[redo] + (s1[redo] - s0[redo]) * (h0 / (h0 - h1))
             first = 0.5 * np.abs(c0) * (tz - s0)
             second = 0.5 * np.abs(c1) * (s1 - tz)
         above = (d0 > 0) | (d1 > 0)
@@ -238,6 +246,8 @@ def compute_metrics(trace: Trace, tx: TransmissionSet, recon: np.ndarray) -> Inf
     er = (n - t) / t
     orig_sum, recon_sum = float(np.sum(trace.values)), float(np.sum(recon))
     ar = 100.0 * recon_sum / orig_sum if orig_sum != 0 else None
+    if ar is not None and not math.isfinite(ar):  # 100 * recon_sum alone may overflow
+        ar = 100.0 * (recon_sum / orig_sum)
     s_upper, s_lower = gap_areas(trace, recon) if n >= 2 else (0.0, 0.0)
     for name, total in (("sum of the values", orig_sum), ("sum of the reconstruction", recon_sum),
                         ("upper gap area", s_upper), ("lower gap area", s_lower),

@@ -14,10 +14,10 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-KINDS = ("heart-rate", "body-temperature", "other")
-UNITS = ("bpm", "celsius", "dimensionless")
-# The unit each kind of trace is measured in.
+# The unit each kind of trace is measured in; its order numbers the wire codes.
 KIND_UNITS = {"heart-rate": "bpm", "body-temperature": "celsius", "other": "dimensionless"}
+KINDS = tuple(KIND_UNITS)
+UNITS = tuple(KIND_UNITS.values())
 
 # Numeric codes used by the wire format.
 KIND_CODES = {k: i for i, k in enumerate(KINDS)}

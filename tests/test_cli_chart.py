@@ -314,6 +314,20 @@ class TestCli:
         assert got.stderr == "error: the sum of the values overflows float64\n"
         assert not (tmp_path / "out").exists()
 
+    # 100 times one.csv's sum overflows, but its AR is 100%. tiny.csv's AR
+    # overflows either way: at vr 10 only its ends are kept, and 2.5e307 is
+    # reconstructed against the 5e-324 sensed.
+    def test_accuracy_ratio_is_refused_only_when_the_quotient_overflows(self, tmp_path):
+        (tmp_path / "one.csv").write_text("t,value\n0,1.7e308\n")
+        got = ioht("infer", "--input", "one.csv", "--json", cwd=tmp_path)
+        assert (got.returncode, got.stderr) == (0, "")
+        assert json.loads(got.stdout)["ar"] == 100.0
+        (tmp_path / "tiny.csv").write_text(
+            "t,value\n0,1e307\n1,-1e307\n2,-1e307\n3,1e307\n4,5e-324\n")
+        got = ioht("infer", "--input", "tiny.csv", "--vr", "10", cwd=tmp_path)
+        assert (got.returncode, got.stdout) == (2, "")
+        assert got.stderr == "error: the accuracy ratio overflows float64\n"
+
     # Every step of this trace overflows, but every sample is kept and its
     # metrics are finite: the command prints what it always printed, and no
     # warning.

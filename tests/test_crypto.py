@@ -8,6 +8,8 @@ import pytest
 from cryptography.hazmat.decrepit.ciphers.algorithms import Blowfish, TripleDES
 from cryptography.hazmat.primitives import padding
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ioht_pipeline.cli import build_parser
 from ioht_pipeline.crypto import (
@@ -16,6 +18,7 @@ from ioht_pipeline.crypto import (
     RECORD_LEN,
     SUITES,
     EcbContext,
+    EncryptedPayload,
     PayloadError,
     _cipher,
     _header,
@@ -168,8 +171,11 @@ class TestWireFormat:
         (corrupt(RUN, 10, 2), "message 0: header count"),
         (corrupt(RUN, 2 * WIDTH + 10, 0), "message 2: header count"),
         (corrupt(RUN, WIDTH + 23, 3), "unknown reason code 3"),
+        # the low byte of t: message 1's t from 60 to 0, message 2's from 120 to 60
+        (corrupt(RUN, WIDTH + 14, 0), "message 1: t does not increase"),
+        (corrupt(RUN, 2 * WIDTH + 14, 60), "message 2: t does not increase"),
     ], ids=["short-last", "short-row", "kind-differs", "unit-differs", "version", "first-pad",
-            "middle-pad", "first-count", "last-count", "reason"])
+            "middle-pad", "first-count", "last-count", "reason", "t-back", "t-repeats"])
     def test_read_frames_rejects_a_bad_run(self, data, fault):
         with pytest.raises(PayloadError, match=fault):
             read_frames(data, 1, AES)
@@ -221,6 +227,41 @@ class TestWireFormat:
         assert hashlib.sha256(ciphertext).hexdigest() == (
             "93733ceb6117342cdc45fb0dbb6715de503623e4c7ac5e552b04ba749a625ed6")
 
+    # The paper trace's 640 records in 11 messages of 60, with message 1's
+    # ciphertext replaced by message 0's: every suite deciphers it, and t
+    # goes back from message 0's last record to message 1's first.
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_a_replayed_message_is_refused(self, name):
+        suite, key = SUITES[name], KEYS[name]
+        trace = generate_trace(SyntheticSpec(n=1420, seed=7, period=60,
+                                             drift_amplitude=8.0, noise_scale=1.5))
+        records = transmitted_records(
+            trace, select_samples(trace, InferenceConfig(vr=0.025, beacon_period=60)))
+        context = EcbContext(suite, key)
+        ciphertext = encrypt(frame_records(trace.kind, trace.unit, records, 60, suite),
+                             context).ciphertext
+        width = ciphertext_size(HEADER_LEN + 60 * RECORD_LEN, suite)
+        swapped = ciphertext[:width] * 2 + ciphertext[2 * width:]
+        with pytest.raises(PayloadError, match="^message 1: t does not increase$"):
+            read_frames(decrypt(EncryptedPayload(suite, swapped), context), 60, suite)
+
+    # Records at increasing t, `batch` to a message, with records i < j
+    # swapped: record i + 1 is the first whose t is not above the one before.
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 150), batch=st.integers(1, 70),
+           name=st.sampled_from(sorted(SUITES)))
+    def test_any_swapped_pair_is_refused(self, data, n, batch, name):
+        records = np.zeros(n, RECORD_DTYPE)
+        records["t"] = np.cumsum(data.draw(st.lists(st.integers(1, 2**20), min_size=n,
+                                                    max_size=n)))
+        i = data.draw(st.integers(0, n - 2))
+        j = data.draw(st.integers(i + 1, n - 1))
+        records[[i, j]] = records[[j, i]]
+        run = frame_records("other", "dimensionless", records, batch, SUITES[name])
+        with pytest.raises(PayloadError,
+                           match=f"^message {(i + 1) // batch}: t does not increase$"):
+            read_frames(run, batch, SUITES[name])
+
 
 class TestEncryption:
     @pytest.mark.parametrize("name", sorted(SUITES))
@@ -247,7 +288,7 @@ class TestEncryption:
 
 
 class TestEcbContext:
-    # des-ecb is TripleDES with K1 = K2 = K3, as in _cipher
+    # des-ecb is TripleDES with K1 = K2 = K3, as in its SUITES row
     ALGORITHMS = {"aes-128-ecb": algorithms.AES, "des-ecb": lambda key: TripleDES(key * 3),
                   "blowfish-ecb": Blowfish}
 

@@ -205,6 +205,17 @@ class TestGapAreas:
             assert abs(s_u - q_u) <= tol
             assert abs(s_l - q_l) <= tol
 
+    # c0 - c1 overflows in the first segment, (s1 - s0) * c0 in the second:
+    # the crossing comes from the halves of c0 and c1. The first areas are
+    # exact; the second's lower area really overflows.
+    @pytest.mark.parametrize("times,values,expected", [
+        ([0, 1], [1e308, -1e308], (2.5e307, 2.5e307)),
+        ([0, 10**10], [1e300, -1e308], (pytest.approx(5e301, rel=1e-7), math.inf)),
+    ])
+    def test_crossing_whose_terms_overflow(self, times, values, expected):
+        trace = Trace("other", "dimensionless", times, values)
+        assert gap_areas(trace, np.zeros(2)) == expected
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             gap_areas(make_trace([1.0, 2.0]), np.array([1.0]))
@@ -240,8 +251,8 @@ class TestMetrics:
         m = compute_metrics(trace, tx, rec)
         assert m.ar is None
 
-    # (values, reconstruction or None for the linear one, what overflows),
-    # with samples 10^10 s apart
+    # (values, reconstruction or None for the linear one between the first
+    # and last samples, what overflows), with samples 10^10 s apart
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("values,recon,name", [
         ([1e308, 1.7e308, 1.7e308, 1.7e308], None, "sum of the values"),
@@ -251,15 +262,20 @@ class TestMetrics:
          "sum of the reconstruction"),
         ([1e300, 1e300], [0.0, 0.0], "upper gap area"),
         ([-1e300, -1e300], [0.0, 0.0], "lower gap area"),
-        # both sums are finite, but 100 times the reconstructed one is not
-        ([1.7e308], None, "accuracy ratio"),
+        # both sums are finite (5e-324 and 2.5), but their quotient is not
+        ([1.0, -1.0, -1.0, 1.0, 5e-324], None, "accuracy ratio"),
     ])
     def test_metrics_that_overflow_are_refused(self, values, recon, name):
         trace = make_trace(values, period=10**10)
-        tx = make_tx(len(values), [(i, "anchor") for i in range(len(values))])
+        tx = make_tx(len(values), [(0, "anchor"), (len(values) - 1, "anchor")])
         recon = reconstruct(trace, tx) if recon is None else np.array(recon)
         with pytest.raises(ValueError, match=f"^the {name} overflows float64$"):
             compute_metrics(trace, tx, recon)
+
+    def test_ar_where_100_times_the_sum_overflows(self):
+        trace = make_trace([1.7e308])
+        tx = make_tx(1, [(0, "anchor")])
+        assert compute_metrics(trace, tx, reconstruct(trace, tx)).ar == 100.0
 
     def test_sr_er_algebra(self):
         trace = generate_trace(SyntheticSpec(n=300, seed=2, noise_scale=1.0))

@@ -934,15 +934,19 @@ def bit_exact(records):
 
 
 # st.floats() draws NaN, +-inf, -0.0 and subnormals along with normal values.
+# Each record's t is `start` plus the steps so far (read_frames refuses t that
+# does not increase), each at most 2^24, so 70 records from 2^31 end below 2^32.
 @settings(max_examples=300, deadline=None)
-@given(kind=st.sampled_from(KINDS), unit=st.sampled_from(UNITS),
-       rows=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.floats(),
+@given(kind=st.sampled_from(KINDS), unit=st.sampled_from(UNITS), start=st.integers(0, 2**31),
+       rows=st.lists(st.tuples(st.integers(1, 2**24), st.floats(),
                                st.sampled_from(REASON_NAMES)), max_size=70))
-@example(kind="heart-rate", unit="bpm", rows=[])
-@example(kind="other", unit="dimensionless",
-         rows=[(0, -0.0, "anchor"), (1, math.inf, "variance"), (2, -math.inf, "beacon"),
-               (3, math.nan, "anchor"), (4, 5e-324, "variance"), (2**32 - 1, -2.2e-308, "beacon")])
-def test_codec_matches_struct_loops(kind, unit, rows):
+@example(kind="heart-rate", unit="bpm", start=0, rows=[])
+@example(kind="other", unit="dimensionless", start=-1,
+         rows=[(1, -0.0, "anchor"), (1, math.inf, "variance"), (1, -math.inf, "beacon"),
+               (1, math.nan, "anchor"), (1, 5e-324, "variance"), (2**32 - 5, -2.2e-308, "beacon")])
+def test_codec_matches_struct_loops(kind, unit, start, rows):
+    times = np.cumsum([start] + [step for step, _, _ in rows]).tolist()[1:]
+    rows = [(t, v, reason) for t, (_, v, reason) in zip(times, rows)]
     records = np.array([(t, v, REASON_CODES[r]) for t, v, r in rows], dtype=RECORD_DTYPE)
     data = serialize_records(kind, unit, records)
     assert data == serialize_records_loop(kind, unit, rows)
