@@ -26,16 +26,22 @@ class Series:
             raise ValueError(f"series {self.name!r} has no points")
 
 
-def _fmt(x: float) -> str:
-    text = f"{x:.2f}".rstrip("0").rstrip(".")
+def _fmt(x: float, places: int) -> str:
+    text = f"{x:.{places}f}".rstrip("0").rstrip(".")
     return "0" if text == "-0" else text  # a tick that rounds to 0 from below
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi == lo:
-        return [lo]
+def _ticks(lo: float, hi: float, count: int = 5) -> list[tuple[float, str]]:
+    """`count` evenly spaced ticks from lo to hi, each with its label: two
+    decimals, or the fewest more (up to 17) that give distinct ticks
+    distinct labels, trailing zeros stripped."""
     step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    ticks = [lo + i * step for i in range(count)]
+    for places in range(2, 18):
+        labels = [_fmt(x, places) for x in ticks]
+        if len(set(labels)) == len(set(ticks)):
+            break
+    return list(zip(ticks, labels))
 
 
 def _axis_range(axis: str, values: list[float]) -> tuple[float, float]:
@@ -95,7 +101,7 @@ def render_chart(
         f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" '
         f'x2="{MARGIN_LEFT}" y2="{MARGIN_TOP + plot_h}" stroke="black"/>'
     )
-    for tx in _ticks(x_lo, x_hi):
+    for tx, label in _ticks(x_lo, x_hi):
         x = px(tx)
         out.append(
             f'<line x1="{x:.2f}" y1="{MARGIN_TOP + plot_h}" '
@@ -103,16 +109,16 @@ def render_chart(
         )
         out.append(
             f'<text x="{x:.2f}" y="{MARGIN_TOP + plot_h + 18}" '
-            f'text-anchor="middle">{_fmt(tx)}</text>'
+            f'text-anchor="middle">{label}</text>'
         )
-    for ty in _ticks(y_lo, y_hi):
+    for ty, label in _ticks(y_lo, y_hi):
         y = py(ty)
         out.append(
             f'<line x1="{MARGIN_LEFT - 5}" y1="{y:.2f}" '
             f'x2="{MARGIN_LEFT}" y2="{y:.2f}" stroke="black"/>'
         )
         out.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end">{_fmt(ty)}</text>'
+            f'<text x="{MARGIN_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end">{label}</text>'
         )
     if x_label:
         out.append(

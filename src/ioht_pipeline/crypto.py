@@ -58,22 +58,9 @@ class PayloadError(ValueError):
     """Raised for malformed wire-format payloads."""
 
 
-def _check_records(records: np.ndarray) -> None:
-    if not isinstance(records, np.ndarray) or records.dtype != RECORD_DTYPE or records.ndim != 1:
-        raise PayloadError("records must be a 1-D RECORD_DTYPE array")
-    if len(records) > MAX_MESSAGE_RECORDS:
-        raise PayloadError("record count exceeds 2^32 - 1")
-
-
 def _header(kind: str, unit: str, count: int) -> bytes:
     fields = (MAGIC, FORMAT_VERSION, KIND_CODES[kind], UNIT_CODES[unit], count)
     return np.array(fields, HEADER_DTYPE).tobytes()
-
-
-def serialize_records(kind: str, unit: str, records: np.ndarray) -> bytes:
-    """Encode a RECORD_DTYPE array in the canonical wire format."""
-    _check_records(records)
-    return _header(kind, unit, len(records)) + records.tobytes()
 
 
 def _message_sizes(batch: int, suite: CipherSuite) -> tuple[int, int]:
@@ -84,7 +71,9 @@ def _message_sizes(batch: int, suite: CipherSuite) -> tuple[int, int]:
 
 def frame_records(kind: str, unit: str, records: np.ndarray, batch: int,
                   suite: CipherSuite) -> bytes:
-    """Every message of a run laid end to end, `batch` records to a message.
+    """Every message of a run laid end to end, `batch` records to a message,
+    in the canonical wire format. One message of `count` records is framed as
+    `frame_records(kind, unit, records, max(count, 1), suite)`, a run of one.
 
     Every message but the last is a full batch, laid out as a row of header,
     records and PKCS#7 pad. The last message (the rest, or a header alone
@@ -92,16 +81,19 @@ def frame_records(kind: str, unit: str, records: np.ndarray, batch: int,
     buffer is then whole blocks up to its last message, so one ECB pass over
     it gives the ciphertext of enciphering every message on its own.
     """
-    _check_records(records)
+    if not isinstance(records, np.ndarray) or records.dtype != RECORD_DTYPE or records.ndim != 1:
+        raise PayloadError("records must be a 1-D RECORD_DTYPE array")
+    if batch > MAX_MESSAGE_RECORDS:  # a header counts its records in 32 bits
+        raise PayloadError(f"a message holds at most 2^32 - 1 records, not {batch}")
     size, width = _message_sizes(batch, suite)
     full = max(len(records) - 1, 0) // batch  # the messages before the last
     rows = np.empty((full, width), np.uint8)
-    if full:
-        rows[:, :HEADER_LEN] = np.frombuffer(_header(kind, unit, batch), np.uint8)
+    rows[:, :HEADER_LEN] = np.frombuffer(_header(kind, unit, batch), np.uint8)
     body = records[:full * batch].view(np.uint8)
     rows[:, HEADER_LEN:size] = body.reshape(full, size - HEADER_LEN)
     rows[:, size:] = width - size
-    return rows.tobytes() + serialize_records(kind, unit, records[full * batch:])
+    rest = records[full * batch:]
+    return rows.tobytes() + _header(kind, unit, len(rest)) + rest.tobytes()
 
 
 def frame_sizes(record_count: int, batch: int, suite: CipherSuite) -> tuple[int, int, int]:

@@ -14,6 +14,7 @@ from .crypto import (
     CipherSuite,
     EcbContext,
     PayloadError,
+    _cipher,
     decrypt,
     encrypt,
     frame_records,
@@ -72,8 +73,7 @@ class PipelineConfig:
         if not 1 <= self.batch_samples <= MAX_MESSAGE_RECORDS:
             raise ValueError(f"batch_samples must be in [1, {MAX_MESSAGE_RECORDS}], "
                              f"got {self.batch_samples}")
-        if len(self.key) != self.suite.key_bits // 8:
-            raise ValueError("key length does not match cipher suite")
+        _cipher(self.suite, self.key)  # the suite's own key-length rule
 
 
 @dataclass

@@ -207,24 +207,31 @@ _MAX_DIGITS = 18
 _MAX_ROW_BYTES = 2 * _MAX_DIGITS + 5
 
 
-def load_csv(path: str | Path, kind: str, unit: str) -> Trace:
-    """Load a `t,value` CSV (single header line) into a validated Trace.
-
-    The path is opened once, in binary; a source that cannot seek, such as a
-    pipe, is read into memory first.
-    """
-    _check_labels(kind, unit)  # a bad label fails here, before any row is read
+@contextlib.contextmanager
+def _open_csv(path: str | Path) -> Iterator[tuple]:
+    """Open a CSV, as every reader here does: yields (binary handle, text
+    handle past the header, header row or None for an empty file, lines the
+    header took). The path is opened once, in binary; a pipe is read into
+    memory first. The text is decoded as open(path) decodes it, with
+    universal newlines, and a byte it cannot decode is named by row."""
     with open(path, "rb") as raw:
         fh = raw if raw.seekable() else io.BytesIO(raw.read())
-        # decoded as open(path) decodes, with universal newlines
         with io.TextIOWrapper(fh) as text:
             try:
                 reader = csv.reader(text)
-                if next(reader, None) is None:
-                    raise TraceError(f"{path}: empty file, expected a header line")
-                columns = _read_blocks(path, fh, text, reader.line_num)
+                header = next(reader, None)
+                yield fh, text, header, reader.line_num
             except UnicodeDecodeError as exc:
                 raise _decode_error(path, fh, exc) from exc
+
+
+def load_csv(path: str | Path, kind: str, unit: str) -> Trace:
+    """Load a `t,value` CSV (single header line) into a validated Trace."""
+    _check_labels(kind, unit)  # a bad label fails here, before any row is read
+    with _open_csv(path) as (fh, text, header, skiprows):
+        if header is None:
+            raise TraceError(f"{path}: empty file, expected a header line")
+        columns = _read_blocks(path, fh, text, skiprows)
     return Trace._owned(kind, unit, *columns)
 
 
@@ -349,15 +356,15 @@ def _read_lines(block: bytearray, end: int, times: np.ndarray, values: np.ndarra
     rows whose last byte is LF, found in a window that doubles while every row
     in it ends in LF, so a run costs its own length. `_read_run` checks every
     byte of every row against its first row's layout, so a row it accepts is
-    one line. Runs of fewer than 64 rows on average send the block to numpy,
-    which reads it faster.
+    one line. Runs of fewer than 256 rows on average send the block to numpy,
+    which reads them faster (about 250 rows is where the two routes break even).
     """
     lines = np.frombuffer(block, np.uint8, end)
     pos = rows = runs = 0
     while pos < end:
         width = block.find(b"\n", pos, pos + _MAX_ROW_BYTES + 1) + 1 - pos
         runs += 1
-        if width <= 0 or runs > 16 + rows // 64:  # a line longer than any row, or short runs
+        if width <= 0 or runs > 16 + rows // 256:  # a line longer than any row, or short runs
             return None
         last = lines[pos + width - 1:end:width][:len(times) - rows]  # each row's last byte
         stop, window = 0, 64
@@ -583,28 +590,14 @@ def as_population(rows: Iterable[tuple] | np.ndarray) -> np.recarray:
     return pop.view(np.recarray)
 
 
-def _read_csv_text(path: str | Path) -> tuple[list[str], str]:
-    """The header row of the CSV at `path` and the text after it, decoded as
-    open(path, newline="") decodes it; a byte it cannot decode is named by
-    row. A pipe is read as a file is."""
-    with open(path, "rb") as raw:
-        fh = io.BytesIO(raw.read())
-    with io.TextIOWrapper(fh, newline="") as wrapper:
-        try:
-            lines = io.StringIO(wrapper.read(), newline="")
-        except UnicodeDecodeError as exc:
-            raise _decode_error(path, fh, exc) from exc
-    header = next(csv.reader(lines), [])  # csv.reader reads no line past the header
-    return header, lines.read()
-
-
 def load_population_csv(path: str | Path) -> np.recarray:
     """Load `id,gender,body_temperature,heart_rate` rows, the columns found by
     their header names (the last of a name), as a population (see
     `as_population`); rows are numbered as `load_csv` numbers them (the header
     is row 1 and blank rows count)."""
-    header, body = _read_csv_text(path)
-    column = {name: i for i, name in enumerate(header)}
+    with _open_csv(path) as (_, text, header, _):
+        body = text.read()
+    column = {name: i for i, name in enumerate(header or ())}
     if missing := [name for name in POPULATION_DTYPE.names if name not in column]:
         raise TraceError(f"{path}: no {missing[0]} column in the header")
     rows = _parse_csv(path, body, 2, POPULATION_DTYPE,
@@ -635,7 +628,8 @@ def load_xy_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """The x and y columns of a CSV with one header row and finite numbers in
     its first two columns; later columns are ignored. Rows are numbered as
     `load_csv` numbers them (the header is row 1 and blank rows count)."""
-    _, body = _read_csv_text(path)
+    with _open_csv(path) as (_, text, _, _):
+        body = text.read()
     rows = _parse_csv(path, body, 2, np.dtype([("x", float), ("y", float)]), (0, 1), _xy_fault)
     return rows["x"], rows["y"]
 

@@ -55,6 +55,22 @@ class TestChart:
         assert "-0" not in [node.firstChild.data for node in labels]
         assert ">0<" in svg
 
+    # y spans narrower than two decimals tell apart: each tick takes the
+    # fewest more decimals that give the five ticks five labels
+    @pytest.mark.parametrize("rows,labels", [
+        ("x,y\n0,0.001\n1,0.002\n", ["0.001", "0.0013", "0.0015", "0.0018", "0.002"]),
+        ("x,y\n0,100000.001\n1,100000.002\n",
+         ["100000.001", "100000.0013", "100000.0015", "100000.0017", "100000.002"]),
+    ])
+    def test_narrow_axis_ticks_read_distinct(self, tmp_path, capsys, rows, labels):
+        src = tmp_path / "data.csv"
+        src.write_text(rows)
+        out = tmp_path / "c.svg"
+        assert main(["chart", "--input", str(src), "--out", str(out)]) == 0
+        texts = minidom.parse(str(out)).getElementsByTagName("text")
+        assert [node.firstChild.data for node in texts
+                if node.getAttribute("text-anchor") == "end"] == labels
+
     def test_write(self, tmp_path):
         out = tmp_path / "chart.svg"
         out.write_text(render_chart([Series("s", ((0, 0), (1, 1)))]))

@@ -28,7 +28,6 @@ from ioht_pipeline.crypto import (
     frame_records,
     plaintext_size_for_savings,
     read_frames,
-    serialize_records,
     transmitted_records,
 )
 from ioht_pipeline.inference import (
@@ -57,6 +56,11 @@ KEYS = {
 AES = SUITES["aes-128-ecb"]
 
 
+def message(kind, unit, records):
+    """One message of `records` in the wire format: a run of one."""
+    return frame_records(kind, unit, records, max(len(records), 1), AES)
+
+
 def wire_records(*rows):
     """A RECORD_DTYPE array of (time, value, reason name) rows."""
     return np.array([(t, v, REASON_CODES[r]) for t, v, r in rows], dtype=RECORD_DTYPE)
@@ -81,7 +85,7 @@ def corrupt(data, offset, byte):
 
 class TestWireFormat:
     def test_empty_payload_header_only(self):
-        data = serialize_records("heart-rate", "bpm", wire_records())
+        data = message("heart-rate", "bpm", wire_records())
         assert len(data) == HEADER_LEN == 11
         assert data[:4] == b"IOHT"
 
@@ -94,14 +98,14 @@ class TestWireFormat:
             assert _header(kind, unit, count) == b"IOHT" + codes + struct.pack(">I", count)
 
     def test_one_record_size(self):
-        data = serialize_records("heart-rate", "bpm", wire_records((60, 72.5, "variance")))
+        data = message("heart-rate", "bpm", wire_records((60, 72.5, "variance")))
         assert len(data) == HEADER_LEN + RECORD_LEN == 24
         # big-endian u32 time, big-endian f64 value, one reason byte
         assert data[HEADER_LEN:] == struct.pack(">IdB", 60, 72.5, REASON_CODES["variance"])
 
     def test_round_trip(self):
         records = wire_records((0, 70.0, "anchor"), (60, 71.25, "variance"), (120, 69.5, "beacon"))
-        data = serialize_records("body-temperature", "celsius", records)
+        data = message("body-temperature", "celsius", records)
         kind, unit, parsed, messages, payload_bytes = read_message(data, 3)
         assert kind == "body-temperature"
         assert unit == "celsius"
@@ -117,7 +121,7 @@ class TestWireFormat:
         assert parsed.tolist() == [(0, 1.0, 0), (60, 2.0, 1), (120, 3.0, 2)]
         assert not parsed.flags.writeable
         # a header alone is a message of no records
-        empty = serialize_records("other", "dimensionless", wire_records())
+        empty = message("other", "dimensionless", wire_records())
         kind, unit, parsed, messages, payload_bytes = read_message(empty, 0)
         assert (kind, unit, len(parsed), messages, payload_bytes) == (
             "other", "dimensionless", 0, 1, HEADER_LEN)
@@ -125,7 +129,7 @@ class TestWireFormat:
     def test_serialize_selected_subset(self):
         trace = generate_trace(SyntheticSpec(n=50, seed=1, noise_scale=1.0))
         tx = select_samples(trace, InferenceConfig(vr=0.05))
-        data = serialize_records(trace.kind, trace.unit, transmitted_records(trace, tx))
+        data = message(trace.kind, trace.unit, transmitted_records(trace, tx))
         _, _, parsed, _, _ = read_message(data, len(tx))
         assert len(parsed) == len(tx)
         assert parsed["t"].tolist() == trace.times[tx.indices].tolist()
@@ -135,7 +139,7 @@ class TestWireFormat:
     def test_parse_rejects_garbage(self):
         with pytest.raises(PayloadError, match="not a header"):
             read_message(b"nope", 1)
-        good = serialize_records("heart-rate", "bpm", wire_records((0, 1.0, "anchor")))
+        good = message("heart-rate", "bpm", wire_records((0, 1.0, "anchor")))
         with pytest.raises(PayloadError, match="not a header"):
             read_message(good[:-1], 1)
         with pytest.raises(PayloadError, match="bad magic"):
@@ -153,12 +157,12 @@ class TestWireFormat:
         bad = wire_records((0, 1.0, "anchor"), (1, 2.0, "variance"), (2, 3.0, "beacon"))
         bad["reason"] = [0, 7, 3]
         with pytest.raises(PayloadError, match="unknown reason code 7"):
-            read_message(serialize_records("heart-rate", "bpm", bad), 3)
+            read_message(message("heart-rate", "bpm", bad), 3)
         # ten records (141 bytes) read with a batch of nine, whose messages
         # are 144 bytes padded: more records than a message holds
         ten = wire_records(*[(t, 1.0, "anchor") for t in range(10)])
         with pytest.raises(PayloadError, match="141 bytes is not a header and at most 9 whole"):
-            read_frames(serialize_records("heart-rate", "bpm", ten), 9, AES)
+            read_frames(message("heart-rate", "bpm", ten), 9, AES)
 
     @pytest.mark.parametrize("data,fault", [
         (RUN[:-1], "last message of 23 bytes is not a header"),
@@ -187,7 +191,7 @@ class TestWireFormat:
         with pytest.raises(PayloadError, match=f"record at t={t} does not fit"):
             transmitted_records(trace, tx)
         with pytest.raises(PayloadError, match=f"record at t={t} does not fit"):
-            serialize_records(trace.kind, trace.unit, transmitted_records(trace, tx))
+            message(trace.kind, trace.unit, transmitted_records(trace, tx))
         # the largest time that fits goes through unchanged
         fits = TransmissionSet(3, [0, 1], [0, 1])
         assert transmitted_records(trace, fits)["t"].tolist() == [0, 2**32 - 1]
@@ -200,7 +204,7 @@ class TestWireFormat:
     ], ids=["list", "aligned", "little-endian", "2-D"])
     def test_serialize_rejects_anything_but_record_arrays(self, records):
         with pytest.raises(PayloadError, match="RECORD_DTYPE"):
-            serialize_records("heart-rate", "bpm", records)
+            message("heart-rate", "bpm", records)
 
     def test_transmitted_records_follow_the_selection(self):
         trace = Trace("other", "dimensionless", [0, 10, 20], [1.5, 2.5, 3.5])
@@ -217,7 +221,7 @@ class TestWireFormat:
         trace = generate_trace(SyntheticSpec(n=1420, seed=7, period=60,
                                              drift_amplitude=8.0, noise_scale=1.5))
         tx = select_samples(trace, InferenceConfig(vr=0.025, beacon_period=60))
-        payload = serialize_records(trace.kind, trace.unit, transmitted_records(trace, tx))
+        payload = message(trace.kind, trace.unit, transmitted_records(trace, tx))
         assert len(tx) == 640
         assert len(payload) == 8331
         assert hashlib.sha256(payload).hexdigest() == (
@@ -370,7 +374,7 @@ class TestSizeModel:
         sizes = []
         for vr in (0.0, 0.025, 0.1):
             tx = select_samples(trace, InferenceConfig(vr=vr))
-            payload = serialize_records(trace.kind, trace.unit, transmitted_records(trace, tx))
+            payload = message(trace.kind, trace.unit, transmitted_records(trace, tx))
             sizes.append((len(payload), ciphertext_size(len(payload), suite)))
         plain = [p for p, _ in sizes]
         cipher = [c for _, c in sizes]

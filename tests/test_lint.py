@@ -2,6 +2,7 @@
 module imports is used in that module, and one function parses CSV text
 with numpy."""
 import ast
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,40 @@ def test_loadtxt_callers_sees_aliases_methods_and_module_code():
               "def f():\n    return lt\ndef g():\n    return numpy.load\n"
               "class C:\n    def m(self):\n        return numpy.loadtxt\n")
     assert loadtxt_callers(source, "m") == {"m", "m.f", "m.C.m"}
+
+
+def package_reads(source: str, name: str = "io") -> set[str]:
+    """Every dotted attribute path that `source` reads off a variable `name`,
+    with `name` dropped: `io.experiments.run_vr_sweep` gives
+    `experiments.run_vr_sweep` and `experiments`."""
+    paths = set()
+    for node in ast.walk(ast.parse(source)):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id == name:
+            paths.add(".".join(reversed(parts)))
+    return paths
+
+
+def test_package_reads_follows_attribute_chains():
+    source = "def f(io, x):\n    return io.a.b(io.c['k'], x.d, io)\n"
+    assert package_reads(source) == {"a", "a.b", "c"}
+
+
+def test_package_has_every_name_the_benchmark_reads():
+    # perfbench/run.py imports the package and its experiments module, then
+    # hands the package to each workload as `io`
+    import ioht_pipeline.experiments
+
+    workloads = PACKAGE.parent.parent / "perfbench" / "workloads.py"
+    paths = package_reads(workloads.read_text())
+    assert "load_csv" in paths and "experiments.run_vr_sweep" in paths
+    missing = []
+    for path in sorted(paths):
+        try:
+            attrgetter(path)(ioht_pipeline)
+        except AttributeError:
+            missing.append(path)
+    assert missing == []

@@ -33,7 +33,6 @@ from ioht_pipeline.crypto import (
     encrypt,
     frame_records,
     read_frames,
-    serialize_records,
     transmitted_records,
 )
 from ioht_pipeline.dp import (
@@ -396,7 +395,7 @@ def transmit_loop(trace, tx, config):
     messages = payload_bytes = ciphertext_bytes = 0
     for start in range(0, max(len(records), 1), config.batch_samples):
         batch = records[start:start + config.batch_samples]
-        payload = serialize_records(trace.kind, trace.unit, batch)
+        payload = frame_records(trace.kind, trace.unit, batch, max(len(batch), 1), config.suite)
         encrypted = encrypt(payload, context)
         messages += 1
         payload_bytes += len(payload)
@@ -948,7 +947,7 @@ def test_codec_matches_struct_loops(kind, unit, start, rows):
     times = np.cumsum([start] + [step for step, _, _ in rows]).tolist()[1:]
     rows = [(t, v, reason) for t, (_, v, reason) in zip(times, rows)]
     records = np.array([(t, v, REASON_CODES[r]) for t, v, r in rows], dtype=RECORD_DTYPE)
-    data = serialize_records(kind, unit, records)
+    data = frame_records(kind, unit, records, max(len(rows), 1), SUITES["aes-128-ecb"])
     assert data == serialize_records_loop(kind, unit, rows)
     got_kind, got_unit, parsed, messages, payload_bytes = read_frames(
         data, max(len(rows), 1), SUITES["aes-128-ecb"])
@@ -1431,16 +1430,17 @@ def test_fast_reader_starts_a_piece_where_the_layout_changes(tmp_path, monkeypat
     assert got.values.tolist() == [10.5, 9.5, -9.5]
 
 
-# Rows whose value widths alternate every `run` rows: runs of one row each are
-# read faster by numpy, and runs of 100 rows from bytes.
-@pytest.mark.parametrize("run", [1, 100])
+# Rows whose value widths alternate every `run` rows: runs of 1 and of 100
+# rows are read faster by numpy, and runs of 1 000 rows from bytes (the two
+# routes break even at runs of about 250 rows).
+@pytest.mark.parametrize("run", [1, 100, 1000])
 def test_fast_reader_sends_short_runs_to_numpy(tmp_path, monkeypatch, run):
     path = tmp_path / "trace.csv"
     rows = [f"{t},{'1' * (t // run % 2)}7.5\n" for t in range(3000)]
     path.write_text("t,value\n" + "".join(rows))
     times, values = loadtxt_columns(path)
     called = no_loadtxt(monkeypatch)
-    if run == 1:
+    if run < 1000:
         with pytest.raises(called):
             load_csv(path, "other", "dimensionless")
         return

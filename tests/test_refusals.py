@@ -1,0 +1,118 @@
+"""Refusals that no other test names: one table of bad inputs, each refused
+with its own exception type and message, and the ones a command reaches,
+each exiting 2 with its message on standard error."""
+import re
+
+import numpy as np
+import pytest
+from test_pipeline import make_config
+
+from ioht_pipeline.chart import Series, render_chart
+from ioht_pipeline.cli import main
+from ioht_pipeline.crypto import (
+    RECORD_DTYPE,
+    SUITES,
+    PayloadError,
+    ciphertext_size,
+    frame_records,
+)
+from ioht_pipeline.dp import DpQuery, l1_sensitivity
+from ioht_pipeline.experiments import run_epsilon_sweep, run_vr_sweep
+from ioht_pipeline.inference import InferenceConfig, TransmissionSet, gap_areas, reconstruct
+from ioht_pipeline.pipeline import EnergyModel
+from ioht_pipeline.trace import (
+    SyntheticSpec,
+    Trace,
+    TraceError,
+    as_population,
+    generate_population,
+    load_population_csv,
+)
+
+TRACE = Trace("other", "dimensionless", [0, 1, 2], [1.0, 2.0, 3.0])
+ONE_SAMPLE = Trace("other", "dimensionless", [0], [1.0])
+# a population CSV whose header has every column but id
+NO_ID = "gender,body_temperature,heart_rate\nfemale,36.8,70\n"
+
+
+def write(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    return path
+
+
+# (call on a temporary directory, exception type, message)
+REFUSALS = {
+    "beacon": (lambda tmp: InferenceConfig(beacon_period=0),
+               ValueError, "beacon_period must be >= 1"),
+    "config-mode": (lambda tmp: InferenceConfig(recon_mode="cubic"),
+                    ValueError, "unknown recon_mode 'cubic'"),
+    "reconstruct-mode": (lambda tmp: reconstruct(TRACE, TransmissionSet(3, [0, 2], [0, 0]),
+                                                 "cubic"),
+                         ValueError, "unknown recon_mode 'cubic'"),
+    "tx-length": (lambda tmp: reconstruct(TRACE, TransmissionSet(2, [0, 1], [0, 0])),
+                  ValueError, "transmission set length does not match trace"),
+    "integrate": (lambda tmp: gap_areas(ONE_SAMPLE, np.ones(1)),
+                  ValueError, "need at least 2 samples to integrate"),
+    "energy": (lambda tmp: EnergyModel(joules_per_message_overhead=-1e-4),
+               ValueError, "energy coefficients must be >= 0"),
+    "noise": (lambda tmp: SyntheticSpec(noise_scale=-1.0),
+              TraceError, "noise_scale must be >= 0"),
+    "population-2d": (lambda tmp: as_population([[("p0", "female", 36.8, 70.0)]]),
+                      TraceError, "a population is 1-D, got 2-D rows"),
+    "no-id": (lambda tmp: load_population_csv(write(tmp, NO_ID)),
+              TraceError, "in.csv: no id column in the header"),
+    "aggregate": (lambda tmp: DpQuery("median"), ValueError, "unknown aggregate 'median'"),
+    "field": (lambda tmp: DpQuery("mean"), ValueError, "mean query requires a valid field"),
+    "neighbor": (lambda tmp: l1_sensitivity(DpQuery("count"), generate_population(3, 0),
+                                            neighbor="addition"),
+                 ValueError, "unknown neighbor model 'addition'"),
+    "vr-sweep": (lambda tmp: run_vr_sweep(Trace("other", "dimensionless", [0, 1], [1.0, 2.0])),
+                 ValueError, "vr sweep needs a trace of length >= 3"),
+    "empty-population": (lambda tmp: run_epsilon_sweep(generate_population(0, 0)),
+                         ValueError, "population must be non-empty"),
+    "plaintext": (lambda tmp: ciphertext_size(-1, SUITES["aes-128-ecb"]),
+                  ValueError, "plaintext_len must be >= 0"),
+    "batch": (lambda tmp: frame_records("other", "dimensionless", np.empty(0, RECORD_DTYPE),
+                                        2**32, SUITES["aes-128-ecb"]),
+              PayloadError, "a message holds at most 2^32 - 1 records, not 4294967296"),
+    "style": (lambda tmp: render_chart([Series("s", ((0.0, 1.0),))], style="bars"),
+              ValueError, "unknown style 'bars'"),
+    "key": (lambda tmp: make_config(key=bytes(2)),
+            ValueError, "aes-128-ecb needs a 16-byte key, got 2"),
+}
+
+
+@pytest.mark.parametrize("call,error,message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_type_and_message(tmp_path, call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as refused:
+        call(tmp_path)
+    assert refused.type is error
+
+
+# (command line, input file text or None, message); {input} and {out} name
+# files in a temporary directory
+COMMAND_REFUSALS = {
+    "infer-beacon": (["infer", "--n", "50", "--beacon", "0"], None,
+                     "beacon_period must be >= 1"),
+    "gen-noise": (["gen", "--n", "50", "--noise", "-1", "--out", "{out}"], None,
+                  "noise_scale must be >= 0"),
+    "chart-header-only": (["chart", "--input", "{input}", "--out", "{out}"], "x,y\n",
+                          "in.csv: no data rows"),
+    "dp-no-id": (["dp", "--epsilon", "0.5", "--population", "{input}"], NO_ID,
+                 "in.csv: no id column in the header"),
+    "pipeline-key": (["pipeline", "--n", "50", "--key", "0011"], None,
+                     "aes-128-ecb needs a 16-byte key, got 2"),
+}
+
+
+@pytest.mark.parametrize("argv,text,message", COMMAND_REFUSALS.values(),
+                         ids=COMMAND_REFUSALS.keys())
+def test_command_refusal_exits_2(tmp_path, capsys, argv, text, message):
+    source = write(tmp_path, text) if text is not None else None
+    out = tmp_path / "out"
+    assert main([arg.format(input=source, out=out) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert not out.exists()
