@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cache
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from cryptography.hazmat.decrepit.ciphers.algorithms import Blowfish, TripleDES
-from cryptography.hazmat.primitives import padding
-from cryptography.hazmat.primitives.ciphers import Cipher, CipherAlgorithm, algorithms, modes
 
 from .inference import REASON_NAMES, TransmissionSet
 from .trace import KIND_CODES, KINDS, UNIT_CODES, UNITS, Trace
+
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.ciphers import Cipher, CipherAlgorithm
 
 MAGIC = b"IOHT"
 FORMAT_VERSION = 0x01
@@ -40,11 +42,26 @@ class CipherSuite:
     algorithm: Callable[[bytes], CipherAlgorithm]  # the block cipher under a key
 
 
+@cache
+def _library() -> SimpleNamespace:
+    """The `cryptography` classes ciphers are built from, imported once, when
+    the first cipher is built: importing the package, and every command that
+    enciphers nothing, loads none of the library (about 6 MB of resident memory)."""
+    from cryptography.hazmat.decrepit.ciphers.algorithms import Blowfish, TripleDES
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+    from cryptography.hazmat.primitives.padding import PKCS7
+    return SimpleNamespace(AES=algorithms.AES, Blowfish=Blowfish, TripleDES=TripleDES,
+                           Cipher=Cipher, ECB=modes.ECB, PKCS7=PKCS7)
+
+
 SUITES = {suite.name: suite for suite in (
-    CipherSuite("aes-128-ecb", block_bytes=16, key_bits=128, algorithm=algorithms.AES),
+    CipherSuite("aes-128-ecb", block_bytes=16, key_bits=128,
+                algorithm=lambda key: _library().AES(key)),
     # TripleDES with K1 = K2 = K3 is single DES.
-    CipherSuite("des-ecb", block_bytes=8, key_bits=64, algorithm=lambda key: TripleDES(key * 3)),
-    CipherSuite("blowfish-ecb", block_bytes=8, key_bits=128, algorithm=Blowfish),
+    CipherSuite("des-ecb", block_bytes=8, key_bits=64,
+                algorithm=lambda key: _library().TripleDES(key * 3)),
+    CipherSuite("blowfish-ecb", block_bytes=8, key_bits=128,
+                algorithm=lambda key: _library().Blowfish(key)),
 )}
 
 
@@ -170,7 +187,8 @@ def _cipher(suite: CipherSuite, key: bytes) -> Cipher:
     """The ECB cipher of `suite` under `key`."""
     if len(key) != suite.key_bits // 8:
         raise ValueError(f"{suite.name} needs a {suite.key_bits // 8}-byte key, got {len(key)}")
-    return Cipher(suite.algorithm(key), modes.ECB())
+    library = _library()
+    return library.Cipher(suite.algorithm(key), library.ECB())
 
 
 class EcbContext:
@@ -190,7 +208,7 @@ class EcbContext:
     def __init__(self, suite: CipherSuite, key: bytes) -> None:
         cipher = _cipher(suite, key)
         self.suite = suite
-        self._pkcs7 = padding.PKCS7(suite.block_bytes * 8)
+        self._pkcs7 = _library().PKCS7(suite.block_bytes * 8)
         self._encryptor = cipher.encryptor()
         self._decryptor = cipher.decryptor()
 

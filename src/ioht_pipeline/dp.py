@@ -65,7 +65,8 @@ class NoisedResult:
 
 def laplace_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
     """`size` inverse-CDF Laplace(0, b) draws: for each uniform u in
-    (-1/2, 1/2), -b*sign(u)*ln(1-2|u|), and 0 where u == 0.
+    (-1/2, 1/2), -b*sign(u)*ln(1-2|u|). u is 0 only as +0.0 (a uniform of
+    exactly 1/2, less 0.5), and there the draw is 0.0 - b * ln(1.0) = +0.0.
 
     A uniform with 1-2|u| <= 0 is dropped and the missing ones drawn again
     after the kept ones, so the stream is used as by one scalar draw at a
@@ -92,9 +93,7 @@ def laplace_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
     # tests/test_oracles.py is its guard.
     logs = np.log(y[::-1])[::-1]
     # copysign(b, u) is b * sign(u) exactly: multiplying by +-1 is exact
-    noise = 0.0 - np.copysign(b, u) * logs
-    noise[u == 0.0] = 0.0
-    return noise
+    return 0.0 - np.copysign(b, u) * logs
 
 
 def evaluate_query(dataset: np.ndarray, query: DpQuery) -> float:

@@ -14,13 +14,17 @@ from ioht_pipeline.chart import Series, render_chart
 from ioht_pipeline.cli import main
 
 
-def ioht(*args, cwd):
-    """`ioht args...` in a subprocess, run in `cwd`."""
+def python(*args, **kwargs):
+    """`python args...` in a subprocess that imports this package."""
     src = str(Path(ioht_pipeline.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "ioht_pipeline.cli", *args], cwd=cwd,
-                          capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": pythonpath})
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": pythonpath}, **kwargs)
+
+
+def ioht(*args, cwd):
+    """`ioht args...` in a subprocess, run in `cwd`."""
+    return python("-m", "ioht_pipeline.cli", *args, cwd=cwd)
 
 
 class TestChart:
@@ -416,3 +420,46 @@ def test_cli_output_is_golden(entry, golden_inputs, tmp_path, monkeypatch, capsy
         GOLDEN.write_text(json.dumps(GOLDEN_ENTRIES, indent=2) + "\n")
     else:
         assert got == entry
+
+
+# Only `pipeline` enciphers. With `cryptography` unimportable, every other
+# manifest entry runs in one interpreter, each in a fresh directory linking
+# the inputs, and gives its pinned exit code and bytes.
+WITHOUT_CRYPTOGRAPHY = """
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+sys.modules["cryptography"] = None
+from ioht_pipeline.cli import main
+
+inputs, work = Path(sys.argv[1]), Path(sys.argv[2])
+results = []
+for i, command in enumerate(json.load(sys.stdin)):
+    directory = work / str(i)
+    directory.mkdir()
+    for source in inputs.iterdir():
+        (directory / source.name).symlink_to(source)
+    os.chdir(directory)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(command.split())
+    files = {path.relative_to(directory).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+             for path in sorted(directory.rglob("*")) if path.is_file() and not path.is_symlink()}
+    results.append({"command": command, "exit": code,
+                    "stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
+                    "files": files})
+print(json.dumps(results))
+"""
+
+
+def test_cli_output_is_golden_without_cryptography(golden_inputs, tmp_path):
+    entries = [entry for entry in GOLDEN_ENTRIES if entry["command"].split()[0] != "pipeline"]
+    got = python("-c", WITHOUT_CRYPTOGRAPHY, golden_inputs, tmp_path,
+                 input=json.dumps([entry["command"] for entry in entries]))
+    assert got.returncode == 0, got.stderr
+    assert json.loads(got.stdout) == entries

@@ -1,7 +1,11 @@
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ioht_pipeline
 from ioht_pipeline.cli import build_parser
 from ioht_pipeline.crypto import (
     HEADER_LEN,
@@ -336,6 +341,43 @@ class TestEcbContext:
             decrypt(payload, EcbContext(SUITES["blowfish-ecb"], KEYS["blowfish-ecb"]))
         # neither refusal leaves a partial block behind in the context
         assert decrypt(payload, context) == b"x" * 20
+
+
+# Importing the package and running Tier 2 and the size formulas load none of
+# `cryptography`; the first cipher built loads it.
+LIBRARY_ON_FIRST_CIPHER = """
+import sys
+
+import numpy as np
+
+import ioht_pipeline
+import ioht_pipeline.cli
+import ioht_pipeline.experiments
+from ioht_pipeline import SUITES, DpParams, DpQuery, EcbContext, generate_population, noisy_query
+from ioht_pipeline.crypto import frame_sizes
+from ioht_pipeline.experiments import run_epsilon_sweep, run_size_sweep
+from ioht_pipeline.pipeline import hop_log
+
+population = generate_population(60, 7)
+params = DpParams(epsilon=0.5, sensitivity=1.0)
+noisy_query(population, DpQuery("mean", "heart_rate"), params, np.random.default_rng(7))
+run_epsilon_sweep(population, trials=3, seed=7)
+run_size_sweep()
+for suite in SUITES.values():
+    frame_sizes(130, 7, suite)
+    hop_log(130, 7, suite)
+assert "cryptography" not in sys.modules
+EcbContext(SUITES["aes-128-ecb"], bytes(16))
+assert "cryptography" in sys.modules
+"""
+
+
+def test_cryptography_loads_with_the_first_cipher():
+    src = str(Path(ioht_pipeline.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    got = subprocess.run([sys.executable, "-c", LIBRARY_ON_FIRST_CIPHER], capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": pythonpath})
+    assert got.returncode == 0, got.stderr
 
 
 class TestSizeModel:

@@ -1,6 +1,6 @@
 """Static checks of the package source that need no linter: every name a
-module imports is used in that module, and one function parses CSV text
-with numpy."""
+module imports is used in that module, importing the package loads no
+`cryptography`, and one function parses CSV text with numpy."""
 import ast
 from operator import attrgetter
 from pathlib import Path
@@ -34,6 +34,48 @@ def test_unused_imports_sees_through_attributes_and_aliases():
     source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
               "from typing import Optional, Sequence\nx: Optional[int] = np.pi\n")
     assert unused_imports(source) == ["os", "Sequence"]
+
+
+def import_time_imports(source: str, package: str) -> list[str]:
+    """The modules of `package` that `source` imports when it is itself
+    imported: at module level or in a class body, outside any function and
+    outside `if TYPE_CHECKING:`."""
+    found = []
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                visit(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                found.extend(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.append(node.module)
+            visit(ast.iter_child_nodes(node))
+
+    visit(ast.parse(source).body)
+    return [name for name in found if name == package or name.startswith(package + ".")]
+
+
+def test_no_module_level_cryptography_import():
+    # The cipher library loads with the first cipher built (crypto._library),
+    # so that Tier 2 and the size formulas run without it.
+    found = {path.name: import_time_imports(path.read_text(), "cryptography")
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: modules for name, modules in found.items() if modules} == {}
+
+
+def test_import_time_imports_skips_functions_and_type_checking():
+    source = ("from typing import TYPE_CHECKING\nimport cryptography.x as c, cryptographyx\n"
+              "if TYPE_CHECKING:\n    from cryptography import y\nelse:\n    import cryptography.z\n"
+              "def f():\n    from cryptography import w\n"
+              "class C:\n    from cryptography.v import u\n    def m(self):\n"
+              "        import cryptography\n"
+              "try:\n    import cryptography\nexcept ImportError:\n    pass\n")
+    assert import_time_imports(source, "cryptography") == [
+        "cryptography.x", "cryptography.z", "cryptography.v", "cryptography"]
 
 
 def loadtxt_callers(source: str, module: str) -> set[str]:
