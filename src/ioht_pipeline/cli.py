@@ -356,11 +356,12 @@ def _cmd_pipeline(args) -> None:
         energy=EnergyModel(),
     )
     report = run_pipeline(trace, config, population)
-    print(report.to_json())
+    report_json = report.to_json()
+    print(report_json)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "pipeline_report.json").write_text(report.to_json() + "\n")
+        (out / "pipeline_report.json").write_text(report_json + "\n")
         (out / "hops.csv").write_text(report.log_csv())
         print(f"wrote {out / 'pipeline_report.json'} and {out / 'hops.csv'}", file=sys.stderr)
 

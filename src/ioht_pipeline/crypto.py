@@ -122,14 +122,15 @@ def frame_sizes(record_count: int, batch: int, suite: CipherSuite) -> tuple[int,
     return full + 1, full * size + last, full * width + padded
 
 
-def read_frames(data: bytes, batch: int,
-                suite: CipherSuite) -> tuple[str, str, np.ndarray, int, int]:
+def read_frames(data: bytes, batch: int, suite: CipherSuite,
+                last_t: int | None = None) -> tuple[str, str, np.ndarray, int, int]:
     """Decode and check a `frame_records` buffer, as decrypted: (kind, unit,
     every message's records in order (read-only), the message count and the
     unpadded bytes read). One message of `count` records is read as
     `read_frames(data, max(count, 1), suite)`. Raises PayloadError naming the
     first fault the checks below find, the first unknown reason code, or the
-    first message in which t does not increase."""
+    first message in which t does not increase, from `last_t` (the last t of
+    the buffer before, when the run comes in more than one) if given."""
     size, width = _message_sizes(batch, suite)
     full = len(data) // width
     rows = np.frombuffer(data, np.uint8, full * width).reshape(full, width)
@@ -158,6 +159,8 @@ def read_frames(data: bytes, batch: int,
     if len(unknown):
         raise PayloadError(f"unknown reason code {unknown[0]}")
     t = records["t"]
+    if last_t is not None and len(t) and t[0] <= last_t:
+        raise PayloadError("message 0: t does not increase")
     increases = t[1:] > t[:-1]  # a run of ECB messages can be reordered undetected
     if not np.all(increases):
         raise PayloadError(f"message {(np.argmin(increases) + 1) // batch}: t does not increase")

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .trace import Trace
+from .trace import BLOCK_SAMPLES, Trace
 
 REASON_ANCHOR = "anchor"
 REASON_VARIANCE = "variance"
@@ -17,11 +17,6 @@ REASON_NAMES = (REASON_ANCHOR, REASON_VARIANCE, REASON_BEACON)  # indexed by wir
 REASON_CODES = {name: code for code, name in enumerate(REASON_NAMES)}
 
 RECON_MODES = ("step-hold", "linear")
-
-# Samples per block of the selection, reconstruction and gap-area passes: a
-# block's temporaries stay a few hundred KB, so they are reused from the heap
-# and the caches rather than faulted in afresh at full length.
-BLOCK_SAMPLES = 65536
 
 
 @dataclass(frozen=True)
@@ -82,10 +77,14 @@ class TransmissionSet:
         return tx
 
     @property
-    def selected(self) -> tuple[tuple[int, str], ...]:
-        """(index, reason name) pairs in index order."""
-        names = [REASON_NAMES[c] for c in self.codes.tolist()]
-        return tuple(zip(self.indices.tolist(), names))
+    def selected(self) -> Iterator[tuple[int, str]]:
+        """(index, reason name) pairs in index order, made from the columns a
+        block of `BLOCK_SAMPLES` at a time: only one block's pairs exist at
+        once. Each read of the property starts a new pass."""
+        for start in range(0, len(self.indices), BLOCK_SAMPLES):
+            stop = start + BLOCK_SAMPLES
+            names = [REASON_NAMES[c] for c in self.codes[start:stop].tolist()]
+            yield from zip(self.indices[start:stop].tolist(), names)
 
     def __len__(self) -> int:
         return len(self.indices)

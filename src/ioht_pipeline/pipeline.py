@@ -24,7 +24,6 @@ from .crypto import (
 )
 from .dp import DpParams, DpQuery, NoisedResult, derive_streams, noisy_query
 from .inference import (
-    BLOCK_SAMPLES,
     InferenceConfig,
     InferenceMetrics,
     TransmissionSet,
@@ -32,7 +31,7 @@ from .inference import (
     reconstruct,
     select_samples,
 )
-from .trace import Trace
+from .trace import BLOCK_SAMPLES, Trace
 
 HOP_SENSOR_GATEWAY = "sensor->gateway"
 HOP_GATEWAY_EDGE = "gateway->edge"
@@ -155,16 +154,18 @@ def _transmit(
     `EcbContext`. Because ECB carries no state between blocks, every message
     is whole blocks once padded, and a chunk's last message is full except
     in the last chunk, that is byte for byte what a call per message would
-    send. Raises RuntimeError if `read_frames` refuses a chunk at the edge,
-    if what it reads differs from what was sent, or if the messages and
-    bytes it read, or the ciphertext bytes, summed over the chunks, differ
-    from `hop_log`.
+    send. The edge hands `read_frames` the last t of the chunk before, so t
+    must increase across chunks as within one. Raises RuntimeError if
+    `read_frames` refuses a chunk at the edge, if what it reads differs from
+    what was sent, or if the messages and bytes it read, or the ciphertext
+    bytes, summed over the chunks, differ from `hop_log`.
     """
     batch, suite = config.batch_samples, config.suite
     log = hop_log(len(tx), batch, suite)
     context = EcbContext(suite, config.key)
     chunk = batch * max(1, BLOCK_SAMPLES // batch)
     messages = payload_bytes = ciphertext_bytes = 0
+    last_t = None
     for start in range(0, max(len(tx), 1), chunk):
         records = transmitted_records(trace, tx, start, start + chunk)
         sent = frame_records(trace.kind, trace.unit, records, batch, suite)
@@ -174,11 +175,14 @@ def _transmit(
         if decrypted != sent:
             raise RuntimeError("decryption mismatch: cipher or codec bug")
         try:
-            kind, unit, received, count, size = read_frames(decrypted, batch, suite)
+            kind, unit, received, count, size = read_frames(decrypted, batch, suite, last_t)
         except PayloadError as exc:
             raise RuntimeError(f"edge-side records differ from transmitted records: {exc}") from exc
-        if (kind, unit) != (trace.kind, trace.unit) or received.tobytes() != records.tobytes():
+        if ((kind, unit) != (trace.kind, trace.unit)
+                or not np.array_equal(received.view(np.uint8), records.view(np.uint8))):
             raise RuntimeError("edge-side records differ from transmitted records")
+        if len(received):  # empty only in a run of no records, which is one chunk
+            last_t = int(received["t"][-1])
         messages += count
         payload_bytes += size
         ciphertext_bytes += len(encrypted.ciphertext)

@@ -23,6 +23,13 @@ UNITS = tuple(KIND_UNITS.values())
 KIND_CODES = {k: i for i, k in enumerate(KINDS)}
 UNIT_CODES = {u: i for i, u in enumerate(UNITS)}
 
+# Samples per block of the full-length passes: the AR(1) recursion of
+# `generate_trace`, the rows `save_csv` formats, and Tier 1's selection,
+# reconstruction and gap areas (`inference`). A block's temporaries, its
+# Python floats and its CSV bytes stay a few MB at most, so they are reused
+# from the heap and the caches rather than faulted in afresh at full length.
+BLOCK_SAMPLES = 65536
+
 
 class TraceError(ValueError):
     """Raised for malformed trace data (bad CSV rows, broken invariants)."""
@@ -433,8 +440,6 @@ def _horner(digits: np.ndarray) -> np.ndarray:
     return out
 
 
-# Rows per chunk of `save_csv`: the chunk's byte matrix stays a few MB.
-_WRITE_CHUNK_ROWS = 65536
 # Below this magnitude |v| * 10**6 < 2**52, where `_micro_units` is exact.
 _EXACT_LIMIT = 2.0**32
 _VELTKAMP = 2.0**27 + 1
@@ -444,15 +449,15 @@ def save_csv(trace: Trace, path: str | Path) -> None:
     """Write a trace as `t,value` rows; values keep 6 fractional digits.
 
     The bytes are those of csv.writer writing `[t, f"{value:.6f}"]` rows, a
-    chunk of rows at a time. A chunk holding any |value| >= 2**32 goes
-    through that f-string instead, because there the exact rounding of
-    `_micro_units` no longer holds.
+    block of `BLOCK_SAMPLES` rows at a time. A block holding any |value| >=
+    2**32 goes through that f-string instead, because there the exact
+    rounding of `_micro_units` no longer holds.
     """
     with open(path, "wb") as fh:
         fh.write(b"t,value\r\n")
-        for start in range(0, len(trace), _WRITE_CHUNK_ROWS):
-            times = trace.times[start:start + _WRITE_CHUNK_ROWS]
-            values = trace.values[start:start + _WRITE_CHUNK_ROWS]
+        for start in range(0, len(trace), BLOCK_SAMPLES):
+            times = trace.times[start:start + BLOCK_SAMPLES]
+            values = trace.values[start:start + BLOCK_SAMPLES]
             if np.any(np.abs(values) >= _EXACT_LIMIT):
                 fh.write("".join(f"{t},{v:.6f}\r\n"
                                  for t, v in zip(times.tolist(), values.tolist())).encode())
@@ -483,7 +488,7 @@ def _micro_units(magnitude: np.ndarray) -> np.ndarray:
 
 
 def _csv_rows(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The `t,value` rows of a chunk whose |values| are below 2**32, as bytes.
+    """The `t,value` rows of a block whose |values| are below 2**32, as bytes.
 
     Each row is laid out at full width, one byte column per character: t, a
     comma, a minus sign, the whole part, a point, six fraction digits and
@@ -533,26 +538,31 @@ def generate_trace(spec: SyntheticSpec) -> Trace:
 
     The AR(1) coefficient is fixed at 0.9 so consecutive samples are
     correlated, which keeps the variance-rate filter's savings realistic.
+    Its shocks are drawn and made Python floats a block of `BLOCK_SAMPLES`
+    at a time, so only one block of them exists at once.
     """
     rng = np.random.default_rng(spec.seed)
     times = np.arange(spec.n, dtype=np.int64) * spec.period
     drift = spec.drift_amplitude * np.sin(2.0 * np.pi * times / 86400.0)
     if spec.noise_scale > 0:
-        # one batched draw gives the same stream as n scalar draws
-        shocks = rng.normal(0.0, spec.noise_scale, spec.n).tolist()
-        ar = np.fromiter(_ar1(shocks), np.float64, spec.n)
+        # batched draws give the same stream as n scalar draws
+        blocks = (rng.normal(0.0, spec.noise_scale, min(BLOCK_SAMPLES, spec.n - start)).tolist()
+                  for start in range(0, spec.n, BLOCK_SAMPLES))
+        ar = np.fromiter(_ar1(blocks), np.float64, spec.n)
     else:
         ar = 0.0
     values = spec.baseline + drift + ar
     return Trace._owned(spec.kind, KIND_UNITS[spec.kind], times, values)
 
 
-def _ar1(shocks: Iterable[float]) -> Iterator[float]:
-    """The AR(1) series x[i] = 0.9 * x[i - 1] + e[i] of `shocks`, from 0.0."""
+def _ar1(blocks: Iterable[list[float]]) -> Iterator[float]:
+    """The AR(1) series x[i] = 0.9 * x[i - 1] + e[i] of the shocks in
+    `blocks`, in order, from 0.0."""
     prev = 0.0
-    for e in shocks:
-        prev = 0.9 * prev + e
-        yield prev
+    for shocks in blocks:
+        for e in shocks:
+            prev = 0.9 * prev + e
+            yield prev
 
 
 HR_MEAN = 73.76  # population heart-rate model, bpm

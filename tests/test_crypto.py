@@ -189,6 +189,16 @@ class TestWireFormat:
         with pytest.raises(PayloadError, match=fault):
             read_frames(data, 1, AES)
 
+    # A buffer read after RUN, whose last t is 120, must start above it.
+    def test_read_frames_takes_t_on_from_the_buffer_before(self):
+        after = frame_records("heart-rate", "bpm", wire_records((121, 4.0, "anchor")), 1, AES)
+        assert read_frames(after, 1, AES, last_t=120)[2]["t"].tolist() == [121]
+        for last_t in (121, 2**32 - 1):
+            with pytest.raises(PayloadError, match="^message 0: t does not increase$"):
+                read_frames(after, 1, AES, last_t=last_t)
+        empty = frame_records("heart-rate", "bpm", wire_records(), 1, AES)
+        assert len(read_frames(empty, 1, AES, last_t=120)[2]) == 0
+
     @pytest.mark.parametrize("t", [2**32, 2**63 - 1])
     def test_time_outside_32_bits_is_a_payload_error(self, t):
         trace = Trace("other", "dimensionless", [0, 2**32 - 1, t], [1.0, 2.0, 3.0])

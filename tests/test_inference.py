@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ioht_pipeline.inference import (
+    BLOCK_SAMPLES,
     REASON_CODES,
     InferenceConfig,
     TransmissionSet,
@@ -66,7 +68,7 @@ class TestSelectSamples:
     def test_empty_and_single(self):
         assert len(select_samples(make_trace([]), InferenceConfig())) == 0
         tx = select_samples(make_trace([5.0]), InferenceConfig())
-        assert tx.selected == ((0, "anchor"),)
+        assert tuple(tx.selected) == ((0, "anchor"),)
 
     def test_vr_zero_strictly_varying_selects_all(self):
         trace = make_trace(range(1, 50))
@@ -96,10 +98,24 @@ class TestTransmissionSet:
         tx = make_tx(5, ((0, "anchor"), (2, "variance"), (4, "beacon")))
         assert tx.indices.dtype == np.int64 and tx.codes.dtype == np.uint8
         assert tx.codes.tolist() == [0, 1, 2]
-        assert tx.selected == ((0, "anchor"), (2, "variance"), (4, "beacon"))
+        assert tuple(tx.selected) == ((0, "anchor"), (2, "variance"), (4, "beacon"))
         assert len(tx) == 3
         with pytest.raises(ValueError, match="read-only"):
             tx.indices[0] = 1
+
+    def test_selected_holds_one_block_of_pairs(self):
+        # A block's index ints and list slots take about 49 bytes a pair; all
+        # 300 000 pairs held at once, as a tuple, come to about 34 MB.
+        n = 300_000
+        tx = TransmissionSet(n, np.arange(n), np.arange(n) % 3)
+        tracemalloc.start()
+        try:
+            for _ in tx.selected:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < BLOCK_SAMPLES * 80
 
     @pytest.mark.parametrize("indices,codes,message", [
         ([0, 5], [0, 0], "index 5 outside"),

@@ -71,7 +71,6 @@ from ioht_pipeline.pipeline import (
 from ioht_pipeline.trace import (
     _LOCATOR_BLOCK_ROWS,
     _READ_BLOCK_BYTES,
-    _WRITE_CHUNK_ROWS,
     BT_MEAN,
     BT_STD,
     HR_MEAN,
@@ -443,7 +442,7 @@ BOUNDED = st.one_of(st.integers(-4, 4).map(float), st.just(-0.0),
 def test_select_samples_matches_loop(values, vr, beacon):
     trace = make_trace(values)
     config = InferenceConfig(vr=vr, beacon_period=beacon)
-    assert select_samples(trace, config).selected == select_samples_loop(trace, config)
+    assert tuple(select_samples(trace, config).selected) == select_samples_loop(trace, config)
 
 
 # A start time up to 2^62 makes the float cast of the times round; a
@@ -494,6 +493,24 @@ def test_blocked_select_samples_matches_whole_array(values, vr, beacon, block):
         tx = select_samples(trace, config)
     assert tx.indices.dtype == np.int64 and tx.codes.dtype == np.uint8
     assert bits(tx.indices, tx.codes) == bits(*select_samples_whole(trace, config))
+
+
+# `selected` makes its pairs a block at a time: sets that end on, either side
+# of and between block edges, with indices past 2^32.
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.dictionaries(st.integers(0, 2**40), st.sampled_from(REASON_NAMES), max_size=200),
+       block=BLOCK_SIZES)
+@example(pairs={}, block=1)
+@example(pairs={i: REASON_BEACON for i in range(120)}, block=60)
+@example(pairs={i: REASON_VARIANCE for i in range(121)}, block=60)
+@example(pairs={i: REASON_ANCHOR for i in range(59)}, block=60)
+def test_selected_pairs_the_columns_across_block_edges(pairs, block):
+    tx = TransmissionSet(2**40 + 1, sorted(pairs), [REASON_CODES[pairs[i]] for i in sorted(pairs)])
+    with mock.patch.object(inference, "BLOCK_SAMPLES", block):
+        got = tuple(tx.selected)
+    names = [REASON_NAMES[code] for code in tx.codes.tolist()]
+    assert got == tuple(zip(tx.indices.tolist(), names))
+    assert all(type(i) is int for i, _ in got)
 
 
 @st.composite
@@ -553,20 +570,25 @@ def test_blocked_reconstruct_and_gap_areas_match_whole_array(case, mode, block):
                 assert bits(gap_areas(trace, against)) == bits(gap_areas_whole(trace, against))
 
 
+# The AR(1) shocks are drawn a block at a time, so blocks of 1, 7 and 64 put
+# block edges inside the run.
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(min_value=0, max_value=300),
        period=st.integers(min_value=1, max_value=10**6),
        seed=st.integers(min_value=0, max_value=2**32 - 1),
        baseline=st.floats(min_value=-1e3, max_value=1e3),
        drift=st.floats(min_value=0.0, max_value=20.0),
-       noise=st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=5.0)))
-@example(n=0, period=60, seed=0, baseline=70.0, drift=8.0, noise=1.5)
-@example(n=1, period=60, seed=0, baseline=70.0, drift=8.0, noise=1.5)
-@example(n=3, period=60, seed=1, baseline=70.0, drift=0.0, noise=0.0)
-def test_generate_trace_matches_loop(n, period, seed, baseline, drift, noise):
+       noise=st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=5.0)),
+       block=st.sampled_from([BLOCK_SAMPLES, 1, 7, 64]))
+@example(n=0, period=60, seed=0, baseline=70.0, drift=8.0, noise=1.5, block=BLOCK_SAMPLES)
+@example(n=1, period=60, seed=0, baseline=70.0, drift=8.0, noise=1.5, block=BLOCK_SAMPLES)
+@example(n=3, period=60, seed=1, baseline=70.0, drift=0.0, noise=0.0, block=BLOCK_SAMPLES)
+@example(n=128, period=60, seed=7, baseline=70.0, drift=8.0, noise=1.5, block=64)
+def test_generate_trace_matches_loop(n, period, seed, baseline, drift, noise, block):
     spec = SyntheticSpec(n=n, period=period, seed=seed, baseline=baseline,
                          drift_amplitude=drift, noise_scale=noise)
-    trace = generate_trace(spec)
+    with mock.patch.object(trace_module, "BLOCK_SAMPLES", block):
+        trace = generate_trace(spec)
     times, values = generate_trace_loop(spec)
     assert trace.times.tolist() == times
     assert trace.values.tolist() == values
@@ -581,7 +603,7 @@ def test_long_trace_matches_loops():
     for beacon in (None, 60):
         config = InferenceConfig(vr=0.025, beacon_period=beacon)
         tx = select_samples(trace, config)
-        assert tx.selected == select_samples_loop(trace, config)
+        assert tuple(tx.selected) == select_samples_loop(trace, config)
         recon = reconstruct(trace, tx, "linear")
         assert gap_areas(trace, recon) == gap_areas_loop(trace, recon)
 
@@ -1507,9 +1529,9 @@ def long_columns(n, big_at=None):
 @given(columns=saved_columns())
 @example(columns=([], []))
 @example(columns=([0], [-0.0]))
-@example(columns=long_columns(_WRITE_CHUNK_ROWS - 1))
-@example(columns=long_columns(_WRITE_CHUNK_ROWS, big_at=_WRITE_CHUNK_ROWS - 1))
-@example(columns=long_columns(_WRITE_CHUNK_ROWS + 1, big_at=_WRITE_CHUNK_ROWS))
+@example(columns=long_columns(BLOCK_SAMPLES - 1))
+@example(columns=long_columns(BLOCK_SAMPLES, big_at=BLOCK_SAMPLES - 1))
+@example(columns=long_columns(BLOCK_SAMPLES + 1, big_at=BLOCK_SAMPLES))
 def test_save_csv_matches_loop(tmp_path_factory, columns):
     trace = make_trace(columns[1], columns[0])
     path = tmp_path_factory.mktemp("save")

@@ -204,6 +204,22 @@ def test_transmit_rejects_an_unknown_reason_code_even_if_sent(monkeypatch):
         _transmit(trace, _full_transmission_set(130), make_config())
 
 
+# Two chunks of two messages, the second sent from `back` records before its
+# own first: each chunk reads on its own and as sent, and t fails to rise
+# only across the chunk edge, where it repeats (1) or goes back (120).
+@pytest.mark.parametrize("back", [1, 120])
+def test_transmit_rejects_t_that_does_not_increase_across_chunks(back, monkeypatch):
+    def sent_again(trace, tx, start, stop):
+        begin = max(start - back, 0)
+        return transmitted_records(trace, tx, begin, begin + stop - start)
+
+    monkeypatch.setattr(pipeline, "BLOCK_SAMPLES", 120)
+    monkeypatch.setattr(pipeline, "transmitted_records", sent_again)
+    trace = generate_trace(SyntheticSpec(n=240, seed=3, noise_scale=1.0))
+    with pytest.raises(RuntimeError, match="records: message 0: t does not increase$"):
+        _transmit(trace, _full_transmission_set(240), make_config())
+
+
 @pytest.mark.parametrize("field", ["messages", "payload_bytes", "ciphertext_bytes"])
 def test_transmit_checks_its_byte_counts_against_hop_log(field, monkeypatch):
     def off_by_one(*args):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import ioht_pipeline
 from ioht_pipeline import trace as trace_module
 from ioht_pipeline.cli import main
 from ioht_pipeline.trace import (
+    BLOCK_SAMPLES,
     POPULATION_DTYPE,
     SyntheticSpec,
     Trace,
@@ -379,6 +381,22 @@ def test_generate_trace_zero_noise_constant():
     trace = generate_trace(spec)
     assert trace.values.tolist() == [70.0, 70.0, 70.0]
     assert trace.times.tolist() == [0, 60, 120]
+
+
+def test_generate_trace_holds_one_block_of_shocks():
+    # Five n-long arrays (times, drift, the AR(1) series, values and one
+    # temporary) and one block of shocks as Python floats, about 40 bytes a
+    # shock with its list slot and array entry. With every shock held at once
+    # as a float, the peak comes to about 19.8 MB at n = 300 000.
+    n = 300_000
+    spec = SyntheticSpec(n=n, seed=7, noise_scale=1.5)
+    tracemalloc.start()
+    try:
+        generate_trace(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * n + BLOCK_SAMPLES * 48
 
 
 def test_generate_trace_deterministic():
