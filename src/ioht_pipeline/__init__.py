@@ -23,7 +23,6 @@ from .inference import (
 from .crypto import (
     SUITES,
     CipherSuite,
-    EcbContext,
     EncryptedPayload,
     ciphertext_size,
     decrypt,

@@ -194,47 +194,22 @@ def _cipher(suite: CipherSuite, key: bytes) -> Cipher:
     return library.Cipher(suite.algorithm(key), library.ECB())
 
 
-class EcbContext:
-    """One key schedule for a run: an ECB encryptor and decryptor that stay
-    open from one `encrypt`/`decrypt` call to the next, as `_transmit` sends
-    a run in chunks of whole messages, one call of each per chunk.
-
-    This is sound only because ECB carries no state between blocks: each
-    block is enciphered on its own, so bytes sent through a long-lived
-    context, or many messages sent in one call, come out as they would
-    through a fresh context per message. Every message is whole blocks
-    after padding (`frame_records` pads all but the last, `encrypt` pads
-    the last), and the context pads itself (OpenSSL's padding is off), so
-    `update` keeps no block back. `_cipher` builds only ECB ciphers.
-    """
-
-    def __init__(self, suite: CipherSuite, key: bytes) -> None:
-        cipher = _cipher(suite, key)
-        self.suite = suite
-        self._pkcs7 = _library().PKCS7(suite.block_bytes * 8)
-        self._encryptor = cipher.encryptor()
-        self._decryptor = cipher.decryptor()
-
-
-def encrypt(plaintext: bytes, context: EcbContext) -> EncryptedPayload:
-    """ECB-encrypt with PKCS#7 padding."""
-    padder = context._pkcs7.padder()
+def encrypt(plaintext: bytes, suite: CipherSuite, key: bytes) -> EncryptedPayload:
+    """ECB-encrypt with PKCS#7 padding under a cipher built for this call."""
+    encryptor = _cipher(suite, key).encryptor()
+    padder = _library().PKCS7(suite.block_bytes * 8).padder()
     padded = padder.update(plaintext) + padder.finalize()
-    ciphertext = context._encryptor.update(padded)
-    return EncryptedPayload(suite=context.suite, ciphertext=ciphertext)
+    return EncryptedPayload(suite=suite, ciphertext=encryptor.update(padded) + encryptor.finalize())
 
 
-def decrypt(payload: EncryptedPayload, context: EcbContext) -> bytes:
-    suite = context.suite
-    if payload.suite != suite:
-        raise ValueError(f"payload is {payload.suite.name}, the context {suite.name}")
+def decrypt(payload: EncryptedPayload, key: bytes) -> bytes:
+    """Undo `encrypt` under the suite the payload carries."""
+    suite = payload.suite
+    decryptor = _cipher(suite, key).decryptor()
     if len(payload.ciphertext) % suite.block_bytes:
         raise ValueError("ciphertext length is not a multiple of the block length")
-    padded = context._decryptor.update(payload.ciphertext)
-    if len(padded) != len(payload.ciphertext):
-        # a decryptor that kept a block back would prepend it to the next message
-        raise RuntimeError("ECB decryptor held back part of a message")
-    unpadder = context._pkcs7.unpadder()
+    unpadder = _library().PKCS7(suite.block_bytes * 8).unpadder()
+    padded = decryptor.update(payload.ciphertext) + decryptor.finalize()
     return unpadder.update(padded) + unpadder.finalize()
 
 

@@ -8,7 +8,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .trace import BLOCK_SAMPLES, Trace
+from .trace import BLOCK_SAMPLES, Trace, _int64_column
 
 REASON_ANCHOR = "anchor"
 REASON_VARIANCE = "variance"
@@ -44,8 +44,7 @@ class TransmissionSet:
     codes: np.ndarray
 
     def __post_init__(self) -> None:
-        indices = np.array(self.indices, dtype=np.int64)
-        codes = np.array(self.codes, dtype=np.int64)
+        indices, codes = _int64_column(self.indices), _int64_column(self.codes)
         if indices.ndim != 1 or indices.shape != codes.shape:
             raise ValueError("indices and codes must be 1-D and of equal length")
         outside = np.flatnonzero((indices < 0) | (indices >= self.source_len))

@@ -12,7 +12,6 @@ import numpy as np
 from .crypto import (
     MAX_MESSAGE_RECORDS,
     CipherSuite,
-    EcbContext,
     PayloadError,
     _cipher,
     decrypt,
@@ -150,8 +149,9 @@ def _transmit(
     The records go out in chunks of whole messages, about `BLOCK_SAMPLES`
     records each (one header-only message when there are none). Each chunk's
     messages are laid end to end in one buffer (`frame_records`), enciphered
-    by one `encrypt` call and deciphered by one `decrypt` call, all under one
-    `EcbContext`. Because ECB carries no state between blocks, every message
+    by one `encrypt` call and deciphered by one `decrypt` call. ECB enciphers
+    each block on its own, so chunks of whole blocks, each under a cipher of
+    its own, give the bytes of one pass over the run. Because every message
     is whole blocks once padded, and a chunk's last message is full except
     in the last chunk, that is byte for byte what a call per message would
     send. The edge hands `read_frames` the last t of the chunk before, so t
@@ -162,16 +162,15 @@ def _transmit(
     """
     batch, suite = config.batch_samples, config.suite
     log = hop_log(len(tx), batch, suite)
-    context = EcbContext(suite, config.key)
     chunk = batch * max(1, BLOCK_SAMPLES // batch)
     messages = payload_bytes = ciphertext_bytes = 0
     last_t = None
     for start in range(0, max(len(tx), 1), chunk):
         records = transmitted_records(trace, tx, start, start + chunk)
         sent = frame_records(trace.kind, trace.unit, records, batch, suite)
-        encrypted = encrypt(sent, context)
+        encrypted = encrypt(sent, suite, config.key)
         # edge side
-        decrypted = decrypt(encrypted, context)
+        decrypted = decrypt(encrypted, config.key)
         if decrypted != sent:
             raise RuntimeError("decryption mismatch: cipher or codec bug")
         try:

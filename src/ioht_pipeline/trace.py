@@ -6,6 +6,7 @@ import contextlib
 import csv
 import io
 import math
+import numbers
 import re
 import warnings
 from dataclasses import dataclass
@@ -42,12 +43,29 @@ def _check_labels(kind: str, unit: str) -> None:
         raise TraceError(f"unknown unit {unit!r}")
 
 
+def _int64_column(column, copy: bool = True) -> np.ndarray:
+    """`column`, integers or floats that are all whole and inside int64, as a
+    contiguous int64 array, copied if `copy`. Raises ValueError for any other
+    column, rather than truncating or wrapping its numbers."""
+    array = np.asarray(column)
+    if array.dtype.kind == "f":  # nan fails every comparison
+        whole = (-2.0**63 <= array) & (array < 2.0**63) & (np.trunc(array) == array)
+    elif array.dtype.kind in "iu":  # only a uint64 can exceed int64
+        whole = array.dtype.kind == "i" or array <= np.uint64(np.iinfo(np.int64).max)
+    else:
+        raise ValueError(f"a column of {array.dtype} is not of numbers")
+    if not np.all(whole):
+        raise ValueError(f"{array[~whole][0]} is not a whole number inside int64")
+    return np.array(array, np.int64) if copy else np.ascontiguousarray(array, np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class Trace:
     """An immutable physiological time series stored as two read-only columns.
 
     `times` are int64 offsets in whole seconds, non-negative and strictly
     increasing; `values` are finite float64 measurements of the same length.
+    Times given as floats must be whole numbers inside int64.
     """
 
     kind: str
@@ -57,12 +75,7 @@ class Trace:
 
     def __post_init__(self) -> None:
         _check_labels(self.kind, self.unit)
-        try:
-            times = np.array(self.times, dtype=np.int64)
-            values = np.array(self.values, dtype=np.float64)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise TraceError(f"times and values must be numeric columns: {exc}") from exc
-        self._adopt(times, values)
+        self._adopt(self.times, self.values, copy=True)
 
     @classmethod
     def _owned(cls, kind: str, unit: str, times: np.ndarray, values: np.ndarray) -> Trace:
@@ -74,12 +87,17 @@ class Trace:
         trace = object.__new__(cls)
         object.__setattr__(trace, "kind", kind)
         object.__setattr__(trace, "unit", unit)
-        trace._adopt(np.ascontiguousarray(times, np.int64),
-                     np.ascontiguousarray(values, np.float64))
+        trace._adopt(times, values, copy=False)
         return trace
 
-    def _adopt(self, times: np.ndarray, values: np.ndarray) -> None:
-        """Check the columns, make them read-only and take them as they are."""
+    def _adopt(self, times, values, copy: bool) -> None:
+        """Check the columns, make them read-only and take them: as they are,
+        unless `copy` or they are not contiguous int64 and float64."""
+        try:
+            times = _int64_column(times, copy)
+            values = (np.array if copy else np.ascontiguousarray)(values, np.float64)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise TraceError(f"times and values must be numeric columns: {exc}") from exc
         if times.ndim != 1 or values.ndim != 1:
             raise TraceError("times and values must be 1-D")
         if len(times) != len(values):
@@ -114,6 +132,8 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise TraceError(f"unknown sensor kind {self.kind!r}")
+        if not all(isinstance(x, numbers.Integral) for x in (self.n, self.period)):
+            raise TraceError(f"n and period must be integers, got {self.n!r} and {self.period!r}")
         if self.n < 0:
             raise TraceError("n must be >= 0")
         if self.period < 1:
@@ -538,20 +558,25 @@ def generate_trace(spec: SyntheticSpec) -> Trace:
 
     The AR(1) coefficient is fixed at 0.9 so consecutive samples are
     correlated, which keeps the variance-rate filter's savings realistic.
-    Its shocks are drawn and made Python floats a block of `BLOCK_SAMPLES`
-    at a time, so only one block of them exists at once.
+    The sine and the baseline fill the values through one full-length
+    temporary, freed before any shock is drawn; that free also raises glibc's
+    mmap threshold, so a `save_csv` after it reuses its block scratch (with a
+    sine taken a block at a time it took 30 266 minor faults at 1 M samples,
+    not 732). The AR(1) series is added a block of `BLOCK_SAMPLES` at a time,
+    its shocks made Python floats as each block is filled.
     """
     rng = np.random.default_rng(spec.seed)
     times = np.arange(spec.n, dtype=np.int64) * spec.period
-    drift = spec.drift_amplitude * np.sin(2.0 * np.pi * times / 86400.0)
-    if spec.noise_scale > 0:
-        # batched draws give the same stream as n scalar draws
-        blocks = (rng.normal(0.0, spec.noise_scale, min(BLOCK_SAMPLES, spec.n - start)).tolist()
-                  for start in range(0, spec.n, BLOCK_SAMPLES))
-        ar = np.fromiter(_ar1(blocks), np.float64, spec.n)
-    else:
-        ar = 0.0
-    values = spec.baseline + drift + ar
+    values = np.sin(2.0 * np.pi * times / 86400.0)
+    values *= spec.drift_amplitude
+    values += spec.baseline
+    # batched draws give the same stream as n scalar draws
+    ar = _ar1(rng.normal(0.0, spec.noise_scale, min(BLOCK_SAMPLES, spec.n - start)).tolist()
+              for start in range(0, spec.n, BLOCK_SAMPLES))
+    for start in range(0, spec.n, BLOCK_SAMPLES):
+        block = values[start:start + BLOCK_SAMPLES]
+        # + 0.0 without noise too, which turns a -0.0 sum into 0.0
+        block += np.fromiter(ar, np.float64, len(block)) if spec.noise_scale > 0 else 0.0
     return Trace._owned(spec.kind, KIND_UNITS[spec.kind], times, values)
 
 
@@ -563,6 +588,7 @@ def _ar1(blocks: Iterable[list[float]]) -> Iterator[float]:
         for e in shocks:
             prev = 0.9 * prev + e
             yield prev
+        del shocks  # freed before the next block is drawn, so one block is held at once
 
 
 HR_MEAN = 73.76  # population heart-rate model, bpm

@@ -8,7 +8,6 @@ import pytest
 
 from ioht_pipeline.crypto import (
     SUITES,
-    EcbContext,
     ciphertext_size,
     decrypt,
     encrypt,
@@ -214,11 +213,10 @@ def test_criterion_10_cipher_round_trip_and_size_law():
     rng = np.random.default_rng(1010)
     blob = rng.bytes(4096)
     for name, suite in SUITES.items():
-        context = EcbContext(suite, keys[name])
         for n in range(0, 4097):
             plaintext = blob[:n]
             assert 1 <= ciphertext_size(n, suite) - n <= suite.block_bytes
-            payload = encrypt(plaintext, context)
+            payload = encrypt(plaintext, suite, keys[name])
             assert len(payload.ciphertext) == ciphertext_size(n, suite)
-            assert decrypt(payload, context) == plaintext
+            assert decrypt(payload, keys[name]) == plaintext
     ok("criterion 10: ECB round trip identity and PKCS#7 size law across all suites")

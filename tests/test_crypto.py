@@ -22,7 +22,6 @@ from ioht_pipeline.crypto import (
     RECORD_DTYPE,
     RECORD_LEN,
     SUITES,
-    EcbContext,
     EncryptedPayload,
     PayloadError,
     _cipher,
@@ -242,7 +241,7 @@ class TestWireFormat:
         assert hashlib.sha256(payload).hexdigest() == (
             "40de9f4e9a0cc80a99095e9247fd7845d9f4499a297f42dda075df707941e913")
         key = bytes.fromhex(build_parser().parse_args(["pipeline"]).key)
-        ciphertext = encrypt(payload, EcbContext(SUITES["aes-128-ecb"], key)).ciphertext
+        ciphertext = encrypt(payload, SUITES["aes-128-ecb"], key).ciphertext
         assert hashlib.sha256(ciphertext).hexdigest() == (
             "93733ceb6117342cdc45fb0dbb6715de503623e4c7ac5e552b04ba749a625ed6")
 
@@ -256,13 +255,12 @@ class TestWireFormat:
                                              drift_amplitude=8.0, noise_scale=1.5))
         records = transmitted_records(
             trace, select_samples(trace, InferenceConfig(vr=0.025, beacon_period=60)))
-        context = EcbContext(suite, key)
         ciphertext = encrypt(frame_records(trace.kind, trace.unit, records, 60, suite),
-                             context).ciphertext
+                             suite, key).ciphertext
         width = ciphertext_size(HEADER_LEN + 60 * RECORD_LEN, suite)
         swapped = ciphertext[:width] * 2 + ciphertext[2 * width:]
         with pytest.raises(PayloadError, match="^message 1: t does not increase$"):
-            read_frames(decrypt(EncryptedPayload(suite, swapped), context), 60, suite)
+            read_frames(decrypt(EncryptedPayload(suite, swapped), key), 60, suite)
 
     # Records at increasing t, `batch` to a message, with records i < j
     # swapped: record i + 1 is the first whose t is not above the one before.
@@ -287,18 +285,27 @@ class TestEncryption:
     def test_round_trip_various_lengths(self, name):
         suite = SUITES[name]
         key = KEYS[name]
-        context = EcbContext(suite, key)
         rng = np.random.default_rng(7)
         for length in [0, 1, 7, 8, 15, 16, 17, 63, 64, 255, 300]:
             plaintext = rng.bytes(length)
-            payload = encrypt(plaintext, context)
-            assert decrypt(payload, context) == plaintext
+            payload = encrypt(plaintext, suite, key)
+            assert decrypt(payload, key) == plaintext
             assert len(payload.ciphertext) == ciphertext_size(length, suite)
             assert len(payload.ciphertext) % suite.block_bytes == 0
 
     def test_wrong_key_length(self):
-        with pytest.raises(ValueError, match="key"):
-            EcbContext(SUITES["aes-128-ecb"], b"short")
+        aes = SUITES["aes-128-ecb"]
+        payload = encrypt(b"IOHT", aes, KEYS["aes-128-ecb"])
+        with pytest.raises(ValueError, match="^aes-128-ecb needs a 16-byte key, got 2$"):
+            encrypt(b"IOHT", aes, b"ab")
+        with pytest.raises(ValueError, match="^aes-128-ecb needs a 16-byte key, got 2$"):
+            decrypt(payload, b"ab")
+
+    def test_decrypt_reads_the_suite_its_payload_carries(self):
+        payload = encrypt(b"x" * 20, SUITES["blowfish-ecb"], KEYS["blowfish-ecb"])
+        assert payload.suite is SUITES["blowfish-ecb"]
+        assert len(payload.ciphertext) == 24  # 8-byte blocks, not AES's 16
+        assert decrypt(payload, KEYS["blowfish-ecb"]) == b"x" * 20
 
     def test_known_aes_sizes(self):
         suite = SUITES["aes-128-ecb"]
@@ -306,51 +313,46 @@ class TestEncryption:
         assert ciphertext_size(1024, suite) == 1040
 
 
-class TestEcbContext:
+class TestEcbCipher:
     # des-ecb is TripleDES with K1 = K2 = K3, as in its SUITES row
     ALGORITHMS = {"aes-128-ecb": algorithms.AES, "des-ecb": lambda key: TripleDES(key * 3),
                   "blowfish-ecb": Blowfish}
 
     @pytest.mark.parametrize("name", sorted(SUITES))
-    def test_reused_context_matches_a_fresh_cipher_per_message(self, name):
+    def test_matches_the_library_cipher(self, name):
         suite, key = SUITES[name], KEYS[name]
-        context = EcbContext(suite, key)
         blob = np.random.default_rng(11).bytes(8331)
         for length in [*range(71), 791, 8331]:
             plaintext = blob[:length]
             padder = padding.PKCS7(suite.block_bytes * 8).padder()
             padded = padder.update(plaintext) + padder.finalize()
             fresh = Cipher(self.ALGORITHMS[name](key), modes.ECB()).encryptor()
-            payload = encrypt(plaintext, context)
+            payload = encrypt(plaintext, suite, key)
             assert payload.ciphertext == fresh.update(padded) + fresh.finalize()
-            assert decrypt(payload, context) == plaintext
+            assert decrypt(payload, key) == plaintext
 
     @pytest.mark.parametrize("name", sorted(SUITES))
     def test_every_suite_builds_without_a_warning(self, name):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            context = EcbContext(SUITES[name], KEYS[name])
-            assert decrypt(encrypt(b"IOHT", context), context) == b"IOHT"
+            assert decrypt(encrypt(b"IOHT", SUITES[name], KEYS[name]), KEYS[name]) == b"IOHT"
 
     def test_des_ecb_is_single_des(self):
         # the textbook single-DES known answer
-        context = EcbContext(SUITES["des-ecb"], bytes.fromhex("133457799bbcdff1"))
-        ciphertext = encrypt(bytes.fromhex("0123456789abcdef"), context).ciphertext
+        ciphertext = encrypt(bytes.fromhex("0123456789abcdef"), SUITES["des-ecb"],
+                             bytes.fromhex("133457799bbcdff1")).ciphertext
         assert ciphertext[:8] == bytes.fromhex("85e813540f0ab405")
 
     def test_cipher_builds_ecb_for_every_suite(self):
         for name, suite in SUITES.items():
             assert isinstance(_cipher(suite, KEYS[name]).mode, modes.ECB)
 
-    def test_decrypt_refuses_partial_blocks_and_other_suites(self):
-        context = EcbContext(SUITES["aes-128-ecb"], KEYS["aes-128-ecb"])
-        payload = encrypt(b"x" * 20, context)
+    def test_decrypt_refuses_partial_blocks(self):
+        key = KEYS["aes-128-ecb"]
+        payload = encrypt(b"x" * 20, SUITES["aes-128-ecb"], key)
         with pytest.raises(ValueError, match="multiple of the block length"):
-            decrypt(replace(payload, ciphertext=payload.ciphertext[:-1]), context)
-        with pytest.raises(ValueError, match="payload is aes-128-ecb"):
-            decrypt(payload, EcbContext(SUITES["blowfish-ecb"], KEYS["blowfish-ecb"]))
-        # neither refusal leaves a partial block behind in the context
-        assert decrypt(payload, context) == b"x" * 20
+            decrypt(replace(payload, ciphertext=payload.ciphertext[:-1]), key)
+        assert decrypt(payload, key) == b"x" * 20
 
 
 # Importing the package and running Tier 2 and the size formulas load none of
@@ -363,7 +365,7 @@ import numpy as np
 import ioht_pipeline
 import ioht_pipeline.cli
 import ioht_pipeline.experiments
-from ioht_pipeline import SUITES, DpParams, DpQuery, EcbContext, generate_population, noisy_query
+from ioht_pipeline import SUITES, DpParams, DpQuery, encrypt, generate_population, noisy_query
 from ioht_pipeline.crypto import frame_sizes
 from ioht_pipeline.experiments import run_epsilon_sweep, run_size_sweep
 from ioht_pipeline.pipeline import hop_log
@@ -377,7 +379,7 @@ for suite in SUITES.values():
     frame_sizes(130, 7, suite)
     hop_log(130, 7, suite)
 assert "cryptography" not in sys.modules
-EcbContext(SUITES["aes-128-ecb"], bytes(16))
+encrypt(b"IOHT", SUITES["aes-128-ecb"], bytes(16))
 assert "cryptography" in sys.modules
 """
 

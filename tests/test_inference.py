@@ -124,6 +124,9 @@ class TestTransmissionSet:
         ([1, 1], [0, 0], "strictly increasing"),
         ([0], [3], "unknown reason code 3"),
         ([0, 1], [0], "equal length"),
+        ([0.5, 2.7], [0, 1.9], "0.5 is not a whole number"),
+        ([0, 2], [0, 1.9], "1.9 is not a whole number"),
+        (["0"], [0], "not of numbers"),
     ])
     def test_rejects_bad_columns(self, indices, codes, message):
         with pytest.raises(ValueError, match=message):

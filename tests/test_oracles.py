@@ -28,7 +28,6 @@ from ioht_pipeline.crypto import (
     RECORD_DTYPE,
     RECORD_LEN,
     SUITES,
-    EcbContext,
     decrypt,
     encrypt,
     frame_records,
@@ -389,19 +388,18 @@ def transmit_loop(trace, tx, config):
     """(ciphertext, log) of sending the selected records a message at a time:
     serialize, encrypt, decrypt and parse each batch, and check it at the edge."""
     records = transmitted_records(trace, tx)
-    context = EcbContext(config.suite, config.key)
     ciphertext = []
     messages = payload_bytes = ciphertext_bytes = 0
     for start in range(0, max(len(records), 1), config.batch_samples):
         batch = records[start:start + config.batch_samples]
         payload = frame_records(trace.kind, trace.unit, batch, max(len(batch), 1), config.suite)
-        encrypted = encrypt(payload, context)
+        encrypted = encrypt(payload, config.suite, config.key)
         messages += 1
         payload_bytes += len(payload)
         ciphertext_bytes += len(encrypted.ciphertext)
         ciphertext.append(encrypted.ciphertext)
         # edge side
-        decrypted = decrypt(encrypted, context)
+        decrypted = decrypt(encrypted, config.key)
         if decrypted != payload:
             raise RuntimeError("decryption mismatch: cipher or codec bug")
         kind, unit, parsed = parse_payload_loop(decrypted)
@@ -1553,8 +1551,8 @@ def transmit_chunks(trace, tx, config):
     number of calls; the log it returns)."""
     sent = []
 
-    def spy(plaintext, context):
-        sent.append(encrypt(plaintext, context))
+    def spy(plaintext, suite, key):
+        sent.append(encrypt(plaintext, suite, key))
         return sent[-1]
 
     with mock.patch.object(pipeline, "encrypt", spy):
@@ -1602,7 +1600,7 @@ def test_chunked_transmit_sends_the_ciphertext_of_the_whole_run(count, batch, su
     ciphertext, calls, log = transmit_chunks(trace, tx, config)
     whole = frame_records(trace.kind, trace.unit, transmitted_records(trace, tx), batch,
                           config.suite)
-    assert ciphertext == encrypt(whole, EcbContext(config.suite, config.key)).ciphertext
+    assert ciphertext == encrypt(whole, config.suite, config.key).ciphertext
     assert calls == max(1, -(-k // chunk))
     assert log == pipeline.hop_log(k, batch, config.suite)
 

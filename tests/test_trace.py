@@ -368,6 +368,12 @@ def test_loaded_and_generated_traces_hold_read_only_columns(tmp_path):
     # several faults: the first bad sample in column order is named
     ("other", "dimensionless", [0, 1, -1], [1.0, math.inf, 1.0], "non-finite value at t=1"),
     ("other", "dimensionless", [-5, 0], [1.0, 2.0], "negative time offset -5"),
+    # float times are taken only when whole and inside int64, never truncated
+    ("other", "dimensionless", [0.5, 1.7], [1.0, 2.0],
+     "^times and values must be numeric columns: 0.5 is not a whole number inside int64$"),
+    ("other", "dimensionless", [0.0, 1e19], [1.0, 2.0], "1e\\+19 is not a whole number"),
+    ("other", "dimensionless", [0.0, math.nan], [1.0, 2.0], "nan is not a whole number"),
+    ("other", "dimensionless", ["0", "1"], [1.0, 2.0], "a column of <U1 is not of numbers"),
 ])
 def test_owned_trace_checks_as_the_constructor_checks(kind, unit, times, values, message):
     for make in (Trace, Trace._owned):
@@ -384,10 +390,13 @@ def test_generate_trace_zero_noise_constant():
 
 
 def test_generate_trace_holds_one_block_of_shocks():
-    # Five n-long arrays (times, drift, the AR(1) series, values and one
-    # temporary) and one block of shocks as Python floats, about 40 bytes a
-    # shock with its list slot and array entry. With every shock held at once
-    # as a float, the peak comes to about 19.8 MB at n = 300 000.
+    # Two n-long arrays (times and values) and one block of scratch: the
+    # shocks as Python floats with their list slots, their array and that
+    # block of the AR(1) series, about 60 bytes a block sample; the sine's
+    # one n-long temporary is freed before the first shock. Three more
+    # n-long arrays (drift, the series and a temporary) come to about 12.7 MB
+    # at n = 300 000, two blocks of shocks held at once to about 10.8 MB,
+    # and every shock held at once as a float to about 19.8 MB.
     n = 300_000
     spec = SyntheticSpec(n=n, seed=7, noise_scale=1.5)
     tracemalloc.start()
@@ -396,7 +405,7 @@ def test_generate_trace_holds_one_block_of_shocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 8 * n + BLOCK_SAMPLES * 48
+    assert peak < 2 * 8 * n + 72 * BLOCK_SAMPLES
 
 
 def test_generate_trace_deterministic():
@@ -409,6 +418,12 @@ def test_generate_trace_deterministic():
 
 def test_generate_trace_empty():
     assert len(generate_trace(SyntheticSpec(n=0))) == 0
+
+
+@pytest.mark.parametrize("n,period", [(4, 1.5), (4.5, 60), (4.0, 60)])
+def test_synthetic_spec_refuses_a_non_integer_n_or_period(n, period):
+    with pytest.raises(TraceError, match="n and period must be integers"):
+        SyntheticSpec(n=n, period=period)
 
 
 def test_synthetic_spec_rejects_times_beyond_int64():
