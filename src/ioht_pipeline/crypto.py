@@ -8,6 +8,7 @@ for real deployments. Single DES is likewise size-model fidelity only.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import cache
 from types import SimpleNamespace
@@ -27,6 +28,9 @@ FORMAT_VERSION = 0x01
 HEADER_DTYPE = np.dtype([("magic", "S4"), ("version", "u1"), ("kind", "u1"), ("unit", "u1"),
                          ("count", ">u4")])
 HEADER_LEN = HEADER_DTYPE.itemsize  # 11
+# HEADER_DTYPE as `struct` packs it, a few times faster than a numpy record;
+# tests/test_crypto.py checks the two give the same bytes.
+_HEADER = struct.Struct(">4sBBBI")
 # One packed wire record: big-endian time and value, then the reason code.
 RECORD_DTYPE = np.dtype([("t", ">u4"), ("value", ">f8"), ("reason", "u1")])
 RECORD_LEN = RECORD_DTYPE.itemsize  # 13
@@ -76,8 +80,7 @@ class PayloadError(ValueError):
 
 
 def _header(kind: str, unit: str, count: int) -> bytes:
-    fields = (MAGIC, FORMAT_VERSION, KIND_CODES[kind], UNIT_CODES[unit], count)
-    return np.array(fields, HEADER_DTYPE).tobytes()
+    return _HEADER.pack(MAGIC, FORMAT_VERSION, KIND_CODES[kind], UNIT_CODES[unit], count)
 
 
 def _message_sizes(batch: int, suite: CipherSuite) -> tuple[int, int]:
@@ -130,7 +133,14 @@ def read_frames(data: bytes, batch: int, suite: CipherSuite,
     `read_frames(data, max(count, 1), suite)`. Raises PayloadError naming the
     first fault the checks below find, the first unknown reason code, or the
     first message in which t does not increase, from `last_t` (the last t of
-    the buffer before, when the run comes in more than one) if given."""
+    the buffer before, when the run comes in more than one) if given.
+
+    Every full message of a sound buffer starts with one header, that of a
+    full batch of its first message's kind and unit, and ends with one pad.
+    So all their header bytes are checked by one comparison with that
+    header, all their pad bytes by one more, and the last message's header
+    as bytes. Only a buffer that fails these runs the field checks, which
+    name its first fault."""
     size, width = _message_sizes(batch, suite)
     full = len(data) // width
     rows = np.frombuffer(data, np.uint8, full * width).reshape(full, width)
@@ -139,19 +149,13 @@ def read_frames(data: bytes, batch: int, suite: CipherSuite,
     if rest < 0 or odd or rest > batch:
         raise PayloadError(f"last message of {len(last)} bytes is not a header "
                            f"and at most {batch} whole records")
-    headers = np.ndarray(full + 1, HEADER_DTYPE, data, strides=(width,))  # one per row
-    kind, unit = headers["kind"], headers["unit"]
-    counts = np.append(np.full(full, batch), rest)  # the last message holds the rest
-    for fault, ok in {
-        "bad magic bytes": headers["magic"] == MAGIC,
-        "unsupported format version": headers["version"] == FORMAT_VERSION,
-        "unknown kind/unit code": (kind < len(KINDS)) & (unit < len(UNITS)),
-        "kind or unit differs from the first message's": (kind == kind[0]) & (unit == unit[0]),
-        "header count is not the records held": headers["count"] == counts,
-        "pad byte is not the pad length": np.all(rows[:, size:] == width - size, axis=1),
-    }.items():
-        if not np.all(ok):
-            raise PayloadError(f"message {np.argmin(ok)}: {fault}")
+    _, _, kind, unit, _ = _HEADER.unpack_from(data)  # the first message's codes
+    pad = width - size
+    header = np.frombuffer(_HEADER.pack(MAGIC, FORMAT_VERSION, kind, unit, batch), np.uint8)
+    if not (kind < len(KINDS) and unit < len(UNITS)
+            and (rows[:, :HEADER_LEN] == header).all() and (rows[:, size:] == pad).all()
+            and last[:HEADER_LEN].tobytes() == _HEADER.pack(MAGIC, FORMAT_VERSION, kind, unit, rest)):
+        raise PayloadError(_frame_fault(data, rows, batch, rest, size))
     body = np.concatenate((rows[:, HEADER_LEN:size].reshape(-1), last[HEADER_LEN:]))
     records = body.view(RECORD_DTYPE)
     records.flags.writeable = False
@@ -164,7 +168,27 @@ def read_frames(data: bytes, batch: int, suite: CipherSuite,
     increases = t[1:] > t[:-1]  # a run of ECB messages can be reordered undetected
     if not np.all(increases):
         raise PayloadError(f"message {(np.argmin(increases) + 1) // batch}: t does not increase")
-    return KINDS[kind[0]], UNITS[unit[0]], records, full + 1, len(data) - full * (width - size)
+    return KINDS[kind], UNITS[unit], records, full + 1, len(data) - full * pad
+
+
+def _frame_fault(data: bytes, rows: np.ndarray, batch: int, rest: int, size: int) -> str:
+    """The first fault of the checks below that holds, and the first message
+    it holds in, of a buffer `read_frames`' header and pad comparison refused."""
+    full, width = rows.shape
+    headers = np.ndarray(full + 1, HEADER_DTYPE, data, strides=(width,))  # one per row
+    kind, unit = headers["kind"], headers["unit"]
+    counts = np.append(np.full(full, batch), rest)  # the last message holds the rest
+    for fault, ok in {
+        "bad magic bytes": headers["magic"] == MAGIC,
+        "unsupported format version": headers["version"] == FORMAT_VERSION,
+        "unknown kind/unit code": (kind < len(KINDS)) & (unit < len(UNITS)),
+        "kind or unit differs from the first message's": (kind == kind[0]) & (unit == unit[0]),
+        "header count is not the records held": headers["count"] == counts,
+        "pad byte is not the pad length": np.all(rows[:, size:] == width - size, axis=1),
+    }.items():
+        if not np.all(ok):
+            return f"message {np.argmin(ok)}: {fault}"
+    raise AssertionError("the header and pad comparison and the field checks disagree")
 
 
 def transmitted_records(trace: Trace, tx: TransmissionSet, start: int = 0,

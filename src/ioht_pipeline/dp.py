@@ -6,6 +6,7 @@ per-point series perturbation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -73,9 +74,21 @@ def laplace_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
     time. Each log is the C library's `log`, the function `math.log` calls,
     taken through numpy's per-element loop (see the comment below); the
     route test in `tests/test_oracles.py` pins it to `math.log` bit for bit.
+
+    A single draw (`size == 1`, one per `noisy_query` and per `ioht dp`
+    trial) is made in Python floats: `rng.random()`, `math.log` and
+    `math.copysign` give the bits of the array route, which the route test
+    ties to `math.log`, without its dozen numpy calls on a one-element array.
     """
     if not 0 < b < math.inf:
         raise ValueError(f"scale b must be finite and > 0, got {b}")
+    size = operator.index(size)  # a float size is refused, as rng.random refuses it
+    if size == 1:
+        while True:  # draw again for a uniform ln(1-2|u|) cannot take
+            u = rng.random() - 0.5
+            y = 1.0 - 2.0 * abs(u)
+            if y > 0.0:
+                return np.array([0.0 - math.copysign(b, u) * math.log(y)])
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     u = rng.random(size) - 0.5
@@ -102,8 +115,11 @@ def evaluate_query(dataset: np.ndarray, query: DpQuery) -> float:
         return float(len(dataset))
     if not len(dataset):
         raise ValueError(f"{query.aggregate} query on an empty dataset")
-    # summed left to right: np.sum sums pairwise, and sum() compensates from Python 3.12 on
-    total = float(np.cumsum(dataset[query.field], dtype=np.float64)[-1])
+    # summed left to right: np.sum sums pairwise, and sum() compensates from Python 3.12 on.
+    # The field is read from a plain ndarray view: a recarray's __getitem__, and
+    # the recarray it returns, cost more than the sum itself at paper size.
+    column = dataset.view(np.ndarray)[query.field]
+    total = float(np.add.accumulate(column, dtype=np.float64)[-1])
     return total / len(dataset) if query.aggregate == "mean" else total
 
 

@@ -4,7 +4,7 @@ with per-hop byte accounting and a linear transmit-energy model."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -85,10 +85,14 @@ class PipelineReport:
     energy_model: EnergyModel
 
     def to_dict(self) -> dict:
+        """The report as plain dicts and lists. The metrics, hops and energy
+        model are flat frozen dataclasses of numbers and strings, so each is
+        a copy of its field dict: what `dataclasses.asdict` gives, without its
+        recursive deep copy."""
         return {
-            "inference_metrics": asdict(self.inference_metrics),
-            "log": [asdict(h) for h in self.log],
-            "energy_model": asdict(self.energy_model),
+            "inference_metrics": vars(self.inference_metrics).copy(),
+            "log": [vars(h).copy() for h in self.log],
+            "energy_model": vars(self.energy_model).copy(),
             "energy_baseline_joules": self.energy_baseline,
             "energy_actual_joules": self.energy_actual,
             "energy_saving_percent": self.energy_saving_percent,

@@ -59,13 +59,24 @@ def _int64_column(column, copy: bool = True) -> np.ndarray:
     return np.array(array, np.int64) if copy else np.ascontiguousarray(array, np.int64)
 
 
+def _float64_column(column, copy: bool = True) -> np.ndarray:
+    """`column`, integers or floats, as a contiguous float64 array, copied if
+    `copy`. Raises ValueError for any other column (strings, bools, complex
+    numbers), rather than parsing or truncating it."""
+    array = np.asarray(column)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"a column of {array.dtype} is not of numbers")
+    return np.array(array, np.float64) if copy else np.ascontiguousarray(array, np.float64)
+
+
 @dataclass(frozen=True, eq=False)
 class Trace:
     """An immutable physiological time series stored as two read-only columns.
 
     `times` are int64 offsets in whole seconds, non-negative and strictly
     increasing; `values` are finite float64 measurements of the same length.
-    Times given as floats must be whole numbers inside int64.
+    Times given as floats must be whole numbers inside int64; values must be
+    integers or floats (not strings, bools or complex numbers).
     """
 
     kind: str
@@ -95,7 +106,7 @@ class Trace:
         unless `copy` or they are not contiguous int64 and float64."""
         try:
             times = _int64_column(times, copy)
-            values = (np.array if copy else np.ascontiguousarray)(values, np.float64)
+            values = _float64_column(values, copy)
         except (OverflowError, TypeError, ValueError) as exc:
             raise TraceError(f"times and values must be numeric columns: {exc}") from exc
         if times.ndim != 1 or values.ndim != 1:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import ioht_pipeline
 from ioht_pipeline.cli import build_parser
 from ioht_pipeline.crypto import (
+    HEADER_DTYPE,
     HEADER_LEN,
     RECORD_DTYPE,
     RECORD_LEN,
@@ -94,12 +95,16 @@ class TestWireFormat:
         assert data[:4] == b"IOHT"
 
     # a header packed by hand: magic, version 1, kind and unit codes, then a
-    # big-endian u32 count
-    @pytest.mark.parametrize("count", [0, 60, 2**32 - 1])
+    # big-endian u32 count. _header packs with struct, so it is also checked
+    # against HEADER_DTYPE, where the layout is stated.
+    @pytest.mark.parametrize("count", [0, 1, 60, 2**32 - 1])
     def test_header_is_the_hand_packed_layout(self, count):
-        for kind, unit in zip(KINDS, UNITS):
-            codes = bytes((1, KIND_CODES[kind], UNIT_CODES[unit]))
-            assert _header(kind, unit, count) == b"IOHT" + codes + struct.pack(">I", count)
+        for kind in KINDS:
+            for unit in UNITS:
+                codes = bytes((1, KIND_CODES[kind], UNIT_CODES[unit]))
+                fields = (b"IOHT", 1, KIND_CODES[kind], UNIT_CODES[unit], count)
+                assert _header(kind, unit, count) == b"IOHT" + codes + struct.pack(">I", count)
+                assert _header(kind, unit, count) == np.array(fields, HEADER_DTYPE).tobytes()
 
     def test_one_record_size(self):
         data = message("heart-rate", "bpm", wire_records((60, 72.5, "variance")))
@@ -187,6 +192,18 @@ class TestWireFormat:
     def test_read_frames_rejects_a_bad_run(self, data, fault):
         with pytest.raises(PayloadError, match=fault):
             read_frames(data, 1, AES)
+
+    # read_frames compares the header and pad bytes in bulk, and names the
+    # fault only when that fails: a change to any one of those bytes is refused.
+    def test_read_frames_refuses_any_change_to_a_header_or_pad_byte(self):
+        framing = [*range(HEADER_LEN), *range(24, WIDTH)]
+        offsets = [row * WIDTH + i for row in (0, 1) for i in framing] + [
+            2 * WIDTH + i for i in range(HEADER_LEN)]
+        for offset in offsets:
+            for byte in range(256):
+                if byte != RUN[offset]:
+                    with pytest.raises(PayloadError, match="^message [0-2]: "):
+                        read_frames(corrupt(RUN, offset, byte), 1, AES)
 
     # A buffer read after RUN, whose last t is 120, must start above it.
     def test_read_frames_takes_t_on_from_the_buffer_before(self):

@@ -766,7 +766,9 @@ def scalar_draws(rng, b, k):
        b=st.floats(min_value=1e-3, max_value=1e3),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 @example(k=0, b=1.0, seed=0)
-@example(k=1, b=1e-3, seed=1)
+@example(k=1, b=1e-3, seed=1)  # k = 1 takes laplace_noise's Python-float branch
+@example(k=1, b=7.5, seed=7)
+@example(k=2, b=7.5, seed=7)
 @example(k=1000, b=1e3, seed=2)
 def test_laplace_noise_matches_scalar_draws(k, b, seed):
     batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -801,9 +803,11 @@ def check_against_stream(stream, k, b):
 @pytest.mark.parametrize("b", [1.0, 7.5])
 @pytest.mark.parametrize("stream,k", [
     ([0.3, 0.0, 0.0, 0.9, 0.5, 0.0, 0.0, 0.1, 0.0, 0.25, 0.6], 6),  # two in a row, block end
-    ([0.0, 0.0, 0.0, 0.7], 1),
+    ([0.0, 0.0, 0.0, 0.7], 1),  # k = 1 draws in Python floats, and redraws as the array route
     ([0.5, 0.0, 0.999, 0.0, 0.0, 0.4], 3),
     ([0.2, 0.4], 0),
+    ([0.0, 0.1], 1),
+    ([0.0, 0.5], 1),  # u == 0 after a redraw: +0.0
 ])
 def test_laplace_noise_rejects_zero_uniforms_like_the_loop(stream, k, b):
     check_against_stream(stream, k, b)
@@ -866,7 +870,10 @@ def sweep_trial_draws(monkeypatch, stream, b, people, trials):
     return calls
 
 
-# 1 is noisy_query's size; the stream is served in consecutive draws of k.
+# 1 is noisy_query's size, drawn in Python floats with math.log itself; the
+# other sizes take the array route, which these uniforms pin to math.log, so
+# a draw has the same bits whichever branch makes it. The stream is served in
+# consecutive draws of k.
 # "sweep" draws all 32 as run_epsilon_sweep draws 8 trials of 4 people: in
 # one call, whose 32 logs must take the same route.
 @pytest.mark.parametrize("b", [1.0, 7.5])
@@ -890,7 +897,7 @@ def test_laplace_noise_matches_scalar_draws_at_200_000():
     assert batched.random() == scalar.random()
 
 
-# noisy_query takes one batched draw: the scalar sampler's value and stream use.
+# noisy_query takes one draw of size 1: the scalar sampler's value and stream use.
 @pytest.mark.parametrize("stream", [[0.1], [0.5], [0.0, 0.75], [0.0, 0.0, 0.5]])
 def test_noisy_query_draws_as_the_scalar_sampler(stream):
     params = DpParams(epsilon=0.5, sensitivity=1.5)

@@ -381,6 +381,29 @@ def test_owned_trace_checks_as_the_constructor_checks(kind, unit, times, values,
             make(kind, unit, np.array(times), np.array(values))
 
 
+@pytest.mark.parametrize("values,dtype", [
+    (["1.5", "2"], "<U3"),
+    ([True, False], "bool"),
+    ([1 + 2j, 2], "complex128"),
+])
+def test_trace_refuses_values_that_are_not_real_numbers(values, dtype):
+    """Strings are not parsed, bools not read as 1 and 0, and complex numbers
+    not cut to their real part: the values column is refused as the times
+    column refuses such a column."""
+    message = f"^times and values must be numeric columns: a column of {dtype} is not of numbers$"
+    for make in (Trace, Trace._owned):
+        with pytest.raises(TraceError, match=message):
+            make("other", "dimensionless", np.array([0, 1]), np.array(values))
+    with pytest.raises(TraceError, match=message):
+        Trace("other", "dimensionless", [0, 1], values)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint64, np.float16, np.float32])
+def test_trace_takes_values_of_any_real_dtype_as_float64(dtype):
+    trace = Trace("other", "dimensionless", [0, 1], np.array([3, 4], dtype))
+    assert trace.values.dtype == np.float64 and trace.values.tolist() == [3.0, 4.0]
+
+
 def test_generate_trace_zero_noise_constant():
     spec = SyntheticSpec(kind="heart-rate", n=3, period=60, seed=1,
                          baseline=70.0, drift_amplitude=0.0, noise_scale=0.0)
