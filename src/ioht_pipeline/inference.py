@@ -3,6 +3,7 @@ the receiver-side series, and the savings/efficiency/accuracy metrics."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Iterator, Optional
 
@@ -28,8 +29,15 @@ class InferenceConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.vr < math.inf:
             raise ValueError(f"vr must be finite and >= 0, got {self.vr}")
-        if self.beacon_period is not None and self.beacon_period < 1:
-            raise ValueError("beacon_period must be >= 1")
+        if self.beacon_period is not None:
+            try:  # a float period is refused: it would fail as a slice step mid-run
+                period = operator.index(self.beacon_period)
+            except TypeError:
+                raise ValueError(
+                    f"beacon_period must be an integer, got {self.beacon_period!r}") from None
+            if period < 1:
+                raise ValueError("beacon_period must be >= 1")
+            object.__setattr__(self, "beacon_period", period)
         if self.recon_mode not in RECON_MODES:
             raise ValueError(f"unknown recon_mode {self.recon_mode!r}")
 
@@ -111,7 +119,12 @@ def select_samples(trace: Trace, config: InferenceConfig) -> TransmissionSet:
     reason precedence: variance > anchor > beacon.
 
     The interior is tested a block of `BLOCK_SAMPLES` at a time, each block
-    reading one sample either side of it.
+    reading one sample either side of it. A varying sample takes the variance
+    code by arithmetic, `block += varies * (variance - block)`, not by a
+    masked store, which numpy runs as a branchy loop on an irregular mask:
+    the interior holds only -1 (dropped) or the beacon code, as the anchors
+    lie outside it, so the difference is small and exact in int8, and adds 0
+    where the sample does not vary.
     """
     n = len(trace)
     v = trace.values
@@ -125,7 +138,8 @@ def select_samples(trace: Trace, config: InferenceConfig) -> TransmissionSet:
         step = np.abs(np.diff(v[start - 1:stop + 1]))
         thresh = np.abs(v[start:stop]) * config.vr
         varies = (step[1:] > thresh) | (step[:-1] > thresh)
-        reason[start:stop][varies] = REASON_CODES[REASON_VARIANCE]
+        block = reason[start:stop]
+        block += varies * (REASON_CODES[REASON_VARIANCE] - block)
     kept = np.flatnonzero(reason >= 0)
     return TransmissionSet._owned(n, kept, reason[kept])
 
@@ -184,11 +198,17 @@ def gap_areas(trace: Trace, recon: np.ndarray) -> tuple[float, float]:
     worked out for those segments only. Returns (s_upper, s_lower) in
     value-units * seconds.
 
-    Segments are integrated a block of `BLOCK_SAMPLES` at a time. Each
-    block's areas are summed by `cumsum`, which adds in index order like a
-    running total (np.sum's pairwise order would change the last bits), with
-    the totals so far folded into the block's first area: that one addition
-    is the one the whole-run `cumsum` makes there.
+    Segments are integrated a block of `BLOCK_SAMPLES` at a time. A segment
+    of one sign gives its whole area to the upper sum (`upper = whole *
+    above`) or to the lower one (`lower = whole - upper`), both exact: a
+    multiply, not a masked select, which numpy runs as a branchy loop on an
+    irregular mask. As inf * 0 is NaN, a block whose whole areas are not all
+    finite takes them by `np.where` instead. The two sums are the real and
+    imaginary lanes of one complex `cumsum`: complex addition is
+    componentwise, so each lane adds in index order like a running total
+    (np.sum's pairwise order would change the last bits). The totals so far
+    are folded into the block's first area: that one addition is the one the
+    whole-run `cumsum` makes there.
     """
     if len(recon) != len(trace):
         raise ValueError("length mismatch between trace and reconstruction")
@@ -219,17 +239,22 @@ def gap_areas(trace: Trace, recon: np.ndarray) -> tuple[float, float]:
                 tz[redo] = s0[redo] + (s1[redo] - s0[redo]) * (h0 / (h0 - h1))
             first = 0.5 * np.abs(c0) * (tz - s0)
             second = 0.5 * np.abs(c1) * (s1 - tz)
-        above = positive[:-1] | positive[1:]
-        upper = np.where(above, whole, 0.0)
-        lower = np.where(above, 0.0, whole)
+            above = positive[:-1] | positive[1:]
+            both = np.empty(len(whole), np.complex128)  # (upper, lower) as its two lanes
+            upper, lower = both.real, both.imag
+            if np.isfinite(whole).all():
+                np.multiply(whole, above, out=upper)
+                np.subtract(whole, upper, out=lower)
+            else:  # inf * 0 would be NaN
+                upper[:] = np.where(above, whole, 0.0)
+                lower[:] = np.where(above, 0.0, whole)
         starts_above = c0 > 0
         upper[cross] = np.where(starts_above, first, second)
         lower[cross] = np.where(starts_above, second, first)
         if start:  # the first block has no totals to carry
-            upper[0] += s_upper
-            lower[0] += s_lower
-        s_upper = np.cumsum(upper, out=upper)[-1]
-        s_lower = np.cumsum(lower, out=lower)[-1]
+            both[0] += complex(s_upper, s_lower)
+        total = np.cumsum(both, out=both)[-1]
+        s_upper, s_lower = total.real, total.imag
     return float(s_upper), float(s_lower)
 
 

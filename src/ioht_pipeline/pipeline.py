@@ -4,6 +4,7 @@ with per-hop byte accounting and a linear transmit-energy model."""
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -68,6 +69,12 @@ class PipelineConfig:
     energy: EnergyModel = EnergyModel()
 
     def __post_init__(self) -> None:
+        try:  # a float batch is refused: it would fail as a range step mid-run
+            batch = operator.index(self.batch_samples)
+        except TypeError:
+            raise ValueError(
+                f"batch_samples must be an integer, got {self.batch_samples!r}") from None
+        object.__setattr__(self, "batch_samples", batch)
         if not 1 <= self.batch_samples <= MAX_MESSAGE_RECORDS:
             raise ValueError(f"batch_samples must be in [1, {MAX_MESSAGE_RECORDS}], "
                              f"got {self.batch_samples}")

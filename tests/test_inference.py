@@ -315,6 +315,11 @@ class TestMetrics:
                                 "s_diff", "vr", "beacon_period", "recon_mode"]
         assert (report["t"], report["vr"], report["beacon_period"]) == (m.t, 0.1, 2)
 
+    @pytest.mark.parametrize("period", [True, np.int64(60), np.uint8(2)])
+    def test_config_takes_a_beacon_period_of_any_integer_type_as_int(self, period):
+        config = InferenceConfig(beacon_period=period)
+        assert type(config.beacon_period) is int and config.beacon_period == int(period)
+
     @pytest.mark.parametrize("vr", [float("nan"), float("inf"), -0.01])
     def test_config_rejects_bad_vr(self, vr):
         with pytest.raises(ValueError, match="vr must be finite and >= 0"):

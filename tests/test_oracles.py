@@ -473,6 +473,9 @@ def bits(*arrays):
 # edge falls between a kept and a dropped sample (at 61 in select_samples,
 # whose blocks start at 1, or at 61 in the other passes).
 SPIKE_AT_59 = [70.0] * 59 + [80.0] + [70.0] * 61
+# Samples 5k + 3 to 5k + 5 vary and 5k + 1, 5k + 2 do not: some of these are
+# even, so beacons of period 2, and some odd.
+SPIKES_EVERY_5 = [70.0, 70.0, 70.0, 70.0, 80.0] * 32
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -484,6 +487,13 @@ SPIKE_AT_59 = [70.0] * 59 + [80.0] + [70.0] * 61
 @example(values=[70.0] * 121, vr=0.01, beacon=60, block=60)  # edges at beacons 61 and 121
 @example(values=[70.0] * 121, vr=0.01, beacon=60, block=59)  # the last sample alone
 @example(values=SPIKE_AT_59, vr=0.01, beacon=None, block=60)
+# Every interior sample starts as a beacon (beacon 1), or every other one: the
+# varying ones must become variance and the rest stay beacons, in blocks of
+# one sample and across block edges.
+@example(values=SPIKES_EVERY_5, vr=0.01, beacon=1, block=1)
+@example(values=SPIKES_EVERY_5, vr=0.01, beacon=1, block=64)
+@example(values=SPIKES_EVERY_5, vr=0.01, beacon=2, block=1)
+@example(values=SPIKES_EVERY_5, vr=0.01, beacon=2, block=64)
 def test_blocked_select_samples_matches_whole_array(values, vr, beacon, block):
     trace = make_trace(values)
     config = InferenceConfig(vr=vr, beacon_period=beacon)
@@ -566,6 +576,25 @@ def test_blocked_reconstruct_and_gap_areas_match_whole_array(case, mode, block):
         if len(values) > 1:
             for against in (expected, np.array(other)):
                 assert bits(gap_areas(trace, against)) == bits(gap_areas_whole(trace, against))
+
+
+# A segment area that overflows (|d| of 1e300 over 10^10 s) in a later block,
+# above and below the reconstruction. Its block takes its areas by a select,
+# as inf * 0 would make the other sum NaN, and the metrics name the sum that
+# overflows.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("sign,name", [(1.0, "upper gap area"), (-1.0, "lower gap area")])
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_a_block_whose_areas_overflow_matches_the_loop(block, sign, name):
+    values = [0.5, -0.25, 1.0, -2.0] * 5  # both sums finite outside samples 13 to 16
+    values[13:17] = [sign * 1.0, sign * 1e300, sign * 1e300, sign * 1.0]  # no crossing there
+    trace = make_trace(values, [10**10 * i for i in range(len(values))])
+    recon = np.zeros(len(values))
+    tx = TransmissionSet(len(values), [0, len(values) - 1], [REASON_CODES[REASON_ANCHOR]] * 2)
+    with mock.patch.object(inference, "BLOCK_SAMPLES", block):
+        assert bits(gap_areas(trace, recon)) == bits(gap_areas_loop(trace, recon))
+        with pytest.raises(ValueError, match=f"^the {name} overflows float64$"):
+            inference.compute_metrics(trace, tx, recon)
 
 
 # The AR(1) shocks are drawn a block at a time, so blocks of 1, 7 and 64 put

@@ -321,6 +321,11 @@ class TestRunPipeline:
             make_config(batch_samples=batch)
         assert make_config(batch_samples=MAX_MESSAGE_RECORDS).batch_samples == 2**32 - 1
 
+    @pytest.mark.parametrize("batch", [True, np.int64(60)])
+    def test_batch_of_any_integer_type_is_taken_as_int(self, batch):
+        config = make_config(batch_samples=batch)
+        assert type(config.batch_samples) is int and config.batch_samples == int(batch)
+
     def test_key_length_validated(self):
         with pytest.raises(ValueError, match="key"):
             make_config(key=b"short")

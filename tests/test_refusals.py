@@ -45,6 +45,15 @@ def write(tmp_path, text):
 REFUSALS = {
     "beacon": (lambda tmp: InferenceConfig(beacon_period=0),
                ValueError, "beacon_period must be >= 1"),
+    # a float period or batch would fail mid-run, as a slice or range step
+    "beacon-float": (lambda tmp: InferenceConfig(beacon_period=2.5),
+                     ValueError, "beacon_period must be an integer, got 2.5"),
+    "beacon-whole-float": (lambda tmp: InferenceConfig(beacon_period=2.0),
+                           ValueError, "beacon_period must be an integer, got 2.0"),
+    "batch-float": (lambda tmp: make_config(batch_samples=2.5),
+                    ValueError, "batch_samples must be an integer, got 2.5"),
+    "batch-whole-float": (lambda tmp: make_config(batch_samples=60.0),
+                          ValueError, "batch_samples must be an integer, got 60.0"),
     "config-mode": (lambda tmp: InferenceConfig(recon_mode="cubic"),
                     ValueError, "unknown recon_mode 'cubic'"),
     "reconstruct-mode": (lambda tmp: reconstruct(TRACE, TransmissionSet(3, [0, 2], [0, 0]),
