@@ -49,6 +49,7 @@ from .trace import (
     KINDS,
     SyntheticSpec,
     TraceError,
+    _integer,
     generate_population,
     generate_trace,
     load_csv,
@@ -267,8 +268,7 @@ def _resolve_population(args):
 
 
 def _cmd_dp(args) -> None:
-    if args.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {args.trials}")
+    _integer("trials", args.trials, 1)
     population = _resolve_population(args)
     query = DpQuery(aggregate=args.query,
                     field=None if args.query == "count" else args.field)
@@ -337,7 +337,6 @@ def _cmd_epsilon_sweep(args) -> None:
 
 def _cmd_pipeline(args) -> None:
     trace = _resolve_trace(args)
-    population = generate_population(args.population_size, args.master_seed)
     try:
         key = bytes.fromhex(args.key)
     except ValueError as exc:
@@ -355,6 +354,7 @@ def _cmd_pipeline(args) -> None:
         master_seed=args.master_seed,
         energy=EnergyModel(),
     )
+    population = generate_population(args.population_size, args.master_seed)
     report = run_pipeline(trace, config, population)
     report_json = report.to_json()
     print(report_json)

@@ -6,11 +6,12 @@ per-point series perturbation.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
+
+from .trace import _integer, _real
 
 EPSILON_PRESETS = (0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
 
@@ -27,10 +28,8 @@ class DpParams:
     sensitivity: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not 0 < self.sensitivity < math.inf:
-            raise ValueError(f"sensitivity must be finite and > 0, got {self.sensitivity}")
+        _real("epsilon", self.epsilon, positive=True)
+        _real("sensitivity", self.sensitivity, positive=True)
         if not 0 < self.scale * LARGEST_DRAW_LOG < math.inf:
             raise ValueError(f"sensitivity / epsilon must be finite and > 0, and a Laplace draw "
                              f"of up to {LARGEST_DRAW_LOG:.2f} times it finite, got {self.scale}")
@@ -80,17 +79,14 @@ def laplace_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
     `math.copysign` give the bits of the array route, which the route test
     ties to `math.log`, without its dozen numpy calls on a one-element array.
     """
-    if not 0 < b < math.inf:
-        raise ValueError(f"scale b must be finite and > 0, got {b}")
-    size = operator.index(size)  # a float size is refused, as rng.random refuses it
+    _real("scale b", b, positive=True)
+    size = _integer("size", size, 0)  # a float size is refused, as rng.random refuses it
     if size == 1:
         while True:  # draw again for a uniform ln(1-2|u|) cannot take
             u = rng.random() - 0.5
             y = 1.0 - 2.0 * abs(u)
             if y > 0.0:
                 return np.array([0.0 - math.copysign(b, u) * math.log(y)])
-    if size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
     u = rng.random(size) - 0.5
     y = 1.0 - 2.0 * np.abs(u)
     while not (y > 0.0).all():  # draw again for the uniforms ln(1-2|u|) cannot take
@@ -183,5 +179,6 @@ def perturb_series(
 def derive_streams(master_seed: int, count: int) -> Iterator[np.random.Generator]:
     """Independent child generators for concurrent tasks, by stream index,
     each made when it is drawn, so a caller of many holds one at a time."""
+    master_seed = _integer("master_seed", master_seed, 0)
     return (np.random.default_rng(np.random.SeedSequence([master_seed, i]))
             for i in range(count))

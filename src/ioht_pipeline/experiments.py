@@ -21,7 +21,7 @@ from .inference import (
     reconstruct,
     select_samples,
 )
-from .trace import Trace
+from .trace import Trace, _integer
 
 DEFAULT_VR_GRID = (0.0, 0.025, 0.05, 0.10, 0.20)
 DEFAULT_SAVINGS_GRID = (0.0, 51.3, 78.5, 89.7, 98.8)
@@ -104,8 +104,7 @@ def run_epsilon_sweep(
     if either mean overflows."""
     if not len(population):
         raise ValueError("population must be non-empty")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _integer("trials", trials, 1)
     values = population["heart_rate"]
     n = len(values)
     per_call = max(1, SWEEP_BLOCK_DRAWS // n)

@@ -3,13 +3,12 @@ the receiver-side series, and the savings/efficiency/accuracy metrics."""
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .trace import BLOCK_SAMPLES, Trace, _int64_column
+from .trace import BLOCK_SAMPLES, Trace, _int64_column, _integer, _real
 
 REASON_ANCHOR = "anchor"
 REASON_VARIANCE = "variance"
@@ -27,16 +26,9 @@ class InferenceConfig:
     recon_mode: str = "linear"
 
     def __post_init__(self) -> None:
-        if not 0 <= self.vr < math.inf:
-            raise ValueError(f"vr must be finite and >= 0, got {self.vr}")
-        if self.beacon_period is not None:
-            try:  # a float period is refused: it would fail as a slice step mid-run
-                period = operator.index(self.beacon_period)
-            except TypeError:
-                raise ValueError(
-                    f"beacon_period must be an integer, got {self.beacon_period!r}") from None
-            if period < 1:
-                raise ValueError("beacon_period must be >= 1")
+        _real("vr", self.vr)
+        if self.beacon_period is not None:  # a float period would fail as a slice step mid-run
+            period = _integer("beacon_period", self.beacon_period, 1)
             object.__setattr__(self, "beacon_period", period)
         if self.recon_mode not in RECON_MODES:
             raise ValueError(f"unknown recon_mode {self.recon_mode!r}")
@@ -158,7 +150,7 @@ def reconstruct(trace: Trace, tx: TransmissionSet, mode: str = "linear") -> np.n
     idx = tx.indices
     if n and len(idx) == 0:
         raise ValueError("no anchors: cannot reconstruct from an empty selection")
-    if n and mode not in RECON_MODES:
+    if mode not in RECON_MODES:
         raise ValueError(f"unknown recon_mode {mode!r}")
     recon = np.empty(n)
     times = trace.times

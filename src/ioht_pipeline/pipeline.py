@@ -4,7 +4,6 @@ with per-hop byte accounting and a linear transmit-energy model."""
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -31,7 +30,7 @@ from .inference import (
     reconstruct,
     select_samples,
 )
-from .trace import BLOCK_SAMPLES, Trace
+from .trace import BLOCK_SAMPLES, Trace, _integer, _real
 
 HOP_SENSOR_GATEWAY = "sensor->gateway"
 HOP_GATEWAY_EDGE = "gateway->edge"
@@ -53,8 +52,8 @@ class EnergyModel:
     joules_per_message_overhead: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.joules_per_byte_tx < 0 or self.joules_per_message_overhead < 0:
-            raise ValueError("energy coefficients must be >= 0")
+        _real("joules_per_byte_tx", self.joules_per_byte_tx)
+        _real("joules_per_message_overhead", self.joules_per_message_overhead)
 
 
 @dataclass(frozen=True)
@@ -69,15 +68,12 @@ class PipelineConfig:
     energy: EnergyModel = EnergyModel()
 
     def __post_init__(self) -> None:
-        try:  # a float batch is refused: it would fail as a range step mid-run
-            batch = operator.index(self.batch_samples)
-        except TypeError:
-            raise ValueError(
-                f"batch_samples must be an integer, got {self.batch_samples!r}") from None
+        # a float batch is refused: it would fail as a range step mid-run
+        batch = _integer("batch_samples", self.batch_samples, 1)
+        if batch > MAX_MESSAGE_RECORDS:
+            raise ValueError(f"batch_samples must be in [1, {MAX_MESSAGE_RECORDS}], got {batch}")
         object.__setattr__(self, "batch_samples", batch)
-        if not 1 <= self.batch_samples <= MAX_MESSAGE_RECORDS:
-            raise ValueError(f"batch_samples must be in [1, {MAX_MESSAGE_RECORDS}], "
-                             f"got {self.batch_samples}")
+        _integer("master_seed", self.master_seed, 0)
         _cipher(self.suite, self.key)  # the suite's own key-length rule
 
 
@@ -212,6 +208,12 @@ def run_pipeline(
     """Execute both tiers deterministically and assemble the report."""
     if len(trace) < 1:
         raise ValueError("pipeline requires a non-empty trace")
+    # Tier 2 first, each query on its own stream: a bad dataset is refused before Tier 1
+    streams = derive_streams(config.master_seed, len(config.queries))
+    results = [
+        noisy_query(dataset, query, config.dp, stream)
+        for query, stream in zip(config.queries, streams)
+    ]
     tx = select_samples(trace, config.inference)
     log = _transmit(trace, tx, config)
     recon = reconstruct(trace, tx, config.inference.recon_mode)
@@ -227,12 +229,6 @@ def run_pipeline(
         if energy_baseline > 0
         else 0.0
     )
-
-    streams = derive_streams(config.master_seed, len(config.queries))
-    results = [
-        noisy_query(dataset, query, config.dp, stream)
-        for query, stream in zip(config.queries, streams)
-    ]
     return PipelineReport(
         inference_metrics=metrics,
         log=log,

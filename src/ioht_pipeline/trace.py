@@ -6,7 +6,7 @@ import contextlib
 import csv
 import io
 import math
-import numbers
+import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -41,6 +41,26 @@ def _check_labels(kind: str, unit: str) -> None:
         raise TraceError(f"unknown sensor kind {kind!r}")
     if unit not in UNITS:
         raise TraceError(f"unknown unit {unit!r}")
+
+
+def _integer(name: str, value, least: int, error: type[Exception] = ValueError) -> int:
+    """`value`, an integer of any integer type (a float, even 2.0, is not
+    one), as an int of at least `least`; raises `error` naming `name` if not."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise error(f"{name} must be >= {least}, got {n}")
+    return n
+
+
+def _real(name: str, value, positive: bool = False, error: type[Exception] = ValueError) -> float:
+    """`value`, a finite number >= 0, or > 0 if `positive`, as it was given;
+    raises `error` naming `name` for any other number, NaN and +-inf included."""
+    if not ((0 < value if positive else 0 <= value) and value < math.inf):
+        raise error(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+    return value
 
 
 def _int64_column(column, copy: bool = True) -> np.ndarray:
@@ -143,16 +163,11 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise TraceError(f"unknown sensor kind {self.kind!r}")
-        if not all(isinstance(x, numbers.Integral) for x in (self.n, self.period)):
-            raise TraceError(f"n and period must be integers, got {self.n!r} and {self.period!r}")
-        if self.n < 0:
-            raise TraceError("n must be >= 0")
-        if self.period < 1:
-            raise TraceError("period must be >= 1")
-        if (self.n - 1) * self.period > np.iinfo(np.int64).max:
+        n = _integer("n", self.n, 0, TraceError)
+        if (n - 1) * _integer("period", self.period, 1, TraceError) > np.iinfo(np.int64).max:
             raise TraceError("time offsets would exceed the int64 range")
-        if self.noise_scale < 0:
-            raise TraceError("noise_scale must be >= 0")
+        _integer("seed", self.seed, 0, TraceError)
+        _real("noise_scale", self.noise_scale, error=TraceError)
 
 
 # One data row of a trace CSV; columns past the second are ignored.
@@ -612,9 +627,8 @@ BT_RANGE = (30.0, 45.0)  # the generator's clip, and the range a population must
 
 def generate_population(n: int, seed: int) -> np.recarray:
     """Deterministic population of n people with plausible HR and BT values."""
-    if n < 0:
-        raise TraceError("n must be >= 0")
-    rng = np.random.default_rng(seed)
+    n = _integer("n", n, 0, TraceError)
+    rng = np.random.default_rng(_integer("seed", seed, 0, TraceError))
     rows = []
     for i in range(n):  # each person's draws in turn: HR, BT, then gender
         hr = min(max(rng.normal(HR_MEAN, HR_STD), HR_RANGE[0]), HR_RANGE[1])

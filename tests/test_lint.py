@@ -1,6 +1,7 @@
 """Static checks of the package source that need no linter: every name a
 module imports is used in that module, importing the package loads no
-`cryptography`, and one function parses CSV text with numpy."""
+`cryptography`, one function parses CSV text with numpy, and one function
+spells the rule for an integer setting."""
 import ast
 from operator import attrgetter
 from pathlib import Path
@@ -78,21 +79,21 @@ def test_import_time_imports_skips_functions_and_type_checking():
         "cryptography.x", "cryptography.z", "cryptography.v", "cryptography"]
 
 
-def loadtxt_callers(source: str, module: str) -> set[str]:
+def callers(source: str, module: str, library: str, function: str) -> set[str]:
     """The top-level functions (`module.name`, or `module.Class.name` for a
-    method) of `source` that name numpy's loadtxt; `module` if code outside
-    any function names it."""
+    method) of `source` that name `library`'s `function`; `module` if code
+    outside any function names it."""
     tree = ast.parse(source)
-    numpy = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-             for alias in node.names if alias.name == "numpy"}
-    loadtxt = {alias.asname or alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.module == "numpy"
-               for alias in node.names if alias.name == "loadtxt"}
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names if alias.name == library}
+    direct = {alias.asname or alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == library
+              for alias in node.names if alias.name == function}
 
-    def names_loadtxt(node):
-        return any(isinstance(n, ast.Attribute) and n.attr == "loadtxt"
-                   and isinstance(n.value, ast.Name) and n.value.id in numpy
-                   or isinstance(n, ast.Name) and n.id in loadtxt for n in ast.walk(node))
+    def names_function(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == function
+                   and isinstance(n.value, ast.Name) and n.value.id in imported
+                   or isinstance(n, ast.Name) and n.id in direct for n in ast.walk(node))
 
     def scope(node, prefix):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -103,20 +104,31 @@ def loadtxt_callers(source: str, module: str) -> set[str]:
     parts += [(scope(member, f"{module}.{node.name}"), member) for node in tree.body
               if isinstance(node, ast.ClassDef) for member in node.body]
     return {name for name, node in parts
-            if not isinstance(node, ast.ClassDef) and names_loadtxt(node)}
+            if not isinstance(node, ast.ClassDef) and names_function(node)}
+
+
+def package_callers(library: str, function: str) -> set[str]:
+    return set().union(*(callers(path.read_text(), path.stem, library, function)
+                         for path in PACKAGE.glob("*.py")))
 
 
 def test_one_function_calls_loadtxt():
-    callers = set().union(*(loadtxt_callers(path.read_text(), path.stem)
-                            for path in PACKAGE.glob("*.py")))
-    assert callers == {"trace._parse_csv"}
+    assert package_callers("numpy", "loadtxt") == {"trace._parse_csv"}
+
+
+def test_one_function_calls_operator_index():
+    # every integer setting goes through trace._integer: a float, even 2.0, is refused
+    assert package_callers("operator", "index") == {"trace._integer"}
 
 
 def test_loadtxt_callers_sees_aliases_methods_and_module_code():
     source = ("import numpy\nfrom numpy import loadtxt as lt\nrows = numpy.loadtxt('a')\n"
               "def f():\n    return lt\ndef g():\n    return numpy.load\n"
               "class C:\n    def m(self):\n        return numpy.loadtxt\n")
-    assert loadtxt_callers(source, "m") == {"m", "m.f", "m.C.m"}
+    assert callers(source, "m", "numpy", "loadtxt") == {"m", "m.f", "m.C.m"}
+    source = ("import operator as op\nfrom operator import index\n"
+              "def f(x):\n    return op.index(x)\nn = index(1)\n")
+    assert callers(source, "m", "operator", "index") == {"m", "m.f"}
 
 
 def package_reads(source: str, name: str = "io") -> set[str]:

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -317,7 +318,8 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("batch", [0, MAX_MESSAGE_RECORDS + 1, 10**20])
     def test_batch_beyond_a_header_count_rejected(self, batch):
-        with pytest.raises(ValueError, match="batch_samples must be in"):
+        bound = ">= 1" if batch < 1 else re.escape(f"in [1, {MAX_MESSAGE_RECORDS}]")
+        with pytest.raises(ValueError, match=f"^batch_samples must be {bound}, got {batch}$"):
             make_config(batch_samples=batch)
         assert make_config(batch_samples=MAX_MESSAGE_RECORDS).batch_samples == 2**32 - 1
 
@@ -335,3 +337,12 @@ class TestRunPipeline:
         pop = generate_population(5, 1)
         with pytest.raises(ValueError):
             run_pipeline(Trace("heart-rate", "bpm", [], []), make_config(), pop)
+
+    def test_empty_population_refused_before_tier_1(self, monkeypatch):
+        def select_samples(trace, config):
+            raise AssertionError("Tier 1 ran before the queries")
+
+        monkeypatch.setattr(pipeline, "select_samples", select_samples)
+        trace = generate_trace(SyntheticSpec(n=50, seed=1, noise_scale=1.0))
+        with pytest.raises(ValueError, match="^mean query on an empty dataset$"):
+            run_pipeline(trace, make_config(), generate_population(0, 1))

@@ -1,6 +1,7 @@
 """Refusals that no other test names: one table of bad inputs, each refused
 with its own exception type and message, and the ones a command reaches,
 each exiting 2 with its message on standard error."""
+import math
 import re
 
 import numpy as np
@@ -31,6 +32,7 @@ from ioht_pipeline.trace import (
 
 TRACE = Trace("other", "dimensionless", [0, 1, 2], [1.0, 2.0, 3.0])
 ONE_SAMPLE = Trace("other", "dimensionless", [0], [1.0])
+EMPTY = Trace("other", "dimensionless", [], [])
 # a population CSV whose header has every column but id
 NO_ID = "gender,body_temperature,heart_rate\nfemale,36.8,70\n"
 
@@ -59,14 +61,30 @@ REFUSALS = {
     "reconstruct-mode": (lambda tmp: reconstruct(TRACE, TransmissionSet(3, [0, 2], [0, 0]),
                                                  "cubic"),
                          ValueError, "unknown recon_mode 'cubic'"),
+    "reconstruct-mode-empty": (lambda tmp: reconstruct(EMPTY, TransmissionSet(0, [], []), "cubic"),
+                               ValueError, "unknown recon_mode 'cubic'"),
     "tx-length": (lambda tmp: reconstruct(TRACE, TransmissionSet(2, [0, 1], [0, 0])),
                   ValueError, "transmission set length does not match trace"),
     "integrate": (lambda tmp: gap_areas(ONE_SAMPLE, np.ones(1)),
                   ValueError, "need at least 2 samples to integrate"),
     "energy": (lambda tmp: EnergyModel(joules_per_message_overhead=-1e-4),
-               ValueError, "energy coefficients must be >= 0"),
+               ValueError, "joules_per_message_overhead must be finite and >= 0, got -0.0001"),
+    "energy-inf": (lambda tmp: EnergyModel(joules_per_byte_tx=math.inf),
+                   ValueError, "joules_per_byte_tx must be finite and >= 0, got inf"),
+    "energy-nan": (lambda tmp: EnergyModel(joules_per_message_overhead=math.nan),
+                   ValueError, "joules_per_message_overhead must be finite and >= 0, got nan"),
     "noise": (lambda tmp: SyntheticSpec(noise_scale=-1.0),
-              TraceError, "noise_scale must be >= 0"),
+              TraceError, "noise_scale must be finite and >= 0, got -1.0"),
+    "noise-nan": (lambda tmp: SyntheticSpec(noise_scale=math.nan),
+                  TraceError, "noise_scale must be finite and >= 0, got nan"),
+    # a seed is a whole number >= 0, for numpy's SeedSequence
+    "spec-seed": (lambda tmp: SyntheticSpec(seed=-1), TraceError, "seed must be >= 0, got -1"),
+    "population-seed": (lambda tmp: generate_population(3, -1),
+                        TraceError, "seed must be >= 0, got -1"),
+    "master-seed": (lambda tmp: make_config(master_seed=-1),
+                    ValueError, "master_seed must be >= 0, got -1"),
+    "master-seed-float": (lambda tmp: make_config(master_seed=1.5),
+                          ValueError, "master_seed must be an integer, got 1.5"),
     "population-2d": (lambda tmp: as_population([[("p0", "female", 36.8, 70.0)]]),
                       TraceError, "a population is 1-D, got 2-D rows"),
     "no-id": (lambda tmp: load_population_csv(write(tmp, NO_ID)),
@@ -105,7 +123,17 @@ COMMAND_REFUSALS = {
     "infer-beacon": (["infer", "--n", "50", "--beacon", "0"], None,
                      "beacon_period must be >= 1"),
     "gen-noise": (["gen", "--n", "50", "--noise", "-1", "--out", "{out}"], None,
-                  "noise_scale must be >= 0"),
+                  "noise_scale must be finite and >= 0, got -1.0"),
+    "gen-noise-nan": (["gen", "--n", "50", "--noise", "nan", "--out", "{out}"], None,
+                      "noise_scale must be finite and >= 0, got nan"),
+    "infer-noise-nan": (["infer", "--n", "50", "--noise", "nan", "--seed", "7"], None,
+                        "noise_scale must be finite and >= 0, got nan"),
+    "gen-seed": (["gen", "--n", "50", "--seed", "-1", "--out", "{out}"], None,
+                 "seed must be >= 0, got -1"),
+    "dp-seed": (["dp", "--epsilon", "0.5", "--seed", "-1", "--out", "{out}"], None,
+                "seed must be >= 0, got -1"),
+    "pipeline-master-seed": (["pipeline", "--n", "50", "--master-seed", "-1", "--out", "{out}"],
+                             None, "master_seed must be >= 0, got -1"),
     "chart-header-only": (["chart", "--input", "{input}", "--out", "{out}"], "x,y\n",
                           "in.csv: no data rows"),
     "dp-no-id": (["dp", "--epsilon", "0.5", "--population", "{input}"], NO_ID,

@@ -445,7 +445,8 @@ def test_generate_trace_empty():
 
 @pytest.mark.parametrize("n,period", [(4, 1.5), (4.5, 60), (4.0, 60)])
 def test_synthetic_spec_refuses_a_non_integer_n_or_period(n, period):
-    with pytest.raises(TraceError, match="n and period must be integers"):
+    name, value = ("period", period) if isinstance(n, int) else ("n", n)
+    with pytest.raises(TraceError, match=f"^{name} must be an integer, got {value}$"):
         SyntheticSpec(n=n, period=period)
 
 
