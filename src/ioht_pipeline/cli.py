@@ -264,7 +264,11 @@ def _cmd_size_sweep(args) -> None:
 def _resolve_population(args):
     if args.population:
         return load_population_csv(args.population)
-    return generate_population(args.population_size, args.seed)
+    return _generate_population(args, args.seed)
+
+
+def _generate_population(args, seed: int):
+    return generate_population(_integer("--population-size", args.population_size, 0), seed)
 
 
 def _cmd_dp(args) -> None:
@@ -354,7 +358,7 @@ def _cmd_pipeline(args) -> None:
         master_seed=args.master_seed,
         energy=EnergyModel(),
     )
-    population = generate_population(args.population_size, args.master_seed)
+    population = _generate_population(args, args.master_seed)
     report = run_pipeline(trace, config, population)
     report_json = report.to_json()
     print(report_json)

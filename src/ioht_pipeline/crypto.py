@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .inference import REASON_NAMES, TransmissionSet
-from .trace import KIND_CODES, KINDS, UNIT_CODES, UNITS, Trace
+from .trace import KIND_CODES, KINDS, UNIT_CODES, UNITS, Trace, _integer
 
 if TYPE_CHECKING:
     from cryptography.hazmat.primitives.ciphers import Cipher, CipherAlgorithm
@@ -248,6 +248,5 @@ def plaintext_size_for_savings(savings_percent: float) -> int:
 
 def ciphertext_size(plaintext_len: int, suite: CipherSuite) -> int:
     """Ciphertext bytes under PKCS#7: always at least one padding byte."""
-    if plaintext_len < 0:
-        raise ValueError("plaintext_len must be >= 0")
+    plaintext_len = _integer("plaintext_len", plaintext_len, 0)
     return (plaintext_len // suite.block_bytes + 1) * suite.block_bytes

@@ -15,13 +15,8 @@ from .dp import (
     laplace_noise,
     perturb_series,
 )
-from .inference import (
-    InferenceConfig,
-    compute_metrics,
-    reconstruct,
-    select_samples,
-)
-from .trace import Trace, _integer
+from .inference import InferenceConfig, _gap_totals, _metrics, _reasons, _reconstruct
+from .trace import BLOCK_SAMPLES, Trace, _integer
 
 DEFAULT_VR_GRID = (0.0, 0.025, 0.05, 0.10, 0.20)
 DEFAULT_SAVINGS_GRID = (0.0, 51.3, 78.5, 89.7, 98.8)
@@ -48,14 +43,46 @@ def run_vr_sweep(
     vr_grid: Sequence[float] = DEFAULT_VR_GRID,
     beacon_period: Optional[int] = None,
 ) -> list[VrSweepRow]:
-    if len(trace) < 3:
+    """The metrics of `select_samples`, linear `reconstruct` and
+    `compute_metrics` at each rate of the grid, in grid order; raises the
+    ValueError of the first rate whose metrics overflow.
+
+    The grid goes in passes of k = max(1, BLOCK_SAMPLES // n) rates, as the
+    epsilon sweep batches its trials: every default rate in one pass at the
+    paper's n of 1 420, and one rate a pass from n > BLOCK_SAMPLES / 2 on,
+    where the one-rate functions' blocks of `BLOCK_SAMPLES` columns keep the
+    memory as it was. A pass shares |v|, the steps, the float times and the
+    sum of the values between its rates, and holds a (k, n) array of reasons
+    and one of reconstructions. Every row has the bits of the one-rate
+    functions, which are the one-row case of the same code: the thresholds
+    and areas are the same elementwise operations, and np.add.reduce and the
+    complex cumsum along axis 1 of a C-ordered (k, n) array add each row in
+    the order of the 1-D calls.
+    """
+    n = len(trace)
+    if n < 3:
         raise ValueError("vr sweep needs a trace of length >= 3")
+    configs = [InferenceConfig(vr=vr, beacon_period=beacon_period) for vr in vr_grid]
+    values = trace.values
+    # float times cast once; a longer trace is cast a block at a time
+    times = trace.times.astype(np.float64) if n <= BLOCK_SAMPLES else trace.times
+    orig_sum = float(np.add.reduce(values))
+    per_pass = max(1, BLOCK_SAMPLES // n)
     rows = []
-    for vr in vr_grid:
-        tx = select_samples(trace, InferenceConfig(vr=vr, beacon_period=beacon_period))
-        recon = reconstruct(trace, tx)
-        m = compute_metrics(trace, tx, recon)
-        rows.append(VrSweepRow(vr=vr, t=m.t, sr=m.sr, er=m.er, ar=m.ar, s_diff=m.s_diff))
+    for start in range(0, len(configs), per_pass):
+        batch = configs[start:start + per_pass]
+        reasons = _reasons(values, np.array([c.vr for c in batch], np.float64), beacon_period)
+        recon, kept = np.empty(reasons.shape), []
+        for row, sent in zip(recon, reasons >= 0):
+            idx = np.flatnonzero(sent)
+            _reconstruct(times, values, idx, "linear", row)
+            kept.append(len(idx))
+        sums = np.add.reduce(recon, axis=1).tolist()
+        areas = _gap_totals(times, values, recon).tolist()
+        for config, t, recon_sum, area in zip(batch, kept, sums, areas):
+            m = _metrics(n, t, orig_sum, recon_sum, area.real, area.imag)
+            rows.append(VrSweepRow(vr=config.vr, t=t, sr=m.sr, er=m.er, ar=m.ar,
+                                   s_diff=m.s_diff))
     return rows
 
 

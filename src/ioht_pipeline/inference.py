@@ -109,31 +109,39 @@ def select_samples(trace: Trace, config: InferenceConfig) -> TransmissionSet:
     First and last samples are always kept so reconstruction never
     extrapolates. Beacons are kept every beacon_period samples. Recorded
     reason precedence: variance > anchor > beacon.
-
-    The interior is tested a block of `BLOCK_SAMPLES` at a time, each block
-    reading one sample either side of it. A varying sample takes the variance
-    code by arithmetic, `block += varies * (variance - block)`, not by a
-    masked store, which numpy runs as a branchy loop on an irregular mask:
-    the interior holds only -1 (dropped) or the beacon code, as the anchors
-    lie outside it, so the difference is small and exact in int8, and adds 0
-    where the sample does not vary.
     """
-    n = len(trace)
-    v = trace.values
-    reason = np.full(n, -1, dtype=np.int8)  # -1: dropped
+    reason = _reasons(trace.values, np.array([config.vr], np.float64), config.beacon_period)[0]
+    kept = np.flatnonzero(reason >= 0)
+    return TransmissionSet._owned(len(trace), kept, reason[kept])
+
+
+def _reasons(values: np.ndarray, vrs: np.ndarray, beacon_period: Optional[int]) -> np.ndarray:
+    """The reason codes of `select_samples` at each of the k rates `vrs`, as
+    a (k, n) int8 array in which -1 marks a dropped sample.
+
+    The interior is tested a block of `BLOCK_SAMPLES` columns at a time, each
+    block reading one sample either side of it; |v| and the steps are taken
+    once a block for every row. A varying sample takes the variance code by
+    arithmetic, `block += varies * (variance - block)`, not by a masked store,
+    which numpy runs as a branchy loop on an irregular mask: the interior
+    holds only -1 (dropped) or the beacon code, as the anchors lie outside
+    it, so the difference is small and exact in int8, and adds 0 where the
+    sample does not vary.
+    """
+    n = len(values)
+    reason = np.full((len(vrs), n), -1, dtype=np.int8)
     # Later assignments overwrite earlier ones, which sets the precedence.
-    if config.beacon_period is not None:
-        reason[::config.beacon_period] = REASON_CODES[REASON_BEACON]
-    reason[:1] = reason[-1:] = REASON_CODES[REASON_ANCHOR]
+    if beacon_period is not None:
+        reason[:, ::beacon_period] = REASON_CODES[REASON_BEACON]
+    reason[:, :1] = reason[:, -1:] = REASON_CODES[REASON_ANCHOR]
     for start in range(1, n - 1, BLOCK_SAMPLES):
         stop = min(start + BLOCK_SAMPLES, n - 1)
-        step = np.abs(np.diff(v[start - 1:stop + 1]))
-        thresh = np.abs(v[start:stop]) * config.vr
-        varies = (step[1:] > thresh) | (step[:-1] > thresh)
-        block = reason[start:stop]
+        step = np.abs(np.diff(values[start - 1:stop + 1]))
+        # the larger step either side: a trace's values are finite, so no NaN
+        varies = np.maximum(step[1:], step[:-1]) > np.abs(values[start:stop]) * vrs[:, None]
+        block = reason[:, start:stop]
         block += varies * (REASON_CODES[REASON_VARIANCE] - block)
-    kept = np.flatnonzero(reason >= 0)
-    return TransmissionSet._owned(n, kept, reason[kept])
+    return reason
 
 
 def reconstruct(trace: Trace, tx: TransmissionSet, mode: str = "linear") -> np.ndarray:
@@ -153,7 +161,16 @@ def reconstruct(trace: Trace, tx: TransmissionSet, mode: str = "linear") -> np.n
     if mode not in RECON_MODES:
         raise ValueError(f"unknown recon_mode {mode!r}")
     recon = np.empty(n)
-    times = trace.times
+    _reconstruct(trace.times, trace.values, idx, mode, recon)
+    recon.flags.writeable = False
+    return recon
+
+
+def _reconstruct(times: np.ndarray, values: np.ndarray, idx: np.ndarray, mode: str,
+                 recon: np.ndarray) -> None:
+    """Fill `recon` from the samples `idx` of `values`, as `reconstruct`
+    does, from int64 times or the same times already cast to float64."""
+    n = len(recon)
     for start in range(0, n, BLOCK_SAMPLES):
         stop = min(start + BLOCK_SAMPLES, n)
         # as Python ints: numpy scalar arithmetic would cost microseconds a call
@@ -165,11 +182,11 @@ def reconstruct(trace: Trace, tx: TransmissionSet, mode: str = "linear") -> np.n
         while hi < len(idx) and float(times[idx[hi]]) == end_time:
             hi += 1
         window = idx[lo:hi]
-        kept_values = trace.values[window]
+        kept_values = values[window]
         block = recon[start:stop]
         if mode == "linear":
-            # float times, as np.interp would cast them
-            block[:] = np.interp(times[start:stop], times[window].astype(np.float64), kept_values)
+            # np.interp casts int64 times to float64 as astype does
+            block[:] = np.interp(times[start:stop], times[window], kept_values)
         else:  # value of the nearest transmitted sample at or before
             positions = np.searchsorted(idx[first:last], np.arange(start, stop), side="right")
             positions += first - 1 - lo
@@ -177,8 +194,6 @@ def reconstruct(trace: Trace, tx: TransmissionSet, mode: str = "linear") -> np.n
             np.take(kept_values, positions, out=block)
         # exactness at transmitted points, both modes
         block[idx[first:last] - start] = kept_values[first - lo:last - lo]
-    recon.flags.writeable = False
-    return recon
 
 
 def gap_areas(trace: Trace, recon: np.ndarray) -> tuple[float, float]:
@@ -189,65 +204,100 @@ def gap_areas(trace: Trace, recon: np.ndarray) -> tuple[float, float]:
     splitting at the zero crossing when d changes sign; the crossing is
     worked out for those segments only. Returns (s_upper, s_lower) in
     value-units * seconds.
-
-    Segments are integrated a block of `BLOCK_SAMPLES` at a time. A segment
-    of one sign gives its whole area to the upper sum (`upper = whole *
-    above`) or to the lower one (`lower = whole - upper`), both exact: a
-    multiply, not a masked select, which numpy runs as a branchy loop on an
-    irregular mask. As inf * 0 is NaN, a block whose whole areas are not all
-    finite takes them by `np.where` instead. The two sums are the real and
-    imaginary lanes of one complex `cumsum`: complex addition is
-    componentwise, so each lane adds in index order like a running total
-    (np.sum's pairwise order would change the last bits). The totals so far
-    are folded into the block's first area: that one addition is the one the
-    whole-run `cumsum` makes there.
     """
     if len(recon) != len(trace):
         raise ValueError("length mismatch between trace and reconstruction")
     if len(trace) < 2:
         raise ValueError("need at least 2 samples to integrate")
-    s_upper = s_lower = 0.0
-    for start in range(0, len(trace) - 1, BLOCK_SAMPLES):
-        stop = min(start + BLOCK_SAMPLES, len(trace) - 1) + 1  # the block's last point
+    total = _gap_totals(trace.times, trace.values, recon[None])[0]
+    return float(total.real), float(total.imag)
+
+
+def _gap_totals(times: np.ndarray, values: np.ndarray, recon: np.ndarray) -> np.ndarray:
+    """`gap_areas` of each row of the (k, n) `recon`, n >= 2, as k complex
+    numbers s_upper + 1j * s_lower.
+
+    Segments are integrated a block of `BLOCK_SAMPLES` at a time, the k rows
+    of a block laid end to end as one flat run. The segment from one row's
+    last point to the next row's first (a seam) is left out. A segment of
+    one sign gives its whole area to the upper sum (`upper = whole * above`)
+    or to the lower one (`lower = whole - upper`), both exact: a multiply,
+    not a masked select, which numpy runs as a branchy loop on an irregular
+    mask. As inf * 0 is NaN, a block whose whole areas are not all finite
+    takes them by `np.where` instead, which gives the same bits where they
+    are finite. The two sums are the real and imaginary lanes of one complex
+    `cumsum` along each row: complex addition is componentwise, so each lane
+    adds in index order like a running total (np.sum's pairwise order would
+    change the last bits). The totals so far are folded into the block's
+    first area: that one addition is the one the whole-run `cumsum` makes
+    there. Each temporary is freed once spent, as a pass of the VR sweep is
+    k rows long.
+    """
+    rows, n = recon.shape
+    totals = np.zeros(rows, np.complex128)
+    for start in range(0, n - 1, BLOCK_SAMPLES):
+        stop = min(start + BLOCK_SAMPLES, n - 1) + 1  # the block's last point
+        width = stop - start
         # the float cast comes before the differences: np.diff of int64 times
         # would round differently above 2^53
-        times = trace.times[start:stop].astype(np.float64)
-        d = trace.values[start:stop] - recon[start:stop]
-        t0, t1, d0, d1 = times[:-1], times[1:], d[:-1], d[1:]
-        magnitude, positive = np.abs(d), d > 0  # per point, shared by the segments either side
+        t = times[start:stop].astype(np.float64)
+        d = (values[start:stop] - recon[:, start:stop]).reshape(-1)
+        d0, d1 = d[:-1], d[1:]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            whole = 0.5 * (magnitude[:-1] + magnitude[1:]) * (t1 - t0)
-            # segments not of one sign; a NaN product (from an inf d) counts too
-            cross = np.flatnonzero(~(d0 * d1 >= 0))
-            c0, c1, s0, s1 = d0[cross], d1[cross], t0[cross], t1[cross]
-            span, gap = (s1 - s0) * c0, c0 - c1
-            tz = s0 + span / gap
-            # Where span or gap overflows, take the crossing from the halves
-            # of c0 and c1, exact above the subnormals. One test a block: a
-            # difference is finite only when both its terms are.
-            if not np.isfinite(span - gap).all():
-                redo = ~(np.isfinite(span) & np.isfinite(gap))
-                h0, h1 = 0.5 * c0[redo], 0.5 * c1[redo]
-                tz[redo] = s0[redo] + (s1[redo] - s0[redo]) * (h0 / (h0 - h1))
-            first = 0.5 * np.abs(c0) * (tz - s0)
-            second = 0.5 * np.abs(c1) * (s1 - tz)
+            # segments not of one sign, less the seams; a NaN product (from an
+            # inf d) counts too
+            product = d0 * d1
+            product[width - 1::width] = 0.0
+            cross = np.flatnonzero(~(product >= 0))
+            del product
+            col = cross % width
+            cross_upper, cross_lower = _split_areas(d0[cross], d1[cross], t[col], t[col + 1])
+            positive = d > 0
             above = positive[:-1] | positive[1:]
-            both = np.empty(len(whole), np.complex128)  # (upper, lower) as its two lanes
-            upper, lower = both.real, both.imag
+            magnitude = np.abs(d)  # per point, shared by the segments either side
+            del d, d0, d1, positive
+            whole = magnitude[:-1] + magnitude[1:]
+            del magnitude
+            whole *= 0.5
+            step = t[1:] - t[:-1]
+            for at in range(0, len(whole), width):  # each row's segments
+                whole[at:at + width - 1] *= step
+            # (upper, lower) as its two lanes, one slot a row past its last
+            # segment: the seam, or nothing after the last row
+            both = np.empty(len(whole) + 1, np.complex128)
+            upper, lower = both.real[:-1], both.imag[:-1]
             if np.isfinite(whole).all():
                 np.multiply(whole, above, out=upper)
                 np.subtract(whole, upper, out=lower)
             else:  # inf * 0 would be NaN
                 upper[:] = np.where(above, whole, 0.0)
                 lower[:] = np.where(above, 0.0, whole)
-        starts_above = c0 > 0
-        upper[cross] = np.where(starts_above, first, second)
-        lower[cross] = np.where(starts_above, second, first)
+        upper[cross] = cross_upper
+        lower[cross] = cross_lower
+        segments = both.reshape(rows, -1)[:, :-1]
         if start:  # the first block has no totals to carry
-            both[0] += complex(s_upper, s_lower)
-        total = np.cumsum(both, out=both)[-1]
-        s_upper, s_lower = total.real, total.imag
-    return float(s_upper), float(s_lower)
+            segments[:, 0] += totals
+        totals = np.cumsum(segments, axis=1, out=segments)[:, -1]
+    return totals
+
+
+def _split_areas(c0: np.ndarray, c1: np.ndarray, s0: np.ndarray,
+                 s1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (upper, lower) areas of segments from (s0, c0) to (s1, c1) whose
+    d changes sign, split exactly at the zero crossing."""
+    span, gap = (s1 - s0) * c0, c0 - c1
+    tz = s0 + span / gap
+    # Where span or gap overflows, take the crossing from the halves of c0
+    # and c1, exact above the subnormals. One test a block: a difference is
+    # finite only when both its terms are.
+    if not np.isfinite(span - gap).all():
+        redo = ~(np.isfinite(span) & np.isfinite(gap))
+        h0, h1 = 0.5 * c0[redo], 0.5 * c1[redo]
+        tz[redo] = s0[redo] + (s1[redo] - s0[redo]) * (h0 / (h0 - h1))
+    first = 0.5 * np.abs(c0) * (tz - s0)
+    second = 0.5 * np.abs(c1) * (s1 - tz)
+    starts_above = c0 > 0
+    return np.where(starts_above, first, second), np.where(starts_above, second, first)
 
 
 def compute_metrics(trace: Trace, tx: TransmissionSet, recon: np.ndarray) -> InferenceMetrics:
@@ -258,14 +308,21 @@ def compute_metrics(trace: Trace, tx: TransmissionSet, recon: np.ndarray) -> Inf
     t = len(tx)
     if t == 0:
         raise ValueError("efficiency ratio undefined for zero transmitted samples")
-    sr = savings_ratio(n, t)
-    er = (n - t) / t
     # np.add.reduce is np.sum's own pairwise reduction, without its wrapper's cost
     orig_sum, recon_sum = float(np.add.reduce(trace.values)), float(np.add.reduce(recon))
+    s_upper, s_lower = gap_areas(trace, recon) if n >= 2 else (0.0, 0.0)
+    return _metrics(n, t, orig_sum, recon_sum, s_upper, s_lower)
+
+
+def _metrics(n: int, t: int, orig_sum: float, recon_sum: float,
+             s_upper: float, s_lower: float) -> InferenceMetrics:
+    """`compute_metrics` from t kept of n samples, AR's two sums and the gap
+    areas, with its overflow checks."""
+    sr = savings_ratio(n, t)
+    er = (n - t) / t
     ar = 100.0 * recon_sum / orig_sum if orig_sum != 0 else None
     if ar is not None and not math.isfinite(ar):  # 100 * recon_sum alone may overflow
         ar = 100.0 * (recon_sum / orig_sum)
-    s_upper, s_lower = gap_areas(trace, recon) if n >= 2 else (0.0, 0.0)
     for name, total in (("sum of the values", orig_sum), ("sum of the reconstruction", recon_sum),
                         ("upper gap area", s_upper), ("lower gap area", s_lower),
                         ("accuracy ratio", ar or 0.0)):
@@ -279,8 +336,7 @@ def compute_metrics(trace: Trace, tx: TransmissionSet, recon: np.ndarray) -> Inf
 
 def savings_ratio(n: int, t: int) -> float:
     """SR in percent for n sensed and t transmitted samples."""
-    if n <= 0:
-        raise ValueError("n must be positive")
+    n, t = _integer("n", n, 1), _integer("t", t, 0)
     return 100.0 * (n - t) / n
 
 

@@ -1,11 +1,12 @@
 """The loop forms of select_samples, gap_areas, generate_trace,
 generate_population and its range check, l1_sensitivity, the Laplace draws,
-the epsilon sweep's trials, the wire codec, the CSV loaders (trace,
-population and x,y) and writer and the per-message transmission, and the
-whole-array forms of select_samples, reconstruct and gap_areas, kept as
-reference oracles: the columnar and blocked versions must give the same
-output. Also the Laplace density, distribution function and privacy-ratio
-check, which the tests use and the package does not."""
+the epsilon sweep's trials, the VR sweep's rates, the wire codec, the CSV
+loaders (trace, population and x,y) and writer and the per-message
+transmission, and the whole-array forms of select_samples, reconstruct and
+gap_areas, kept as reference oracles: the columnar and blocked versions must
+give the same output. Also the Laplace density, distribution function and
+privacy-ratio check, which the tests use and the package does not."""
+import contextlib
 import csv
 import math
 import re
@@ -45,7 +46,13 @@ from ioht_pipeline.dp import (
     noisy_query,
     perturb_series,
 )
-from ioht_pipeline.experiments import SWEEP_BLOCK_DRAWS, EpsilonSweepRow, run_epsilon_sweep
+from ioht_pipeline.experiments import (
+    SWEEP_BLOCK_DRAWS,
+    EpsilonSweepRow,
+    VrSweepRow,
+    run_epsilon_sweep,
+    run_vr_sweep,
+)
 from ioht_pipeline.inference import (
     BLOCK_SAMPLES,
     REASON_ANCHOR,
@@ -56,6 +63,7 @@ from ioht_pipeline.inference import (
     RECON_MODES,
     InferenceConfig,
     TransmissionSet,
+    compute_metrics,
     gap_areas,
     reconstruct,
     select_samples,
@@ -186,6 +194,19 @@ def gap_areas_whole(trace, recon):
     upper[cross] = np.where(starts_above, first, second)
     lower[cross] = np.where(starts_above, second, first)
     return float(np.cumsum(upper)[-1]), float(np.cumsum(lower)[-1])
+
+
+def run_vr_sweep_loop(trace, vr_grid, beacon_period):
+    """run_vr_sweep one rate at a time, through the one-rate functions."""
+    if len(trace) < 3:
+        raise ValueError("vr sweep needs a trace of length >= 3")
+    rows = []
+    for vr in vr_grid:
+        tx = select_samples(trace, InferenceConfig(vr=vr, beacon_period=beacon_period))
+        recon = reconstruct(trace, tx)
+        m = compute_metrics(trace, tx, recon)
+        rows.append(VrSweepRow(vr=vr, t=m.t, sr=m.sr, er=m.er, ar=m.ar, s_diff=m.s_diff))
+    return rows
 
 
 def generate_trace_loop(spec):
@@ -633,6 +654,84 @@ def test_long_trace_matches_loops():
         assert tuple(tx.selected) == select_samples_loop(trace, config)
         recon = reconstruct(trace, tx, "linear")
         assert gap_areas(trace, recon) == gap_areas_loop(trace, recon)
+
+
+def vr_sweep_outcome(sweep, trace, grid, beacon):
+    """Every field of every VrSweepRow, floats as their bytes, or the message
+    of the ValueError the sweep raises."""
+    try:
+        rows = sweep(trace, grid, beacon)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return [(r.vr, r.t, struct.pack(">3d", r.sr, r.er, r.s_diff),
+             None if r.ar is None else struct.pack(">d", r.ar)) for r in rows]
+
+
+# Rates that keep every sample (0.0), the paper's, and one whose thresholds
+# overflow to inf (only anchors and beacons kept).
+VR_RATES = st.one_of(st.sampled_from([0.0, 0.025, 0.05, 1e300]),
+                     st.floats(min_value=0.0, max_value=2.0))
+
+
+@st.composite
+def sweep_traces(draw):
+    """A trace of n >= 3 from a seed: times that may cast to colliding
+    floats, values with ties and -0.0 around a baseline, scaled up to where
+    the sums and gap areas of some rates overflow float64."""
+    n = draw(st.integers(min_value=3, max_value=150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = draw(st.sampled_from([0, 2**53, 2**62])) + int(rng.integers(0, 2**20))
+    times = start + np.cumsum(rng.integers(1, draw(st.sampled_from([2, 100, 10**6])), n))
+    values = np.where(rng.random(n) < 0.3, rng.integers(-4, 5, n), rng.normal(70.0, 10.0, n))
+    values[rng.random(n) < 0.05] = -0.0
+    values *= draw(st.sampled_from([1.0, 1e150, 1e303]))
+    return make_trace(values.tolist(), times.tolist())
+
+
+# The default block (None: 65 536) puts these traces' rates in passes of 436
+# or more; blocks of 1, 16 and 64 give several rates a pass, and one rate a
+# pass (n > block / 2) read a block of columns at a time (n > block).
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(trace=sweep_traces(), grid=st.lists(VR_RATES, max_size=12),
+       beacon=st.sampled_from([None, 1, 7]), block=st.sampled_from([None, 1, 16, 64]))
+# an unsorted grid with a repeated rate, in passes of 5 rows and 1 row
+@example(trace=make_trace([70.0, 75.0, 70.0, 71.0, 90.0, 70.0] * 2),
+         grid=[0.05, 0.0, 0.3, 0.05, 0.01], beacon=7, block=64)
+@example(trace=make_trace([70.0, 75.0, 70.0, 71.0, 90.0, 70.0] * 2),
+         grid=[0.05, 0.0, 0.3, 0.05, 0.01], beacon=None, block=16)
+# the sums are finite at vr 0, and the gap areas overflow once only the
+# anchors are kept: the second row raises, in one pass and one rate a pass
+@example(trace=make_trace([1e303, -1e303, 1e303, -1e303], [0, 10**6, 2 * 10**6, 3 * 10**6]),
+         grid=[0.0, 1e300, 0.0], beacon=None, block=None)
+@example(trace=make_trace([1e303, -1e303, 1e303, -1e303], [0, 10**6, 2 * 10**6, 3 * 10**6]),
+         grid=[0.0, 1e300, 0.0], beacon=None, block=4)
+# a whole area of inf below the reconstruction: the pass takes its areas by a
+# select, and the finite row beside it keeps its bits
+@example(trace=make_trace([0.0, -1e303, -1e303, 0.0], [0, 10**6, 2 * 10**6, 3 * 10**6]),
+         grid=[0.0, 1e300], beacon=None, block=None)
+def test_run_vr_sweep_matches_loop(trace, grid, beacon, block):
+    expected = vr_sweep_outcome(run_vr_sweep_loop, trace, grid, beacon)
+    with contextlib.ExitStack() as patches:
+        if block is not None:
+            for module in (experiments, inference):
+                patches.enter_context(mock.patch.object(module, "BLOCK_SAMPLES", block))
+        assert vr_sweep_outcome(run_vr_sweep, trace, grid, beacon) == expected
+
+
+# Generated traces at the default block: the paper's n in one pass, 20 000
+# in passes of 3, 3 and 2 rates, and 70 000 one rate a pass in two blocks of
+# columns.
+@pytest.mark.parametrize("n,seed", [(1420, 1), (1420, 2), (1420, 3), (1420, 7), (1420, 11),
+                                    (20_000, 7), (70_000, 7)])
+def test_run_vr_sweep_matches_loop_on_generated_traces(n, seed):
+    trace = generate_trace(SyntheticSpec(n=n, period=60, seed=seed, baseline=70.0,
+                                         drift_amplitude=8.0, noise_scale=1.5))
+    grid = (0.05, 0.0, 0.3, 0.01, 0.025, 0.1, 0.05, 0.2)
+    for beacon in (None, 60):
+        expected = vr_sweep_outcome(run_vr_sweep_loop, trace, grid, beacon)
+        assert vr_sweep_outcome(run_vr_sweep, trace, grid, beacon) == expected
 
 
 def population_bits(rows):

@@ -19,7 +19,13 @@ from ioht_pipeline.crypto import (
 )
 from ioht_pipeline.dp import DpQuery, l1_sensitivity
 from ioht_pipeline.experiments import run_epsilon_sweep, run_vr_sweep
-from ioht_pipeline.inference import InferenceConfig, TransmissionSet, gap_areas, reconstruct
+from ioht_pipeline.inference import (
+    InferenceConfig,
+    TransmissionSet,
+    gap_areas,
+    reconstruct,
+    savings_ratio,
+)
 from ioht_pipeline.pipeline import EnergyModel
 from ioht_pipeline.trace import (
     SyntheticSpec,
@@ -99,7 +105,15 @@ REFUSALS = {
     "empty-population": (lambda tmp: run_epsilon_sweep(generate_population(0, 0)),
                          ValueError, "population must be non-empty"),
     "plaintext": (lambda tmp: ciphertext_size(-1, SUITES["aes-128-ecb"]),
-                  ValueError, "plaintext_len must be >= 0"),
+                  ValueError, "plaintext_len must be >= 0, got -1"),
+    # a float count would give a float size, or a ratio of a part sample
+    "plaintext-float": (lambda tmp: ciphertext_size(2.5, SUITES["aes-128-ecb"]),
+                        ValueError, "plaintext_len must be an integer, got 2.5"),
+    "savings-float": (lambda tmp: savings_ratio(2.5, 1),
+                      ValueError, "n must be an integer, got 2.5"),
+    "savings-kept-float": (lambda tmp: savings_ratio(3, 1.5),
+                           ValueError, "t must be an integer, got 1.5"),
+    "savings-empty": (lambda tmp: savings_ratio(0, 0), ValueError, "n must be >= 1, got 0"),
     "batch": (lambda tmp: frame_records("other", "dimensionless", np.empty(0, RECORD_DTYPE),
                                         2**32, SUITES["aes-128-ecb"]),
               PayloadError, "a message holds at most 2^32 - 1 records, not 4294967296"),
@@ -140,6 +154,15 @@ COMMAND_REFUSALS = {
                  "in.csv: no id column in the header"),
     "pipeline-key": (["pipeline", "--n", "50", "--key", "0011"], None,
                      "aes-128-ecb needs a 16-byte key, got 2"),
+    # the option given, not generate_population's parameter
+    "dp-population-size": (["dp", "--epsilon", "0.5", "--population-size", "-1", "--out", "{out}"],
+                           None, "--population-size must be >= 0, got -1"),
+    "epsilon-sweep-population-size": (["epsilon-sweep", "--population-size", "-1",
+                                       "--out", "{out}"],
+                                      None, "--population-size must be >= 0, got -1"),
+    "pipeline-population-size": (["pipeline", "--n", "50", "--population-size", "-1",
+                                  "--out", "{out}"],
+                                 None, "--population-size must be >= 0, got -1"),
 }
 
 
