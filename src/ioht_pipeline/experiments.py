@@ -15,7 +15,14 @@ from .dp import (
     laplace_noise,
     perturb_series,
 )
-from .inference import InferenceConfig, _gap_totals, _metrics, _reasons, _reconstruct
+from .inference import (
+    InferenceConfig,
+    TransmissionSet,
+    _gap_totals,
+    _metrics,
+    _reasons,
+    reconstruct,
+)
 from .trace import BLOCK_SAMPLES, Trace, _integer
 
 DEFAULT_VR_GRID = (0.0, 0.025, 0.05, 0.10, 0.20)
@@ -54,34 +61,42 @@ def run_vr_sweep(
     memory as it was. A pass shares |v|, the steps, the float times and the
     sum of the values between its rates, and holds a (k, n) array of reasons
     and one of reconstructions. Every row has the bits of the one-rate
-    functions, which are the one-row case of the same code: the thresholds
-    and areas are the same elementwise operations, and np.add.reduce and the
-    complex cumsum along axis 1 of a C-ordered (k, n) array add each row in
-    the order of the 1-D calls.
+    functions. While the trace is one block, each row is interpolated whole,
+    as `reconstruct` does its one block; a longer trace's one-rate pass goes
+    through `reconstruct` itself. Selection and areas are the one-rate code
+    run on k rows: the thresholds and areas are the same elementwise
+    operations, and np.add.reduce and the complex cumsum along axis 1 of a
+    C-ordered (k, n) array add each row in the order of the 1-D calls.
     """
     n = len(trace)
     if n < 3:
         raise ValueError("vr sweep needs a trace of length >= 3")
     configs = [InferenceConfig(vr=vr, beacon_period=beacon_period) for vr in vr_grid]
     values = trace.values
-    # float times cast once; a longer trace is cast a block at a time
-    times = trace.times.astype(np.float64) if n <= BLOCK_SAMPLES else trace.times
+    # a trace of one block is reconstructed whole, against its times cast once
+    whole = n <= BLOCK_SAMPLES
+    times = trace.times.astype(np.float64) if whole else trace.times
     orig_sum = float(np.add.reduce(values))
     per_pass = max(1, BLOCK_SAMPLES // n)
     rows = []
     for start in range(0, len(configs), per_pass):
         batch = configs[start:start + per_pass]
-        reasons = _reasons(values, np.array([c.vr for c in batch], np.float64), beacon_period)
-        recon, kept = np.empty(reasons.shape), []
-        for row, sent in zip(recon, reasons >= 0):
-            idx = np.flatnonzero(sent)
-            _reconstruct(times, values, idx, "linear", row)
-            kept.append(len(idx))
+        reasons = _reasons(values, [c.vr for c in batch], beacon_period)
+        kept = [np.flatnonzero(sent) for sent in reasons >= 0]
+        if whole:
+            recon = np.empty(reasons.shape)
+            for row, idx in zip(recon, kept):
+                kept_values = values[idx]
+                row[:] = np.interp(times, times[idx], kept_values)
+                row[idx] = kept_values
+        else:  # one rate a pass, a block of columns at a time
+            (idx,) = kept
+            recon = reconstruct(trace, TransmissionSet._owned(n, idx, reasons[0][idx]))[None]
         sums = np.add.reduce(recon, axis=1).tolist()
         areas = _gap_totals(times, values, recon).tolist()
-        for config, t, recon_sum, area in zip(batch, kept, sums, areas):
-            m = _metrics(n, t, orig_sum, recon_sum, area.real, area.imag)
-            rows.append(VrSweepRow(vr=config.vr, t=t, sr=m.sr, er=m.er, ar=m.ar,
+        for config, idx, recon_sum, area in zip(batch, kept, sums, areas):
+            m = _metrics(n, len(idx), orig_sum, recon_sum, area.real, area.imag)
+            rows.append(VrSweepRow(vr=config.vr, t=m.t, sr=m.sr, er=m.er, ar=m.ar,
                                    s_diff=m.s_diff))
     return rows
 

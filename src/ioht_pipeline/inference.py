@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -110,18 +110,20 @@ def select_samples(trace: Trace, config: InferenceConfig) -> TransmissionSet:
     extrapolates. Beacons are kept every beacon_period samples. Recorded
     reason precedence: variance > anchor > beacon.
     """
-    reason = _reasons(trace.values, np.array([config.vr], np.float64), config.beacon_period)[0]
+    reason = _reasons(trace.values, (config.vr,), config.beacon_period)[0]
     kept = np.flatnonzero(reason >= 0)
     return TransmissionSet._owned(len(trace), kept, reason[kept])
 
 
-def _reasons(values: np.ndarray, vrs: np.ndarray, beacon_period: Optional[int]) -> np.ndarray:
+def _reasons(values: np.ndarray, vrs: Sequence[float], beacon_period: Optional[int]) -> np.ndarray:
     """The reason codes of `select_samples` at each of the k rates `vrs`, as
     a (k, n) int8 array in which -1 marks a dropped sample.
 
     The interior is tested a block of `BLOCK_SAMPLES` columns at a time, each
-    block reading one sample either side of it; |v| and the steps are taken
-    once a block for every row. A varying sample takes the variance code by
+    block reading one sample either side of it; |v| and the larger step either
+    side of each sample are taken once a block for every rate, and each
+    rate's thresholds a row at a time (a (k, n) product would broadcast
+    through numpy's buffers). A varying sample takes the variance code by
     arithmetic, `block += varies * (variance - block)`, not by a masked store,
     which numpy runs as a branchy loop on an irregular mask: the interior
     holds only -1 (dropped) or the beacon code, as the anchors lie outside
@@ -137,10 +139,11 @@ def _reasons(values: np.ndarray, vrs: np.ndarray, beacon_period: Optional[int]) 
     for start in range(1, n - 1, BLOCK_SAMPLES):
         stop = min(start + BLOCK_SAMPLES, n - 1)
         step = np.abs(np.diff(values[start - 1:stop + 1]))
-        # the larger step either side: a trace's values are finite, so no NaN
-        varies = np.maximum(step[1:], step[:-1]) > np.abs(values[start:stop]) * vrs[:, None]
-        block = reason[:, start:stop]
-        block += varies * (REASON_CODES[REASON_VARIANCE] - block)
+        # a trace's values are finite, so no step is NaN
+        larger, magnitude = np.maximum(step[1:], step[:-1]), np.abs(values[start:stop])
+        for vr, block in zip(vrs, reason[:, start:stop]):
+            varies = larger > magnitude * vr
+            block += varies * (REASON_CODES[REASON_VARIANCE] - block)
     return reason
 
 
@@ -161,16 +164,7 @@ def reconstruct(trace: Trace, tx: TransmissionSet, mode: str = "linear") -> np.n
     if mode not in RECON_MODES:
         raise ValueError(f"unknown recon_mode {mode!r}")
     recon = np.empty(n)
-    _reconstruct(trace.times, trace.values, idx, mode, recon)
-    recon.flags.writeable = False
-    return recon
-
-
-def _reconstruct(times: np.ndarray, values: np.ndarray, idx: np.ndarray, mode: str,
-                 recon: np.ndarray) -> None:
-    """Fill `recon` from the samples `idx` of `values`, as `reconstruct`
-    does, from int64 times or the same times already cast to float64."""
-    n = len(recon)
+    times = trace.times
     for start in range(0, n, BLOCK_SAMPLES):
         stop = min(start + BLOCK_SAMPLES, n)
         # as Python ints: numpy scalar arithmetic would cost microseconds a call
@@ -182,11 +176,11 @@ def _reconstruct(times: np.ndarray, values: np.ndarray, idx: np.ndarray, mode: s
         while hi < len(idx) and float(times[idx[hi]]) == end_time:
             hi += 1
         window = idx[lo:hi]
-        kept_values = values[window]
+        kept_values = trace.values[window]
         block = recon[start:stop]
         if mode == "linear":
-            # np.interp casts int64 times to float64 as astype does
-            block[:] = np.interp(times[start:stop], times[window], kept_values)
+            # float times, as np.interp would cast them
+            block[:] = np.interp(times[start:stop], times[window].astype(np.float64), kept_values)
         else:  # value of the nearest transmitted sample at or before
             positions = np.searchsorted(idx[first:last], np.arange(start, stop), side="right")
             positions += first - 1 - lo
@@ -194,6 +188,8 @@ def _reconstruct(times: np.ndarray, values: np.ndarray, idx: np.ndarray, mode: s
             np.take(kept_values, positions, out=block)
         # exactness at transmitted points, both modes
         block[idx[first:last] - start] = kept_values[first - lo:last - lo]
+    recon.flags.writeable = False
+    return recon
 
 
 def gap_areas(trace: Trace, recon: np.ndarray) -> tuple[float, float]:
@@ -219,7 +215,9 @@ def _gap_totals(times: np.ndarray, values: np.ndarray, recon: np.ndarray) -> np.
 
     Segments are integrated a block of `BLOCK_SAMPLES` at a time, the k rows
     of a block laid end to end as one flat run. The segment from one row's
-    last point to the next row's first (a seam) is left out. A segment of
+    last point to the next row's first (a seam) is left out of the sums; it
+    never changes sign, as every row of the VR sweep equals the values at its
+    first and last points (the anchors), so d is 0 there. A segment of
     one sign gives its whole area to the upper sum (`upper = whole * above`)
     or to the lower one (`lower = whole - upper`), both exact: a multiply,
     not a masked select, which numpy runs as a branchy loop on an irregular
@@ -244,12 +242,8 @@ def _gap_totals(times: np.ndarray, values: np.ndarray, recon: np.ndarray) -> np.
         d = (values[start:stop] - recon[:, start:stop]).reshape(-1)
         d0, d1 = d[:-1], d[1:]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # segments not of one sign, less the seams; a NaN product (from an
-            # inf d) counts too
-            product = d0 * d1
-            product[width - 1::width] = 0.0
-            cross = np.flatnonzero(~(product >= 0))
-            del product
+            # segments not of one sign; a NaN product (from an inf d) counts too
+            cross = np.flatnonzero(~(d0 * d1 >= 0))
             col = cross % width
             cross_upper, cross_lower = _split_areas(d0[cross], d1[cross], t[col], t[col + 1])
             positive = d > 0
