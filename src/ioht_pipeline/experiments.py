@@ -15,14 +15,7 @@ from .dp import (
     laplace_noise,
     perturb_series,
 )
-from .inference import (
-    InferenceConfig,
-    TransmissionSet,
-    _gap_totals,
-    _metrics,
-    _reasons,
-    reconstruct,
-)
+from .inference import InferenceConfig, _gap_totals, _metrics, _reasons, _reconstruct_rows
 from .trace import BLOCK_SAMPLES, Trace, _integer
 
 DEFAULT_VR_GRID = (0.0, 0.025, 0.05, 0.10, 0.20)
@@ -57,25 +50,21 @@ def run_vr_sweep(
     The grid goes in passes of k = max(1, BLOCK_SAMPLES // n) rates, as the
     epsilon sweep batches its trials: every default rate in one pass at the
     paper's n of 1 420, and one rate a pass from n > BLOCK_SAMPLES / 2 on,
-    where the one-rate functions' blocks of `BLOCK_SAMPLES` columns keep the
-    memory as it was. A pass shares |v|, the steps, the float times and the
-    sum of the values between its rates, and holds a (k, n) array of reasons
-    and one of reconstructions. Every row has the bits of the one-rate
-    functions. While the trace is one block, each row is interpolated whole,
-    as `reconstruct` does its one block; a longer trace's one-rate pass goes
-    through `reconstruct` itself. Selection and areas are the one-rate code
-    run on k rows: the thresholds and areas are the same elementwise
-    operations, and np.add.reduce and the complex cumsum along axis 1 of a
-    C-ordered (k, n) array add each row in the order of the 1-D calls.
+    where the blocks of `BLOCK_SAMPLES` columns keep the memory as it was. A
+    pass shares |v|, the steps, each block's float times and the sum of the
+    values between its rates, and holds a (k, n) array of reasons and one of
+    reconstructions. Every row has the bits of the one-rate functions, as
+    they are the one-row case of the same code: `_reasons`,
+    `_reconstruct_rows` and `_gap_totals` run on k rows make the same
+    elementwise operations, and np.add.reduce and the complex cumsum along
+    axis 1 of a C-ordered (k, n) array add each row in the order of the 1-D
+    calls.
     """
     n = len(trace)
     if n < 3:
         raise ValueError("vr sweep needs a trace of length >= 3")
     configs = [InferenceConfig(vr=vr, beacon_period=beacon_period) for vr in vr_grid]
-    values = trace.values
-    # a trace of one block is reconstructed whole, against its times cast once
-    whole = n <= BLOCK_SAMPLES
-    times = trace.times.astype(np.float64) if whole else trace.times
+    times, values = trace.times, trace.values
     orig_sum = float(np.add.reduce(values))
     per_pass = max(1, BLOCK_SAMPLES // n)
     rows = []
@@ -83,15 +72,7 @@ def run_vr_sweep(
         batch = configs[start:start + per_pass]
         reasons = _reasons(values, [c.vr for c in batch], beacon_period)
         kept = [np.flatnonzero(sent) for sent in reasons >= 0]
-        if whole:
-            recon = np.empty(reasons.shape)
-            for row, idx in zip(recon, kept):
-                kept_values = values[idx]
-                row[:] = np.interp(times, times[idx], kept_values)
-                row[idx] = kept_values
-        else:  # one rate a pass, a block of columns at a time
-            (idx,) = kept
-            recon = reconstruct(trace, TransmissionSet._owned(n, idx, reasons[0][idx]))[None]
+        recon = _reconstruct_rows(times, values, kept, "linear")
         sums = np.add.reduce(recon, axis=1).tolist()
         areas = _gap_totals(times, values, recon).tolist()
         for config, idx, recon_sum, area in zip(batch, kept, sums, areas):

@@ -149,46 +149,55 @@ def _reasons(values: np.ndarray, vrs: Sequence[float], beacon_period: Optional[i
 
 def reconstruct(trace: Trace, tx: TransmissionSet, mode: str = "linear") -> np.ndarray:
     """Rebuild the full-length series from the transmitted subset, as a
-    read-only float64 array.
-
-    The series is filled a block of `BLOCK_SAMPLES` at a time, each block
-    interpolated (or looked up) against only the transmitted samples it falls
-    between: from the one before its first sample to the one after its last.
-    """
+    read-only float64 array: the one-row case of `_reconstruct_rows`."""
     if tx.source_len != len(trace):
         raise ValueError("transmission set length does not match trace")
-    n = len(trace)
-    idx = tx.indices
-    if n and len(idx) == 0:
+    if len(trace) and len(tx) == 0:
         raise ValueError("no anchors: cannot reconstruct from an empty selection")
     if mode not in RECON_MODES:
         raise ValueError(f"unknown recon_mode {mode!r}")
-    recon = np.empty(n)
-    times = trace.times
+    recon = _reconstruct_rows(trace.times, trace.values, (tx.indices,), mode)
+    recon.flags.writeable = False
+    return recon[0]
+
+
+def _reconstruct_rows(times: np.ndarray, values: np.ndarray, kept: Sequence[np.ndarray],
+                      mode: str) -> np.ndarray:
+    """The reconstruction from each of k non-empty, strictly increasing int64
+    columns of kept indices, as a (k, n) float64 array.
+
+    The rows are filled a block of `BLOCK_SAMPLES` columns at a time. A block
+    takes its x once for all k rows: its times cast to float64 (linear), or
+    its column numbers (step-hold). Each row's block is interpolated (or
+    looked up) against only the kept samples its columns fall between: from
+    the one before its first column to the one after its last. Every row
+    then holds its kept values exactly, in both modes.
+    """
+    n = len(times)
+    recon = np.empty((len(kept), n))
     for start in range(0, n, BLOCK_SAMPLES):
         stop = min(start + BLOCK_SAMPLES, n)
-        # as Python ints: numpy scalar arithmetic would cost microseconds a call
-        first, last = np.searchsorted(idx, (start, stop)).tolist()  # the kept samples in the block
-        lo, hi = max(first - 1, 0), min(last + 1, len(idx))
-        # Above 2^53 distinct times cast to one float, and np.interp takes the
-        # last of equal xp: take in every kept time equal to the block's last.
+        # float times, as np.interp would cast them
+        x = times[start:stop].astype(np.float64) if mode == "linear" else np.arange(start, stop)
         end_time = float(times[stop - 1])
-        while hi < len(idx) and float(times[idx[hi]]) == end_time:
-            hi += 1
-        window = idx[lo:hi]
-        kept_values = trace.values[window]
-        block = recon[start:stop]
-        if mode == "linear":
-            # float times, as np.interp would cast them
-            block[:] = np.interp(times[start:stop], times[window].astype(np.float64), kept_values)
-        else:  # value of the nearest transmitted sample at or before
-            positions = np.searchsorted(idx[first:last], np.arange(start, stop), side="right")
-            positions += first - 1 - lo
-            np.maximum(positions, 0, out=positions)
-            np.take(kept_values, positions, out=block)
-        # exactness at transmitted points, both modes
-        block[idx[first:last] - start] = kept_values[first - lo:last - lo]
-    recon.flags.writeable = False
+        for row, idx in zip(recon, kept):
+            # as Python ints: numpy scalar arithmetic would cost microseconds a call
+            first, last = idx.searchsorted([start, stop]).tolist()  # the kept samples in the block
+            lo, hi = max(first - 1, 0), min(last + 1, len(idx))
+            # Above 2^53 distinct times cast to one float, and np.interp takes
+            # the last of equal xp: take in every kept time equal to the block's last.
+            while hi < len(idx) and float(times[idx[hi]]) == end_time:
+                hi += 1
+            window = idx[lo:hi]
+            kept_values = values[window]
+            if mode == "linear":
+                row[start:stop] = np.interp(x, times[window].astype(np.float64), kept_values)
+            else:  # value of the nearest kept sample at or before
+                positions = idx[first:last].searchsorted(x, side="right")
+                positions += first - 1 - lo
+                np.maximum(positions, 0, out=positions)
+                np.take(kept_values, positions, out=row[start:stop])
+            row[idx[first:last]] = kept_values[first - lo:last - lo]
     return recon
 
 
@@ -296,9 +305,14 @@ def _split_areas(c0: np.ndarray, c1: np.ndarray, s0: np.ndarray,
 
 def compute_metrics(trace: Trace, tx: TransmissionSet, recon: np.ndarray) -> InferenceMetrics:
     """Savings ratio, efficiency ratio, accuracy ratio and gap areas. Raises a
-    ValueError naming the first of AR's two sums, the gap areas and AR that
-    overflows float64 (an infinite sum gives AR NaN, or a wrong 0.0)."""
+    ValueError, before any sum, if `tx` or `recon` is not of the trace's
+    length, and one naming the first of AR's two sums, the gap areas and AR
+    that overflows float64 (an infinite sum gives AR NaN, or a wrong 0.0)."""
     n = len(trace)
+    if tx.source_len != n:
+        raise ValueError("transmission set length does not match trace")
+    if len(recon) != n:
+        raise ValueError("length mismatch between trace and reconstruction")
     t = len(tx)
     if t == 0:
         raise ValueError("efficiency ratio undefined for zero transmitted samples")

@@ -26,9 +26,10 @@ UNIT_CODES = {u: i for i, u in enumerate(UNITS)}
 
 # Samples per block of the full-length passes: the AR(1) recursion of
 # `generate_trace`, the rows `save_csv` formats, and Tier 1's selection,
-# reconstruction and gap areas (`inference`). A block's temporaries, its
-# Python floats and its CSV bytes stay a few MB at most, so they are reused
-# from the heap and the caches rather than faulted in afresh at full length.
+# reconstruction and gap areas (`inference`), for one row or the k rows of a
+# VR sweep pass alike. A block's temporaries, its Python floats and its CSV
+# bytes stay a few MB at most, so they are reused from the heap and the
+# caches rather than faulted in afresh at full length.
 BLOCK_SAMPLES = 65536
 
 

@@ -1,7 +1,7 @@
 """Static checks of the package source that need no linter: every name a
 module imports is used in that module, importing the package loads no
-`cryptography`, one function parses CSV text with numpy, and one function
-spells the rule for an integer setting."""
+`cryptography`, one function parses CSV text with numpy, one function
+interpolates, and one function spells the rule for an integer setting."""
 import ast
 from operator import attrgetter
 from pathlib import Path
@@ -114,6 +114,11 @@ def package_callers(library: str, function: str) -> set[str]:
 
 def test_one_function_calls_loadtxt():
     assert package_callers("numpy", "loadtxt") == {"trace._parse_csv"}
+
+
+def test_one_function_calls_interp():
+    # reconstruct and the VR sweep share one reconstruction kernel
+    assert package_callers("numpy", "interp") == {"inference._reconstruct_rows"}
 
 
 def test_one_function_calls_operator_index():

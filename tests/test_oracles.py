@@ -599,6 +599,43 @@ def test_blocked_reconstruct_and_gap_areas_match_whole_array(case, mode, block):
                 assert bits(gap_areas(trace, against)) == bits(gap_areas_whole(trace, against))
 
 
+@st.composite
+def index_columns(draw):
+    """(times, values, k kept-index columns) for k of 1, 2 or 5: the trace
+    and first column of `selected_traces`, and k - 1 more non-empty columns."""
+    times, values, kept, _ = draw(selected_traces())
+    k = draw(st.sampled_from([1, 2, 5]))
+    indices = st.sets(st.integers(0, len(values) - 1), min_size=1)
+    return times, values, [kept] + [sorted(draw(indices)) for _ in range(k - 1)]
+
+
+def with_columns(case, *columns):
+    times, values, _, _ = case
+    return times, values, list(columns)
+
+
+# Each row of a block has a window of its own against the one float cast of
+# the block's times; step-hold on several rows runs nowhere in the package.
+@settings(max_examples=300, deadline=None)
+@given(case=index_columns(), mode=st.sampled_from(RECON_MODES),
+       block=st.sampled_from([1, 7, 64]))
+@example(case=with_columns(spaced([float(i % 7) for i in range(121)], []),
+                          [0, 60, 120], [3, 59, 64, 65], [120]), mode="step-hold", block=64)
+@example(case=with_columns(colliding(5, []), [1, 3], [0], [4]), mode="linear", block=1)
+@example(case=with_columns(colliding(9, []), [2, 4, 6], [0, 8], [5]), mode="linear", block=4)
+@example(case=with_columns(colliding(9, []), [2, 4, 6], [0, 8], [5]), mode="step-hold", block=4)
+def test_reconstruct_rows_matches_whole_array_per_row(case, mode, block):
+    times, values, columns = case
+    trace = make_trace(values, times)
+    expected = [reconstruct_whole(trace, TransmissionSet(len(values), kept, [0] * len(kept)), mode)
+                for kept in columns]
+    kept = [np.array(column, dtype=np.int64) for column in columns]
+    with mock.patch.object(inference, "BLOCK_SAMPLES", block):
+        recon = inference._reconstruct_rows(trace.times, trace.values, kept, mode)
+    assert recon.dtype == np.float64 and recon.shape == (len(columns), len(values))
+    assert bits(*recon) == bits(*expected)
+
+
 # A segment area that overflows (|d| of 1e300 over 10^10 s) in a later block,
 # above and below the reconstruction. Its block takes its areas by a select,
 # as inf * 0 would make the other sum NaN, and the metrics name the sum that

@@ -22,6 +22,7 @@ from ioht_pipeline.experiments import run_epsilon_sweep, run_vr_sweep
 from ioht_pipeline.inference import (
     InferenceConfig,
     TransmissionSet,
+    compute_metrics,
     gap_areas,
     reconstruct,
     savings_ratio,
@@ -71,6 +72,14 @@ REFUSALS = {
                                ValueError, "unknown recon_mode 'cubic'"),
     "tx-length": (lambda tmp: reconstruct(TRACE, TransmissionSet(2, [0, 1], [0, 0])),
                   ValueError, "transmission set length does not match trace"),
+    # checked before any sum: a longer set or reconstruction gave a negative
+    # SR, or an AR from a sum of the wrong length
+    "metrics-tx-length": (
+        lambda tmp: compute_metrics(TRACE, TransmissionSet(5, [0, 2, 4], [0] * 3), np.ones(3)),
+        ValueError, "transmission set length does not match trace"),
+    "metrics-recon-length": (
+        lambda tmp: compute_metrics(ONE_SAMPLE, TransmissionSet(1, [0], [0]), np.ones(3)),
+        ValueError, "length mismatch between trace and reconstruction"),
     "integrate": (lambda tmp: gap_areas(ONE_SAMPLE, np.ones(1)),
                   ValueError, "need at least 2 samples to integrate"),
     "energy": (lambda tmp: EnergyModel(joules_per_message_overhead=-1e-4),
