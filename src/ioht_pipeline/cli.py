@@ -6,7 +6,6 @@ invariant failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import sys
@@ -15,16 +14,16 @@ from pathlib import Path
 import numpy as np
 
 from . import chart
-from .crypto import MAX_MESSAGE_RECORDS, SUITES
+from .crypto import SUITES, message_batch
 from .dp import (
     AGGREGATES,
     EPSILON_PRESETS,
     QUERY_FIELDS,
     DpParams,
     DpQuery,
+    add_noise,
     derive_streams,
     evaluate_query,
-    laplace_noise,
     perturb_series,
 )
 from .experiments import (
@@ -42,7 +41,7 @@ from .inference import (
     reconstruct,
     select_samples,
 )
-from .pipeline import EnergyModel, PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, run_pipeline
 from .trace import (
     BT_MEAN,
     KIND_UNITS,
@@ -57,6 +56,7 @@ from .trace import (
     load_xy_csv,
     save_csv,
     save_population_csv,
+    save_table_csv,
 )
 
 
@@ -105,11 +105,9 @@ def _resolve_trace(args):
     return generate_trace(spec)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _save_points_csv(path: Path, values, noised) -> None:
+    save_table_csv(path, ["index", "original", "noised"],
+                   ([i, repr(v), repr(nv)] for i, (v, nv) in enumerate(zip(values, noised))))
 
 
 def build_parser() -> _Parser:
@@ -200,8 +198,8 @@ def _cmd_gen(args) -> None:
 
 
 def _cmd_infer(args) -> None:
-    trace = _resolve_trace(args)
     config = InferenceConfig(vr=args.vr, beacon_period=args.beacon, recon_mode=args.mode)
+    trace = _resolve_trace(args)
     tx = select_samples(trace, config)
     recon = reconstruct(trace, tx, args.mode)
     metrics = compute_metrics(trace, tx, recon)
@@ -219,7 +217,7 @@ def _cmd_vr_sweep(args) -> None:
     rows = run_vr_sweep(trace, args.grid, beacon_period=args.beacon)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
+    save_table_csv(
         out / "vr_sweep.csv",
         ["vr", "t", "sr", "er", "ar", "s_diff"],
         [[r.vr, r.t, repr(r.sr), repr(r.er),
@@ -241,7 +239,7 @@ def _cmd_size_sweep(args) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     suite_names = sorted(SUITES)
-    _write_csv(
+    save_table_csv(
         out / "size_sweep.csv",
         ["savings", "plaintext_bytes"] + suite_names,
         [[r.savings, r.plaintext_bytes] + [r.ciphertext_bytes[s] for s in suite_names]
@@ -273,14 +271,13 @@ def _generate_population(args, seed: int):
 
 def _cmd_dp(args) -> None:
     _integer("trials", args.trials, 1)
-    population = _resolve_population(args)
     query = DpQuery(aggregate=args.query,
                     field=None if args.query == "count" else args.field)
     params = DpParams(epsilon=args.epsilon, sensitivity=args.sensitivity)
+    population = _resolve_population(args)
     streams = derive_streams(args.seed, args.trials + 1)  # the last is --out's
-    real = evaluate_query(population, query)  # every trial queries the same rows
-    # one draw per trial stream, added as noisy_query adds it
-    outs = [real + float(laplace_noise(rng, params.scale, 1)[0])
+    real = evaluate_query(population, query)  # every trial releases the same rows' sum
+    outs = [add_noise(real, params, rng).out_result
             for rng in itertools.islice(streams, args.trials)]
     mean_abs_dev = float(np.mean([abs(o - real) for o in outs]))
     if not np.isfinite(mean_abs_dev):
@@ -297,9 +294,8 @@ def _cmd_dp(args) -> None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         values = population[args.field].tolist()
-        noised = perturb_series(values, params, next(streams))
-        _write_csv(out / "dp_points.csv", ["index", "original", "noised"],
-                   [[i, repr(v), repr(nv)] for i, (v, nv) in enumerate(zip(values, noised))])
+        _save_points_csv(out / "dp_points.csv", values,
+                         perturb_series(values, params, next(streams)))
         print(f"wrote {out / 'dp_points.csv'}", file=sys.stderr)
 
 
@@ -316,7 +312,7 @@ def _cmd_epsilon_sweep(args) -> None:
                              trials=args.trials, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
+    save_table_csv(
         out / "epsilon_sweep.csv",
         ["epsilon", "real_mean", "noised_mean", "mean_abs_dev"],
         [[r.epsilon, repr(r.real_mean), repr(r.noised_mean), repr(r.mean_abs_dev)]
@@ -324,10 +320,7 @@ def _cmd_epsilon_sweep(args) -> None:
     )
     values = population["heart_rate"].tolist()
     for tag, row in zip(tags, rows):
-        _write_csv(out / f"noised_points_eps_{tag}.csv",
-                   ["index", "original", "noised"],
-                   [[i, repr(v), repr(nv)]
-                    for i, (v, nv) in enumerate(zip(values, row.noised_series))])
+        _save_points_csv(out / f"noised_points_eps_{tag}.csv", values, row.noised_series)
         (out / f"noised_points_eps_{tag}.svg").write_text(chart.render_chart(
             [chart.Series("original", tuple(enumerate(values))),
              chart.Series("noised", tuple(enumerate(row.noised_series)))],
@@ -340,13 +333,10 @@ def _cmd_epsilon_sweep(args) -> None:
 
 
 def _cmd_pipeline(args) -> None:
-    trace = _resolve_trace(args)
     try:
         key = bytes.fromhex(args.key)
     except ValueError as exc:
         raise UsageError(f"--key is not valid hex: {exc}") from exc
-    if not 1 <= args.batch <= MAX_MESSAGE_RECORDS:  # a header counts its records in 32 bits
-        raise ValueError(f"--batch must be in [1, {MAX_MESSAGE_RECORDS}], got {args.batch}")
     config = PipelineConfig(
         inference=InferenceConfig(vr=args.vr, beacon_period=args.beacon, recon_mode=args.mode),
         suite=SUITES[args.suite],
@@ -354,11 +344,11 @@ def _cmd_pipeline(args) -> None:
         dp=DpParams(epsilon=args.epsilon, sensitivity=args.sensitivity),
         queries=(DpQuery("mean", "heart_rate"), DpQuery("mean", "body_temperature"),
                  DpQuery("count")),
-        batch_samples=args.batch,
+        batch_samples=message_batch("--batch", args.batch),
         master_seed=args.master_seed,
-        energy=EnergyModel(),
     )
     population = _generate_population(args, args.master_seed)
+    trace = _resolve_trace(args)
     report = run_pipeline(trace, config, population)
     report_json = report.to_json()
     print(report_json)

@@ -83,6 +83,11 @@ def _header(kind: str, unit: str, count: int) -> bytes:
     return _HEADER.pack(MAGIC, FORMAT_VERSION, KIND_CODES[kind], UNIT_CODES[unit], count)
 
 
+def message_batch(name: str, value) -> int:
+    """The records a message holds: `value` as an int in [1, MAX_MESSAGE_RECORDS]."""
+    return _integer(name, value, 1, most=MAX_MESSAGE_RECORDS)
+
+
 def _message_sizes(batch: int, suite: CipherSuite) -> tuple[int, int]:
     """(plaintext, padded) bytes of a message of `batch` records."""
     size = HEADER_LEN + batch * RECORD_LEN
@@ -103,8 +108,7 @@ def frame_records(kind: str, unit: str, records: np.ndarray, batch: int,
     """
     if not isinstance(records, np.ndarray) or records.dtype != RECORD_DTYPE or records.ndim != 1:
         raise PayloadError("records must be a 1-D RECORD_DTYPE array")
-    if batch > MAX_MESSAGE_RECORDS:  # a header counts its records in 32 bits
-        raise PayloadError(f"a message holds at most 2^32 - 1 records, not {batch}")
+    batch = message_batch("batch", batch)
     size, width = _message_sizes(batch, suite)
     full = max(len(records) - 1, 0) // batch  # the messages before the last
     rows = np.empty((full, width), np.uint8)
@@ -118,7 +122,10 @@ def frame_records(kind: str, unit: str, records: np.ndarray, batch: int,
 
 def frame_sizes(record_count: int, batch: int, suite: CipherSuite) -> tuple[int, int, int]:
     """(messages, plaintext bytes, ciphertext bytes) of `frame_records`
-    framing `record_count` records, `batch` to a message."""
+    framing `record_count` records, `batch` to a message, for any batch >= 1:
+    one past what a header counts sizes as one message of every record, as
+    `test_unfiltered_log_matches_a_real_transmission` pins for `hop_log`."""
+    record_count, batch = _integer("record_count", record_count, 0), _integer("batch", batch, 1)
     full = max(record_count - 1, 0) // batch  # the messages before the last
     size, width = _message_sizes(batch, suite)
     last, padded = _message_sizes(record_count - full * batch, suite)
@@ -141,6 +148,7 @@ def read_frames(data: bytes, batch: int, suite: CipherSuite,
     header, all their pad bytes by one more, and the last message's header
     as bytes. Only a buffer that fails these runs the field checks, which
     name its first fault."""
+    batch = message_batch("batch", batch)
     size, width = _message_sizes(batch, suite)
     full = len(data) // width
     rows = np.frombuffer(data, np.uint8, full * width).reshape(full, width)

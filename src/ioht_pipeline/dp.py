@@ -74,10 +74,10 @@ def laplace_noise(rng: np.random.Generator, b: float, size: int) -> np.ndarray:
     taken through numpy's per-element loop (see the comment below); the
     route test in `tests/test_oracles.py` pins it to `math.log` bit for bit.
 
-    A single draw (`size == 1`, one per `noisy_query` and per `ioht dp`
-    trial) is made in Python floats: `rng.random()`, `math.log` and
-    `math.copysign` give the bits of the array route, which the route test
-    ties to `math.log`, without its dozen numpy calls on a one-element array.
+    A single draw (`size == 1`, one per `add_noise`) is made in Python
+    floats: `rng.random()`, `math.log` and `math.copysign` give the bits of
+    the array route, which the route test ties to `math.log`, without its
+    dozen numpy calls on a one-element array.
     """
     _real("scale b", b, positive=True)
     size = _integer("size", size, 0)  # a float size is refused, as rng.random refuses it
@@ -161,9 +161,12 @@ def noisy_query(
     rng: np.random.Generator,
 ) -> NoisedResult:
     """True aggregate plus one Laplace(0, b) draw."""
-    real = evaluate_query(dataset, query)
-    noise = float(laplace_noise(rng, params.scale, 1)[0])
-    return NoisedResult(real_result=real, noise=noise, params=params)
+    return add_noise(evaluate_query(dataset, query), params, rng)
+
+
+def add_noise(real: float, params: DpParams, rng: np.random.Generator) -> NoisedResult:
+    """An evaluated aggregate `real` plus one Laplace(0, b) draw."""
+    return NoisedResult(real, float(laplace_noise(rng, params.scale, 1)[0]), params)
 
 
 def perturb_series(

@@ -15,7 +15,8 @@ from .dp import (
     laplace_noise,
     perturb_series,
 )
-from .inference import InferenceConfig, _gap_totals, _metrics, _reasons, _reconstruct_rows
+from .inference import (InferenceConfig, InferenceMetrics, _gap_totals, _metrics, _reasons,
+                        _reconstruct_rows)
 from .trace import BLOCK_SAMPLES, Trace, _integer
 
 DEFAULT_VR_GRID = (0.0, 0.025, 0.05, 0.10, 0.20)
@@ -29,13 +30,8 @@ SWEEP_BLOCK_DRAWS = 8192
 
 
 @dataclass(frozen=True)
-class VrSweepRow:
+class VrSweepRow(InferenceMetrics):
     vr: float
-    t: int
-    sr: float
-    er: float
-    ar: Optional[float]
-    s_diff: float
 
 
 def run_vr_sweep(
@@ -77,8 +73,7 @@ def run_vr_sweep(
         areas = _gap_totals(times, values, recon).tolist()
         for config, idx, recon_sum, area in zip(batch, kept, sums, areas):
             m = _metrics(n, len(idx), orig_sum, recon_sum, area.real, area.imag)
-            rows.append(VrSweepRow(vr=config.vr, t=m.t, sr=m.sr, er=m.er, ar=m.ar,
-                                   s_diff=m.s_diff))
+            rows.append(VrSweepRow(**vars(m), vr=config.vr))
     return rows
 
 

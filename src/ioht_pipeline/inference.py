@@ -44,6 +44,7 @@ class TransmissionSet:
     codes: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "source_len", _integer("source_len", self.source_len, 0))
         indices, codes = _int64_column(self.indices), _int64_column(self.codes)
         if indices.ndim != 1 or indices.shape != codes.shape:
             raise ValueError("indices and codes must be 1-D and of equal length")

@@ -10,7 +10,6 @@ from typing import Iterable
 import numpy as np
 
 from .crypto import (
-    MAX_MESSAGE_RECORDS,
     CipherSuite,
     PayloadError,
     _cipher,
@@ -18,6 +17,7 @@ from .crypto import (
     encrypt,
     frame_records,
     frame_sizes,
+    message_batch,
     read_frames,
     transmitted_records,
 )
@@ -68,11 +68,7 @@ class PipelineConfig:
     energy: EnergyModel = EnergyModel()
 
     def __post_init__(self) -> None:
-        # a float batch is refused: it would fail as a range step mid-run
-        batch = _integer("batch_samples", self.batch_samples, 1)
-        if batch > MAX_MESSAGE_RECORDS:
-            raise ValueError(f"batch_samples must be in [1, {MAX_MESSAGE_RECORDS}], got {batch}")
-        object.__setattr__(self, "batch_samples", batch)
+        object.__setattr__(self, "batch_samples", message_batch("batch_samples", self.batch_samples))
         _integer("master_seed", self.master_seed, 0)
         _cipher(self.suite, self.key)  # the suite's own key-length rule
 

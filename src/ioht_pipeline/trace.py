@@ -44,15 +44,18 @@ def _check_labels(kind: str, unit: str) -> None:
         raise TraceError(f"unknown unit {unit!r}")
 
 
-def _integer(name: str, value, least: int, error: type[Exception] = ValueError) -> int:
+def _integer(name: str, value, least: int, error: type[Exception] = ValueError,
+             most: int | None = None) -> int:
     """`value`, an integer of any integer type (a float, even 2.0, is not
-    one), as an int of at least `least`; raises `error` naming `name` if not."""
+    one), as an int of at least `least` and, if given, at most `most`;
+    raises `error` naming `name` if not."""
     try:
         n = operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
-    if n < least:
-        raise error(f"{name} must be >= {least}, got {n}")
+    if n < least or most is not None and n > most:
+        bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise error(f"{name} must be {bound}, got {n}")
     return n
 
 
@@ -701,9 +704,15 @@ def _xy_fault(rows: np.ndarray, before: np.void | None) -> tuple[int, str] | Non
     return (bad[0], "non-finite value") if bad.size else None
 
 
-def save_population_csv(population: np.ndarray, path: str | Path) -> None:
+def save_table_csv(path: str | Path, header: Iterable, rows: Iterable) -> None:
+    """A header row and then `rows`, by csv.writer."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(POPULATION_DTYPE.names)
-        writer.writerows([pid, gender, f"{bt:.6f}", f"{hr:.6f}"]
-                         for pid, gender, bt, hr in population.tolist())
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_population_csv(population: np.ndarray, path: str | Path) -> None:
+    save_table_csv(path, POPULATION_DTYPE.names,
+                   ([pid, gender, f"{bt:.6f}", f"{hr:.6f}"]
+                    for pid, gender, bt, hr in population.tolist()))

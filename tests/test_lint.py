@@ -1,7 +1,9 @@
 """Static checks of the package source that need no linter: every name a
 module imports is used in that module, importing the package loads no
 `cryptography`, one function parses CSV text with numpy, one function
-interpolates, and one function spells the rule for an integer setting."""
+interpolates, one function spells the rule for an integer setting, one
+writes a CSV table, one module knows how many records a message holds, and
+every noisy release outside the epsilon sweep goes through `dp`."""
 import ast
 from operator import attrgetter
 from pathlib import Path
@@ -124,6 +126,33 @@ def test_one_function_calls_interp():
 def test_one_function_calls_operator_index():
     # every integer setting goes through trace._integer: a float, even 2.0, is refused
     assert package_callers("operator", "index") == {"trace._integer"}
+
+
+def test_one_function_calls_csv_writer():
+    # every CSV table, the population file's too, goes through one writer
+    assert package_callers("csv", "writer") == {"trace.save_table_csv"}
+
+
+def test_only_the_epsilon_sweep_draws_laplace_noise_outside_dp():
+    # a release elsewhere is a dp.noisy_query, dp.add_noise or dp.perturb_series call
+    assert package_callers("dp", "laplace_noise") == {"experiments.run_epsilon_sweep"}
+
+
+def modules_naming(name: str) -> set[str]:
+    """The package modules that name `name`: read it, read it as an
+    attribute, or import it."""
+    def names(node):
+        return (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name)
+
+    return {path.stem for path in PACKAGE.glob("*.py")
+            if any(names(node) for node in ast.walk(ast.parse(path.read_text())))}
+
+
+def test_only_crypto_knows_how_many_records_a_message_holds():
+    # the batch rule is crypto.message_batch
+    assert modules_naming("MAX_MESSAGE_RECORDS") == {"crypto"}
 
 
 def test_loadtxt_callers_sees_aliases_methods_and_module_code():

@@ -205,7 +205,7 @@ def run_vr_sweep_loop(trace, vr_grid, beacon_period):
         tx = select_samples(trace, InferenceConfig(vr=vr, beacon_period=beacon_period))
         recon = reconstruct(trace, tx)
         m = compute_metrics(trace, tx, recon)
-        rows.append(VrSweepRow(vr=vr, t=m.t, sr=m.sr, er=m.er, ar=m.ar, s_diff=m.s_diff))
+        rows.append(VrSweepRow(**vars(m), vr=vr))
     return rows
 
 
@@ -700,8 +700,8 @@ def vr_sweep_outcome(sweep, trace, grid, beacon):
         rows = sweep(trace, grid, beacon)
     except ValueError as exc:
         return f"ValueError: {exc}"
-    return [(r.vr, r.t, struct.pack(">3d", r.sr, r.er, r.s_diff),
-             None if r.ar is None else struct.pack(">d", r.ar)) for r in rows]
+    return [{name: struct.pack(">d", value) if isinstance(value, float) else value
+             for name, value in vars(r).items()} for r in rows]
 
 
 # Rates that keep every sample (0.0), the paper's, and one whose thresholds

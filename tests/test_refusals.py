@@ -13,9 +13,10 @@ from ioht_pipeline.cli import main
 from ioht_pipeline.crypto import (
     RECORD_DTYPE,
     SUITES,
-    PayloadError,
     ciphertext_size,
     frame_records,
+    frame_sizes,
+    read_frames,
 )
 from ioht_pipeline.dp import DpQuery, l1_sensitivity
 from ioht_pipeline.experiments import run_epsilon_sweep, run_vr_sweep
@@ -27,7 +28,7 @@ from ioht_pipeline.inference import (
     reconstruct,
     savings_ratio,
 )
-from ioht_pipeline.pipeline import EnergyModel
+from ioht_pipeline.pipeline import EnergyModel, hop_log
 from ioht_pipeline.trace import (
     SyntheticSpec,
     Trace,
@@ -37,6 +38,8 @@ from ioht_pipeline.trace import (
     load_population_csv,
 )
 
+AES = SUITES["aes-128-ecb"]
+NO_RECORDS = np.empty(0, RECORD_DTYPE)
 TRACE = Trace("other", "dimensionless", [0, 1, 2], [1.0, 2.0, 3.0])
 ONE_SAMPLE = Trace("other", "dimensionless", [0], [1.0])
 EMPTY = Trace("other", "dimensionless", [], [])
@@ -70,6 +73,10 @@ REFUSALS = {
                          ValueError, "unknown recon_mode 'cubic'"),
     "reconstruct-mode-empty": (lambda tmp: reconstruct(EMPTY, TransmissionSet(0, [], []), "cubic"),
                                ValueError, "unknown recon_mode 'cubic'"),
+    "tx-source-len": (lambda tmp: TransmissionSet(-1, [], []),
+                      ValueError, "source_len must be >= 0, got -1"),
+    "tx-source-len-float": (lambda tmp: TransmissionSet(2.5, [0, 1, 2], [0, 0, 0]),
+                            ValueError, "source_len must be an integer, got 2.5"),
     "tx-length": (lambda tmp: reconstruct(TRACE, TransmissionSet(2, [0, 1], [0, 0])),
                   ValueError, "transmission set length does not match trace"),
     # checked before any sum: a longer set or reconstruction gave a negative
@@ -123,9 +130,13 @@ REFUSALS = {
     "savings-kept-float": (lambda tmp: savings_ratio(3, 1.5),
                            ValueError, "t must be an integer, got 1.5"),
     "savings-empty": (lambda tmp: savings_ratio(0, 0), ValueError, "n must be >= 1, got 0"),
-    "batch": (lambda tmp: frame_records("other", "dimensionless", np.empty(0, RECORD_DTYPE),
-                                        2**32, SUITES["aes-128-ecb"]),
-              PayloadError, "a message holds at most 2^32 - 1 records, not 4294967296"),
+    # a header counts its records in 32 bits
+    "batch": (lambda tmp: frame_records("other", "dimensionless", NO_RECORDS, 2**32, AES),
+              ValueError, "batch must be in [1, 4294967295], got 4294967296"),
+    "frame-sizes-count": (lambda tmp: frame_sizes(-1, 60, AES),
+                          ValueError, "record_count must be >= 0, got -1"),
+    "frame-sizes-count-float": (lambda tmp: frame_sizes(2.5, 60, AES),
+                                ValueError, "record_count must be an integer, got 2.5"),
     "style": (lambda tmp: render_chart([Series("s", ((0.0, 1.0),))], style="bars"),
               ValueError, "unknown style 'bars'"),
     "key": (lambda tmp: make_config(key=bytes(2)),
@@ -185,3 +196,56 @@ def test_command_refusal_exits_2(tmp_path, capsys, argv, text, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     assert not out.exists()
+
+
+# The framing functions at a batch no message holds, each refusing it by name
+# with the bound it states: `frame_sizes`, and `hop_log` through it, size any
+# batch >= 1.
+MESSAGE_BOUND = "in [1, 4294967295]"
+FRAMING = {
+    "frame_records": (lambda batch: frame_records("other", "dimensionless", NO_RECORDS, batch, AES),
+                      MESSAGE_BOUND),
+    "frame_sizes": (lambda batch: frame_sizes(130, batch, AES), ">= 1"),
+    "hop_log": (lambda batch: hop_log(130, batch, AES), ">= 1"),
+    "read_frames": (lambda batch: read_frames(
+        frame_records("other", "dimensionless", NO_RECORDS, 1, AES), batch, AES), MESSAGE_BOUND),
+}
+
+
+@pytest.mark.parametrize("batch", [0, -1, 2.5])
+@pytest.mark.parametrize("call,bound", FRAMING.values(), ids=FRAMING.keys())
+def test_framing_refuses_a_batch_by_name(call, bound, batch):
+    bound = "an integer" if batch == 2.5 else bound
+    with pytest.raises(ValueError, match=re.escape(f"batch must be {bound}, got {batch}")) as refused:
+        call(batch)
+    assert refused.type is ValueError
+
+
+# Every option is checked before the trace or population is read, so each
+# command names its bad option, not the missing input file.
+OPTIONS_BEFORE_DATA = {
+    "pipeline-key": (["pipeline", "--input", "{missing}", "--key", "zz"], 1,
+                     "--key is not valid hex"),
+    "pipeline-batch": (["pipeline", "--input", "{missing}", "--batch", "0"], 2,
+                       "--batch must be in [1, 4294967295], got 0"),
+    "pipeline-vr": (["pipeline", "--input", "{missing}", "--vr", "-1"], 2,
+                    "vr must be finite and >= 0, got -1.0"),
+    "pipeline-epsilon": (["pipeline", "--input", "{missing}", "--epsilon", "-1"], 2,
+                         "epsilon must be finite and > 0, got -1.0"),
+    "pipeline-population-size": (["pipeline", "--input", "{missing}", "--population-size", "-1"],
+                                 2, "--population-size must be >= 0, got -1"),
+    "infer-vr": (["infer", "--input", "{missing}", "--vr", "-1"], 2,
+                 "vr must be finite and >= 0, got -1.0"),
+    "dp-epsilon": (["dp", "--population", "{missing}", "--epsilon", "-1"], 2,
+                   "epsilon must be finite and > 0, got -1.0"),
+}
+
+
+@pytest.mark.parametrize("argv,code,message", OPTIONS_BEFORE_DATA.values(),
+                         ids=OPTIONS_BEFORE_DATA.keys())
+def test_options_are_checked_before_data(tmp_path, capsys, argv, code, message):
+    missing = tmp_path / "missing.csv"
+    assert main([arg.format(missing=missing) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
