@@ -213,6 +213,8 @@ def _cmd_infer(args) -> None:
 
 
 def _cmd_vr_sweep(args) -> None:
+    for vr in args.grid:  # every option is checked before the trace is read
+        InferenceConfig(vr=vr, beacon_period=args.beacon)
     trace = _resolve_trace(args)
     rows = run_vr_sweep(trace, args.grid, beacon_period=args.beacon)
     out = Path(args.out)
@@ -270,7 +272,7 @@ def _generate_population(args, seed: int):
 
 
 def _cmd_dp(args) -> None:
-    _integer("trials", args.trials, 1)
+    _integer("--trials", args.trials, 1)
     query = DpQuery(aggregate=args.query,
                     field=None if args.query == "count" else args.field)
     params = DpParams(epsilon=args.epsilon, sensitivity=args.sensitivity)
@@ -307,6 +309,8 @@ def _cmd_epsilon_sweep(args) -> None:
             raise UsageError(f"--grid values {tags[tag]!r} and {eps!r} would both write "
                              f"noised_points_eps_{tag}.csv")
         tags[tag] = eps
+        DpParams(epsilon=eps, sensitivity=args.sensitivity)
+    _integer("--trials", args.trials, 1)  # every option is checked before the population is read
     population = _resolve_population(args)
     rows = run_epsilon_sweep(population, args.grid, sensitivity=args.sensitivity,
                              trials=args.trials, seed=args.seed)

@@ -306,10 +306,13 @@ def _split_areas(c0: np.ndarray, c1: np.ndarray, s0: np.ndarray,
 
 def compute_metrics(trace: Trace, tx: TransmissionSet, recon: np.ndarray) -> InferenceMetrics:
     """Savings ratio, efficiency ratio, accuracy ratio and gap areas. Raises a
-    ValueError, before any sum, if `tx` or `recon` is not of the trace's
-    length, and one naming the first of AR's two sums, the gap areas and AR
-    that overflows float64 (an infinite sum gives AR NaN, or a wrong 0.0)."""
+    ValueError, before any sum, if the trace is empty or `tx` or `recon` is
+    not of its length, and one naming the first of AR's two sums, the gap
+    areas and AR that overflows float64 (an infinite sum gives AR NaN, or a
+    wrong 0.0)."""
     n = len(trace)
+    if n == 0:
+        raise ValueError("metrics require a non-empty trace")
     if tx.source_len != n:
         raise ValueError("transmission set length does not match trace")
     if len(recon) != n:

@@ -1,9 +1,12 @@
+import contextlib
 import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from xml.dom import minidom
 
@@ -315,7 +318,7 @@ class TestCli:
         assert main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: trials must be >= 1")
+        assert captured.err.startswith("error: --trials must be >= 1")
         assert not out.exists()
 
     # The sum of these values overflows float64, so AR would print as NaN.
@@ -369,34 +372,41 @@ class TestCli:
                               "wrote out/pipeline_report.json and out/hops.csv\n")
 
 
-# Every CLI command at tier-1 size, pinned byte for byte: each entry of the
-# manifest holds a command line, its exit code, the sha256 of its stdout and
-# the sha256 of every file it writes. Each runs in a fresh directory that
-# links the input files below. With IOHT_GOLDEN_REGEN=1 the test writes what
-# the commands give now into the manifest instead of checking it, so a change
-# that moves an output shows as one JSON diff.
+# Every CLI command, pinned byte for byte: each entry of the manifest holds a
+# command line, its exit code, the sha256 of its stdout and the sha256 of
+# every file it writes. Each runs in a fresh directory that links the input
+# files of `golden_inputs` (tests/conftest.py); an entry with a "stdin" field
+# reads that input on fd 0 through a pipe, as `cat file | ioht ...` gives it.
+# With IOHT_GOLDEN_REGEN=1 the test writes what the commands give now into
+# the manifest instead of checking it, so a change that moves an output shows
+# as one JSON diff.
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 GOLDEN_ENTRIES = json.loads(GOLDEN.read_text())
-GOLDEN_INPUTS = {
-    "trace.csv": "gen --n 100000 --seed 7 --drift 8 --noise 1.5",
-    "short.csv": "gen --n 1420 --seed 7",
-    "population.csv": "gen --population --n 130 --seed 5",
-}
-# trace-exp.csv is trace.csv with this data row's value in exponent form: the
-# same numbers, with one row outside load_csv's byte grammar in the second
-# of the file's two 1 MiB blocks.
-EXPONENT_ROW = 75_000
 
 
-@pytest.fixture(scope="module")
-def golden_inputs(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("inputs")
-    for name, command in GOLDEN_INPUTS.items():
-        assert main(command.split() + ["--out", str(directory / name)]) == 0
-    lines = (directory / "trace.csv").read_bytes().split(b"\r\n")
-    lines[EXPONENT_ROW + 1] += b"e0"
-    (directory / "trace-exp.csv").write_bytes(b"\r\n".join(lines))
-    return directory
+@contextlib.contextmanager
+def stdin_pipe(path):
+    """fd 0 reads `path` through a pipe for the length of the block."""
+    read, write = os.pipe()
+
+    def feed():
+        # the reader may stop early: a command that fails closes its end
+        with contextlib.suppress(BrokenPipeError), open(path, "rb") as source, \
+                open(write, "wb") as sink:
+            shutil.copyfileobj(source, sink)
+
+    saved = os.dup(0)
+    os.dup2(read, 0)
+    os.close(read)
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        yield
+    finally:
+        os.dup2(saved, 0)
+        os.close(saved)
+        feeder.join(timeout=60)  # a reader left open would hold the feeder
+        assert not feeder.is_alive()
 
 
 def sha256(data):
@@ -406,11 +416,17 @@ def sha256(data):
 @pytest.mark.parametrize("entry", GOLDEN_ENTRIES, ids=[
     "_".join(arg.lstrip("-") for arg in entry["command"].split()) for entry in GOLDEN_ENTRIES])
 def test_cli_output_is_golden(entry, golden_inputs, tmp_path, monkeypatch, capsys):
+    # writing to a linked name would rewrite the shared input file
+    args = entry["command"].split()
+    assert "--out" not in args or not (golden_inputs / args[args.index("--out") + 1]).exists()
     for source in golden_inputs.iterdir():
         (tmp_path / source.name).symlink_to(source)
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()
-    got = {"command": entry["command"], "exit": main(entry["command"].split())}
+    got = {key: entry[key] for key in ("command", "stdin") if key in entry}
+    stdin = stdin_pipe(golden_inputs / entry["stdin"]) if "stdin" in entry else None
+    with stdin or contextlib.nullcontext():
+        got["exit"] = main(entry["command"].split())
     got["stdout"] = sha256(capsys.readouterr().out.encode())
     got["files"] = {path.relative_to(tmp_path).as_posix(): sha256(path.read_bytes())
                     for path in sorted(tmp_path.rglob("*"))
@@ -458,7 +474,8 @@ print(json.dumps(results))
 
 
 def test_cli_output_is_golden_without_cryptography(golden_inputs, tmp_path):
-    entries = [entry for entry in GOLDEN_ENTRIES if entry["command"].split()[0] != "pipeline"]
+    entries = [entry for entry in GOLDEN_ENTRIES
+               if entry["command"].split()[0] != "pipeline" and "stdin" not in entry]
     got = python("-c", WITHOUT_CRYPTOGRAPHY, golden_inputs, tmp_path,
                  input=json.dumps([entry["command"] for entry in entries]))
     assert got.returncode == 0, got.stderr

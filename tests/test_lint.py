@@ -2,15 +2,17 @@
 module imports is used in that module, importing the package loads no
 `cryptography`, one function parses CSV text with numpy, one function
 interpolates, one function spells the rule for an integer setting, one
-writes a CSV table, one module knows how many records a message holds, and
-every noisy release outside the epsilon sweep goes through `dp`."""
+writes a CSV table, one module knows how many records a message holds,
+every noisy release outside the epsilon sweep goes through `dp`, and every
+pin of the CLI's output bytes is an entry of the golden manifest."""
 import ast
 from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ioht_pipeline"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ioht_pipeline"
 # The package's __init__ imports names only to re-export them.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -190,7 +192,7 @@ def test_package_has_every_name_the_benchmark_reads():
     # hands the package to each workload as `io`
     import ioht_pipeline.experiments
 
-    workloads = PACKAGE.parent.parent / "perfbench" / "workloads.py"
+    workloads = ROOT / "perfbench" / "workloads.py"
     paths = package_reads(workloads.read_text())
     assert "load_csv" in paths and "experiments.run_vr_sweep" in paths
     missing = []
@@ -200,3 +202,11 @@ def test_package_has_every_name_the_benchmark_reads():
         except AttributeError:
             missing.append(path)
     assert missing == []
+
+
+def test_no_workflow_checks_a_sha256():
+    # an output's bytes are pinned as a tests/golden_outputs.json entry, which
+    # Tier 1 runs, and in no workflow step
+    workflows = sorted((ROOT / ".github" / "workflows").glob("*.y*ml"))
+    assert workflows
+    assert [path.name for path in workflows if "sha256sum" in path.read_text()] == []

@@ -183,6 +183,10 @@ COMMAND_REFUSALS = {
     "pipeline-population-size": (["pipeline", "--n", "50", "--population-size", "-1",
                                   "--out", "{out}"],
                                  None, "--population-size must be >= 0, got -1"),
+    # an empty trace is named as such, as `pipeline` names it
+    "infer-empty": (["infer", "--n", "0"], None, "metrics require a non-empty trace"),
+    "infer-header-only": (["infer", "--input", "{input}"], "t,value\n",
+                          "metrics require a non-empty trace"),
 }
 
 
@@ -238,14 +242,47 @@ OPTIONS_BEFORE_DATA = {
                  "vr must be finite and >= 0, got -1.0"),
     "dp-epsilon": (["dp", "--population", "{missing}", "--epsilon", "-1"], 2,
                    "epsilon must be finite and > 0, got -1.0"),
+    "dp-trials": (["dp", "--population", "{missing}", "--epsilon", "0.5", "--trials", "0"], 2,
+                  "--trials must be >= 1, got 0"),
+    "vr-sweep-grid": (["vr-sweep", "--input", "{missing}", "--grid", "-1", "--out", "{out}"], 2,
+                      "vr must be finite and >= 0, got -1.0"),
+    "vr-sweep-beacon": (["vr-sweep", "--input", "{missing}", "--beacon", "0", "--out", "{out}"],
+                        2, "beacon_period must be >= 1, got 0"),
+    "epsilon-sweep-trials": (["epsilon-sweep", "--population", "{missing}", "--trials", "0",
+                              "--out", "{out}"], 2, "--trials must be >= 1, got 0"),
+    "epsilon-sweep-grid": (["epsilon-sweep", "--population", "{missing}", "--grid", "0",
+                            "--out", "{out}"], 2, "epsilon must be finite and > 0, got 0.0"),
+    "epsilon-sweep-sensitivity": (["epsilon-sweep", "--population", "{missing}",
+                                   "--sensitivity", "-1", "--out", "{out}"], 2,
+                                  "sensitivity must be finite and > 0, got -1.0"),
 }
 
 
 @pytest.mark.parametrize("argv,code,message", OPTIONS_BEFORE_DATA.values(),
                          ids=OPTIONS_BEFORE_DATA.keys())
 def test_options_are_checked_before_data(tmp_path, capsys, argv, code, message):
-    missing = tmp_path / "missing.csv"
-    assert main([arg.format(missing=missing) for arg in argv]) == code
+    missing, out = tmp_path / "missing.csv", tmp_path / "out"
+    assert main([arg.format(missing=missing, out=out) for arg in argv]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+# t.csv of the golden inputs, the 1 M-row seed-7 trace, with one row
+# appended: load_csv's byte reader declines only in the file's last block,
+# and the row is named by its line number.
+APPENDED_ROWS = {
+    "bad-row": (b"x,1.0\n", "row 1000002"),
+    "negative-row": (b"-5,1.0\n", "negative time offset at row 1000002"),
+}
+
+
+@pytest.mark.parametrize("row,message", APPENDED_ROWS.values(), ids=APPENDED_ROWS.keys())
+def test_a_bad_last_row_is_named(golden_inputs, tmp_path, capsys, row, message):
+    path = tmp_path / "t-bad.csv"
+    path.write_bytes((golden_inputs / "t.csv").read_bytes() + row)
+    assert main(["infer", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
