@@ -414,7 +414,8 @@ def _read_lines(block: bytearray, end: int, times: np.ndarray, values: np.ndarra
     in it ends in LF, so a run costs its own length. `_read_run` checks every
     byte of every row against its first row's layout, so a row it accepts is
     one line. Runs of fewer than 256 rows on average send the block to numpy,
-    which reads them faster (about 250 rows is where the two routes break even).
+    which reads short runs faster: the two routes break even at runs of about
+    200 rows, and at 256 the byte route is about 15% faster.
     """
     lines = np.frombuffer(block, np.uint8, end)
     pos = rows = runs = 0
@@ -450,7 +451,9 @@ def _read_run(run: np.ndarray, times: np.ndarray, values: np.ndarray) -> int:
     the value. Return how many, or 0 if the first row, or any N, is outside
     the grammar. A value is +-N / 10**f, N its digits and f those after the
     point; as N < 2**53 and f <= 22 are exact doubles, the quotient is the
-    decimal correctly rounded (Clinger's fast path), the double numpy gives."""
+    decimal correctly rounded (Clinger's fast path), the double numpy gives.
+    The run's bytes are transposed once, and `_horner` builds t and N in
+    widening lanes from views of their digit rows."""
     first = run[0].tobytes()
     stop = len(first) - 1 - first.endswith(b"\r\n")  # the end of the value
     comma = first.find(b",", 0, stop)
@@ -464,30 +467,42 @@ def _read_run(run: np.ndarray, times: np.ndarray, values: np.ndarray) -> int:
     cols = np.array(run.T, order="C")  # one row of bytes per column; a copy, even of one row
     cols -= ord("0")
     high = cols.max(axis=1)
-    if np.any(high[digit] > 9) or np.any(high[~digit] != cols[~digit].min(axis=1)):
+    if np.any(high[digit] > 9) or np.any(high[~digit] != cols.min(axis=1)[~digit]):
         bad = (cols[digit] > 9).any(axis=0) | (cols[~digit] != cols[~digit, :1]).any(axis=0)
         cols = cols[:, :np.argmax(bad)]
     count = cols.shape[1]
-    mantissa = _horner(cols[np.r_[start:point, point + 1:stop]])
+    cols[start + 1:point + 1] = cols[start:point]  # N's digits, as one view of rows
+    mantissa = _horner(cols[start + 1:stop])
     if not count or mantissa.max() >= 2**53:
         return 0
     times[:count] = _horner(cols[:comma])
-    np.divide(mantissa, 10.0 ** (stop - point - 1), out=values[:count])
+    np.divide(mantissa, 10.0 ** (stop - point - 1), out=values[:count], dtype=np.float64)
     if start > comma + 1:
         np.negative(values[:count], out=values[:count])
     return count
 
 
 def _horner(digits: np.ndarray) -> np.ndarray:
-    """The int64 numbers whose decimal digits, most significant first, are the
-    rows of `digits`: digit pairs are summed in uint8, and each int64 Horner
-    step takes a pair."""
-    odd = len(digits) % 2
-    out = digits[0].astype(np.int64) if odd else np.zeros(digits.shape[1], np.int64)
-    for pair in digits[odd::2] * np.uint8(10) + digits[odd + 1::2]:
-        out *= 100
-        out += pair
-    return out
+    """The numbers whose decimal digits, most significant first, are the 1 to
+    `_MAX_DIGITS` rows of `digits`, built in widening lanes: digit pairs in
+    uint8 (at most 99), quads in uint16 (9 999), octets in uint32 (99 999 999),
+    then at most two int64 steps of 10**8. Each level is one operation over
+    the 2-D block of the limbs below it, taken two by two; an odd first limb
+    is folded instead into `lead`, the number of the digits ahead of them.
+    The result is int64 past eight digits, else in the last lane built (for
+    one digit, a view)."""
+    limbs, lead = digits, None
+    for lane, scale in (np.uint8, 10), (np.uint16, 100), (np.uint32, 10_000):
+        odd = len(limbs) % 2
+        if odd:
+            lead = limbs[0] if lead is None else lead.astype(lane) * lane(scale) + limbs[0]
+        wide = limbs[odd::2].astype(lane)
+        wide *= lane(scale)
+        wide += limbs[odd + 1::2]
+        limbs = wide
+    for octet in limbs:
+        lead = octet if lead is None else lead.astype(np.int64) * np.int64(10**8) + octet
+    return lead
 
 
 # Below this magnitude |v| * 10**6 < 2**52, where `_micro_units` is exact.

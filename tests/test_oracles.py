@@ -1624,7 +1624,7 @@ def test_fast_reader_starts_a_piece_where_the_layout_changes(tmp_path, monkeypat
 
 # Rows whose value widths alternate every `run` rows: runs of 1 and of 100
 # rows are read faster by numpy, and runs of 1 000 rows from bytes (the two
-# routes break even at runs of about 250 rows).
+# routes break even at runs of about 200 rows).
 @pytest.mark.parametrize("run", [1, 100, 1000])
 def test_fast_reader_sends_short_runs_to_numpy(tmp_path, monkeypatch, run):
     path = tmp_path / "trace.csv"
@@ -1655,6 +1655,43 @@ def test_fast_reader_reads_save_csv_files_and_declines_blank_lines(tmp_path, mon
     path.write_bytes(data[:last] + b"\r\n" + data[last:])  # a blank line before the last row
     with pytest.raises(called):
         load_csv(path, "other", "dimensionless")
+
+
+def test_bulk_golden_input_is_read_from_bytes(golden_inputs, monkeypatch):
+    # numpy reads this file about 7 times slower: a fall-back would pass every golden
+    path = golden_inputs / "t.csv"
+    times, values = loadtxt_columns(path)
+    no_loadtxt(monkeypatch)
+    got = load_csv(path, "other", "dimensionless")
+    assert got.times.tobytes() == times.tobytes()
+    assert got.values.tobytes() == values.tobytes()
+
+
+def digit_columns(kind, digits, count):
+    """A (digits, count) uint8 array whose columns are numbers of `digits`
+    decimal digits, most significant first, of one kind."""
+    rng = np.random.default_rng(digits * 1000 + count)
+    if kind == "nines":
+        return np.full((digits, count), 9, np.uint8)
+    if kind == "zeros":
+        return np.zeros((digits, count), np.uint8)
+    columns = rng.integers(0, 10, (digits, count), dtype=np.uint8)
+    if kind == "leading zeros":  # column j starts with j % (digits + 1) zeros, up to all of them
+        columns[np.arange(digits)[:, None] < np.arange(count) % (digits + 1)] = 0
+    return columns
+
+
+# All nines reach each lane's maximum: 99 in uint8, 9 999 in uint16,
+# 99 999 999 in uint32 and 10**18 - 1 in int64.
+@pytest.mark.parametrize("digits", range(1, trace_module._MAX_DIGITS + 1))
+def test_horner_matches_python_int(digits):
+    for count in (1, 2, 300):
+        for kind in ("nines", "zeros", "leading zeros", "random"):
+            columns = digit_columns(kind, digits, count)
+            got = trace_module._horner(columns)
+            assert got.dtype.kind in "ui" and got.shape == (count,)
+            want = [int("".join(map(str, column))) for column in columns.T.tolist()]
+            assert got.tolist() == want, (kind, count)
 
 
 def near_tie(j, toward):
